@@ -9,7 +9,7 @@ complement classes, and a partition case split for doubled trigraphs.
 
 Every finder verifies its output against the path-enumeration oracle before
 returning it, so a construction bug surfaces as a hard failure rather than
-a wrong certificate.
+a wrong certificate.  That is the one oracle check a returned pair gets.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .detect import is_even_pair
 from .errors import InputError, TheoremContradictionError
-from .trigraph import (ANTI, STRONG, Trigraph, bits_of, complement,
-                       components, full_realization, induced, in_class_F,
-                       is_complete, mask_of, switchable_components)
+from .trigraph import (ANTI, Trigraph, bits_of, complement, components,
+                       full_realization, induced, in_class_F, is_complete,
+                       mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +84,9 @@ def bipartition_of(T: Trigraph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 
 def _strong_triangles_only(T: Trigraph) -> bool:
-    for a, b, c in itertools.combinations(range(T.n), 3):
-        if T.theta[a, b] >= 0 and T.theta[a, c] >= 0 and T.theta[b, c] >= 0:
-            if not (T.theta[a, b] == STRONG and T.theta[a, c] == STRONG
-                    and T.theta[b, c] == STRONG):
-                return False
-    return True
+    """No triangle has a switchable side: no switchable pair has a common
+    neighbor."""
+    return not any(T.adj[u] & T.adj[v] for u, v in T.switchable_pairs())
 
 
 def _krausz_partitions(G: Trigraph):
@@ -105,14 +102,14 @@ def _krausz_partitions(G: Trigraph):
         members all have spare load."""
         common = [w for w in range(G.n)
                   if w not in (u, v) and load[w] < 2
-                  and G.theta[u, w] == STRONG and G.theta[v, w] == STRONG
+                  and G.strong[u] >> w & 1 and G.strong[v] >> w & 1
                   and edge_id[frozenset((u, w))] in uncovered
                   and edge_id[frozenset((v, w))] in uncovered]
 
         def extend(base: tuple[int, ...], pool: list[int]):
             yield base
             for i, w in enumerate(pool):
-                if all(G.theta[w, z] == STRONG
+                if all(G.strong[w] >> z & 1
                        and edge_id[frozenset((w, z))] in uncovered
                        for z in base):
                     yield from extend(base + (w,), pool[i + 1:])
@@ -190,19 +187,17 @@ def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:
     y_anticomps = components(T, bits_of(y_mask), "anticonnected")
     if any(len(c) > 2 for c in y_anticomps):
         return False
-    for cx in x_comps:
-        for cy in y_anticomps:
-            for v in cx:
-                strong = sum(1 for w in cy if T.theta[v, w] == STRONG)
-                anti = sum(1 for w in cy if T.theta[v, w] == ANTI)
-                if strong > 1 or anti > 1:
-                    return False
-            for v in cy:
-                strong = sum(1 for w in cx if T.theta[v, w] == STRONG)
-                anti = sum(1 for w in cx if T.theta[v, w] == ANTI)
-                if strong > 1 or anti > 1:
-                    return False
-    return True
+
+    def at_most_one_each(v: int, side: int) -> bool:
+        # at most one strong neighbor and one strong antineighbor in side
+        return ((T.strong[v] & side).bit_count() <= 1
+                and (T.anti[v] & ~T.switch[v] & side).bit_count() <= 1)
+
+    x_masks = [mask_of(c) for c in x_comps]
+    y_masks = [mask_of(c) for c in y_anticomps]
+    return all(all(at_most_one_each(v, cy) for v in bits_of(cx))
+               and all(at_most_one_each(v, cx) for v in bits_of(cy))
+               for cx in x_masks for cy in y_masks)
 
 
 def good_partition_of(T: Trigraph) -> GoodPartition | None:
@@ -254,7 +249,7 @@ class FavorabilityVerdict:
 
 def _is_clique(T: Trigraph, vertices) -> bool:
     vs = sorted(vertices)
-    return all(T.theta[u, v] >= 0 for u, v in itertools.combinations(vs, 2))
+    return all(T.adj[u] >> v & 1 for u, v in itertools.combinations(vs, 2))
 
 
 def is_favorable(T: Trigraph) -> FavorabilityVerdict:
@@ -265,17 +260,22 @@ def is_favorable(T: Trigraph) -> FavorabilityVerdict:
     verdict = in_class_F(T)
     if not verdict.ok:
         raise InputError(f"favorability needs a class member: {verdict.violation}")
-    D = verdict.component or frozenset()
+    return favorability(T)
+
+
+def favorability(T: Trigraph) -> FavorabilityVerdict:
+    """``is_favorable`` for a trigraph already known to be a class member,
+    without checking that again."""
+    D = switchable_vertices(T)
     if T.n < 5:
         return FavorabilityVerdict(False, "fewer than five vertices")
     d_mask = mask_of(D)
-    has_pair = any(T.theta[u, v] == ANTI
-                   for u, v in itertools.combinations(range(T.n), 2)
-                   if not ((1 << u | 1 << v) & d_mask))
+    has_pair = any(T.anti[u] & ~T.switch[u] & ~d_mask
+                   for u in range(T.n) if not d_mask >> u & 1)
     if not has_pair:
         return FavorabilityVerdict(
             False, "no strongly antiadjacent pair avoiding the switchable component")
-    if verdict.kind == "small":
+    if len(D) == 2:
         x, y = sorted(D)
         leftovers = []
         for z in (x, y):
@@ -305,13 +305,6 @@ def _verify_pair(T: Trigraph, pair: tuple[int, int], need_disjoint: bool,
     return (u, v)
 
 
-def _switchable_union(T: Trigraph) -> frozenset[int]:
-    D: frozenset[int] = frozenset()
-    for comp in switchable_components(T):
-        D |= comp
-    return D
-
-
 def even_pair_bipartite(T: Trigraph, need_disjoint: bool = False) -> tuple[int, int] | None:
     """Two vertices on the same side of the bipartition; with the disjoint
     flag, the sides are searched after removing the switchable component,
@@ -322,7 +315,7 @@ def even_pair_bipartite(T: Trigraph, need_disjoint: bool = False) -> tuple[int, 
         raise InputError("not a bipartite trigraph")
     if is_complete(T):
         return None
-    D = _switchable_union(T) if need_disjoint else frozenset()
+    D = switchable_vertices(T) if need_disjoint else frozenset()
     x = sorted(cert[0] - D)
     y = sorted(cert[1] - D)
     if len(x) >= 2:
@@ -345,11 +338,10 @@ def even_pair_bipartite(T: Trigraph, need_disjoint: bool = False) -> tuple[int, 
 class GoodPairWitness:
     """Disjoint root edges (a1, b1) and (a2, b2), with a1, a2 on one side,
     such that every a1-a2 path meets {b1, b2} and every b1-b2 path meets
-    {a1, a2}.  ``line_pair`` carries the line-trigraph vertices once known."""
+    {a1, a2}."""
 
     edge1: tuple[int, int]
     edge2: tuple[int, int]
-    line_pair: tuple[int, int] | None = None
 
 
 def _reachable_avoiding(H: Trigraph, source: int, target: int, avoid: frozenset[int]) -> bool:
@@ -413,7 +405,7 @@ def _chord_path_exists(H: Trigraph, u: int, w: int, cycle: tuple[int, ...]) -> b
     cyc_set = set(cycle)
     cyc_edges = {frozenset((cycle[i], cycle[(i + 1) % len(cycle)]))
                  for i in range(len(cycle))}
-    if H.theta[u, w] == STRONG and frozenset((u, w)) not in cyc_edges:
+    if H.strong[u] >> w & 1 and frozenset((u, w)) not in cyc_edges:
         return True
     outside = [v for v in range(H.n) if v not in cyc_set]
     for comp in components(H, outside, "connected"):
@@ -571,7 +563,7 @@ def even_pair_line(T: Trigraph, need_disjoint: bool = False,
         return None
     H = cert.root
     edge_to_vertex = {frozenset(e): i for i, e in enumerate(cert.vertex_edges)}
-    D = _switchable_union(T)
+    D = switchable_vertices(T)
     forb: frozenset[int] = frozenset()
     if need_disjoint and D:
         degree = Counter(w for d in sorted(D) for w in cert.vertex_edges[d])
@@ -588,14 +580,6 @@ def even_pair_line(T: Trigraph, need_disjoint: bool = False,
     return _verify_pair(T, (u, v), need_disjoint, D, "line finder")
 
 
-def good_pair_with_line_vertices(cert: LineRootCertificate,
-                                 witness: GoodPairWitness) -> GoodPairWitness:
-    edge_to_vertex = {frozenset(e): i for i, e in enumerate(cert.vertex_edges)}
-    pair = (edge_to_vertex[frozenset(witness.edge1)],
-            edge_to_vertex[frozenset(witness.edge2)])
-    return GoodPairWitness(witness.edge1, witness.edge2, tuple(sorted(pair)))
-
-
 # ---------------------------------------------------------------------------
 # even pairs in the complement classes
 
@@ -608,7 +592,7 @@ def _grow_maximal_anticonnected(T: Trigraph) -> frozenset[int] | None:
     def witnesses_exist(m_mask: int) -> bool:
         outside = [v for v in range(n) if not (m_mask >> v) & 1
                    and (T.adj[v] & m_mask) == m_mask]
-        return any(T.theta[u, v] == ANTI
+        return any(T.value(u, v) == ANTI
                    for u, v in itertools.combinations(outside, 2))
 
     seed = None
@@ -618,7 +602,7 @@ def _grow_maximal_anticonnected(T: Trigraph) -> frozenset[int] | None:
             break
     if seed is None:
         for u, v in itertools.combinations(range(n), 2):
-            if T.theta[u, v] <= 0 and witnesses_exist(1 << u | 1 << v):
+            if T.anti[u] >> v & 1 and witnesses_exist(1 << u | 1 << v):
                 seed = 1 << u | 1 << v
                 break
     if seed is None:
@@ -676,7 +660,7 @@ def even_pair_co_classes(T: Trigraph, need_disjoint: bool = False) -> tuple[int,
         raise InputError("not the complement of a bipartite or line trigraph")
     if is_complete(T):
         return None
-    D = _switchable_union(T)
+    D = switchable_vertices(T)
     if need_disjoint and D:
         if len(D) != 2:
             raise TheoremContradictionError(
@@ -684,7 +668,7 @@ def even_pair_co_classes(T: Trigraph, need_disjoint: bool = False) -> tuple[int,
         for z in sorted(D):
             nbrs = sorted(set(bits_of(T.adj[z])) - D)
             for s, t in itertools.combinations(nbrs, 2):
-                if T.theta[s, t] != ANTI or {s, t} & D:
+                if T.value(s, t) != ANTI or {s, t} & D:
                     continue
                 if is_even_pair(T, s, t).is_even_pair:
                     return (s, t)
@@ -718,7 +702,7 @@ def _doubled_candidates(T: Trigraph, gp: GoodPartition, D: frozenset[int]):
     for x1, x2 in sorted(size2, key=lambda c: (c in (tuple(sorted(D)),), c)):
         for v in sorted(singles):
             for xi in (x2, x1):
-                if T.theta[v, xi] == ANTI:
+                if T.value(v, xi) == ANTI:
                     yield tuple(sorted((v, xi)))
     # a third X-vertex with an antineighbor in Y (the favorable construction)
     if D and D <= gp.x:
@@ -726,18 +710,18 @@ def _doubled_candidates(T: Trigraph, gp: GoodPartition, D: frozenset[int]):
             if x3 in D:
                 continue
             for y1 in y_sorted:
-                if T.theta[x3, y1] == ANTI:
+                if T.value(x3, y1) == ANTI:
                     yield tuple(sorted((x3, y1)))
     # two-element Y against the matched X edge, and X-side pairs
     for yi in y_sorted:
         for x in x_sorted:
-            if T.theta[yi, x] == ANTI:
+            if T.value(yi, x) == ANTI:
                 yield tuple(sorted((yi, x)))
     for p, q in itertools.combinations(y_sorted, 2):
-        if T.theta[p, q] == ANTI:
+        if T.value(p, q) == ANTI:
             yield (p, q)
     for p, q in itertools.combinations(x_sorted, 2):
-        if T.theta[p, q] == ANTI:
+        if T.value(p, q) == ANTI:
             yield (p, q)
 
 
@@ -751,7 +735,7 @@ def even_pair_doubled(T: Trigraph, need_disjoint: bool = False,
         raise InputError("not a doubled trigraph")
     if is_complete(T):
         return None
-    D = _switchable_union(T)
+    D = switchable_vertices(T)
     if D and len(D) != 2:
         raise TheoremContradictionError(
             "a doubled trigraph cannot carry a light switchable component")
@@ -761,7 +745,7 @@ def even_pair_doubled(T: Trigraph, need_disjoint: bool = False,
             continue
         seen.add(pair)
         u, v = pair
-        if T.theta[u, v] != ANTI:
+        if T.value(u, v) != ANTI:
             continue
         if need_disjoint and ({u, v} & D):
             continue

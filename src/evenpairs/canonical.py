@@ -1,29 +1,32 @@
 """Canonical forms for trigraphs via refinement and individualization.
 
 The canonical form of a trigraph is the minimum, over vertex orderings, of
-the byte encoding of its code matrix.  Orderings are pruned by iterated
-color refinement (vertex colors refined by the multiset of (pair code,
-neighbor color) signatures) and, inside a cell, by skipping vertices whose
-code rows are identical to an already-tried cell mate.  This is plenty for
-the n <= 10 enumeration workloads the harness runs.
+the byte encoding of its pair codes (one byte per pair of the upper
+triangle).  Orderings are pruned by iterated color refinement (vertex colors
+refined by the multiset of (pair code, neighbor color) signatures) and,
+inside a cell, by skipping vertices whose code rows are identical to an
+already-tried cell mate.  This is plenty for the n <= 10 enumeration
+workloads the harness runs.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .trigraph import Trigraph
-
-_CODE_BYTE = {-1: 0, 0: 1, 1: 2}
+from .trigraph import Trigraph, renumber
 
 
-def _refine(T: Trigraph, colors: list[int]) -> list[int]:
-    n = T.n
-    theta = T.theta
+def _code_rows(T: Trigraph) -> list[list[int]]:
+    """Byte code of every ordered pair: 0 for -1, 1 for 0 and 2 for +1
+    (the diagonal entries are never read)."""
+    return [[2 if T.strong[v] >> u & 1 else T.switch[v] >> u & 1
+             for u in range(T.n)] for v in range(T.n)]
+
+
+def _refine(rows: list[list[int]], colors: list[int]) -> list[int]:
+    n = len(rows)
     while True:
         signatures = []
         for v in range(n):
-            sig = sorted((int(theta[v, u]), colors[u]) for u in range(n) if u != v)
+            sig = sorted((rows[v][u], colors[u]) for u in range(n) if u != v)
             signatures.append((colors[v], tuple(sig)))
         order = sorted(set(signatures))
         lookup = {sig: i for i, sig in enumerate(order)}
@@ -40,26 +43,26 @@ def _cells(colors: list[int]) -> list[list[int]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def _encode(T: Trigraph, perm: tuple[int, ...]) -> bytes:
-    theta = T.theta
-    out = bytearray([T.n])
-    for i in range(T.n):
-        for j in range(i + 1, T.n):
-            out.append(_CODE_BYTE[int(theta[perm[i], perm[j]])])
+def _encode(rows: list[list[int]], perm: tuple[int, ...]) -> bytes:
+    n = len(rows)
+    out = bytearray([n])
+    for i in range(n):
+        row = rows[perm[i]]
+        out.extend(row[perm[j]] for j in range(i + 1, n))
     return bytes(out)
 
 
-def _row_key(T: Trigraph, v: int, exclude: int) -> tuple:
-    return tuple(int(T.theta[v, u]) for u in range(T.n) if u not in (v, exclude))
+def _row_key(rows: list[list[int]], v: int, exclude: int) -> tuple:
+    return tuple(c for u, c in enumerate(rows[v]) if u not in (v, exclude))
 
 
-def _search(T: Trigraph, colors: list[int], best: list) -> None:
-    colors = _refine(T, colors)
+def _search(rows: list[list[int]], colors: list[int], best: list) -> None:
+    colors = _refine(rows, colors)
     cells = _cells(colors)
     target = next((cell for cell in cells if len(cell) > 1), None)
     if target is None:
         perm = tuple(v for cell in cells for v in cell)
-        enc = _encode(T, perm)
+        enc = _encode(rows, perm)
         if best[0] is None or enc < best[0]:
             best[0], best[1] = enc, perm
         return
@@ -67,12 +70,12 @@ def _search(T: Trigraph, colors: list[int], best: list) -> None:
     for v in target:
         # skip v when some tried cell mate u has an identical code row
         # outside {u, v}: the transposition (u v) is then an automorphism
-        if any(_row_key(T, v, u) == _row_key(T, u, v) for u in tried):
+        if any(_row_key(rows, v, u) == _row_key(rows, u, v) for u in tried):
             continue
         tried.append(v)
         new_colors = [c + 1 if c >= colors[v] else c for c in colors]
         new_colors[v] = colors[v]
-        _search(T, new_colors, best)
+        _search(rows, new_colors, best)
 
 
 def canonical_labeling(T: Trigraph) -> tuple[bytes, tuple[int, ...]]:
@@ -84,7 +87,7 @@ def canonical_labeling(T: Trigraph) -> tuple[bytes, tuple[int, ...]]:
     if T.n == 0:
         return b"\x00", ()
     best: list = [None, None]
-    _search(T, [0] * T.n, best)
+    _search(_code_rows(T), [0] * T.n, best)
     return best[0], best[1]
 
 
@@ -94,5 +97,4 @@ def canonical_form(T: Trigraph) -> bytes:
 
 def relabel(T: Trigraph, perm: tuple[int, ...]) -> Trigraph:
     """Trigraph whose vertex i is T's vertex perm[i]."""
-    idx = list(perm)
-    return Trigraph(T.theta[np.ix_(idx, idx)])
+    return Trigraph(renumber(T.strong, perm), renumber(T.switch, perm))

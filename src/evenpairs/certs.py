@@ -79,8 +79,7 @@ def to_jsonable(obj: Any) -> Any:
         return {"kind": "good_partition", "x": sorted(obj.x), "y": sorted(obj.y)}
     if isinstance(obj, GoodPairWitness):
         return {"kind": "good_pair", "edge1": list(obj.edge1),
-                "edge2": list(obj.edge2),
-                "line_pair": list(obj.line_pair) if obj.line_pair else None}
+                "edge2": list(obj.edge2)}
     if isinstance(obj, LineRootCertificate):
         return {"kind": "line_root", "root": to_text(obj.root),
                 "vertex_edges": [list(e) for e in obj.vertex_edges]}

@@ -31,7 +31,7 @@ from .decomposition import build_block, find_2join, find_complement_2join
 from .engine import check_preconditions, find_even_pair_structured, verify_main_theorem
 from .errors import InputError, NonBergeError, TheoremContradictionError
 from .formats import load
-from .trigraph import Trigraph
+from .trigraph import Trigraph, switchable_vertices
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -64,12 +64,7 @@ def _cmd_even_pair(args) -> int:
     T = _load_input(args)
     result = find_even_pair_structured(T)
     if result.outcome == "even_pair" and args.need_disjoint:
-        from .trigraph import switchable_components
-
-        blocked = set()
-        for comp in switchable_components(T):
-            blocked |= comp
-        if blocked & set(result.pair):
+        if switchable_vertices(T) & set(result.pair):
             _emit({"command": "even-pair", "result": result,
                    "error": "no even pair disjoint from the switchable component"},
                   [], args.emit_cert)

@@ -11,12 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .canonical import canonical_form
 from .detect import is_berge, is_even_pair
 from .errors import InputError, NonBergeError, NotEvenPairError
-from .trigraph import ANTI, STRONG, Trigraph, clique_number, is_complete
+from .trigraph import ANTI, Trigraph, bits_of, clique_number, is_complete, renumber
 
 
 @dataclass(frozen=True)
@@ -62,15 +60,12 @@ def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:
             f"({u}, {v}) is not an even pair ({report.verdict})", report.witness)
     u, v = min(u, v), max(u, v)
     keep = [w for w in range(G.n) if w != v]
-    theta = G.theta[np.ix_(keep, keep)].copy()
-    w_index = keep.index(u)
-    for j, old in enumerate(keep):
-        if old == u:
-            continue
-        code = STRONG if (G.theta[u, old] == STRONG or G.theta[v, old] == STRONG) else ANTI
-        theta[w_index, j] = code
-        theta[j, w_index] = code
-    return Trigraph(theta, parent_vertices=tuple(keep))
+    strong = list(G.strong)
+    strong[u] = (G.strong[u] | G.strong[v]) & ~(1 << u | 1 << v)
+    for w in bits_of(strong[u]):
+        strong[w] |= 1 << u
+    return Trigraph(renumber(strong, keep), [0] * len(keep),
+                    parent_vertices=tuple(keep))
 
 
 def _least_even_pair(G: Trigraph) -> tuple[int, int] | None:

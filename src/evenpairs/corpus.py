@@ -17,11 +17,9 @@ import itertools
 import random
 from functools import lru_cache
 
-import numpy as np
-
 from .canonical import canonical_form
-from .trigraph import (ANTI, STRONG, SWITCHABLE, Trigraph, graph_from_edges,
-                       in_class_F, make_trigraph)
+from .trigraph import (ANTI, Trigraph, bits_of, graph_from_edges, in_class_F,
+                       make_trigraph)
 
 
 @lru_cache(maxsize=None)
@@ -34,14 +32,10 @@ def graphs_of_order(n: int) -> tuple[Trigraph, ...]:
     out: dict[bytes, Trigraph] = {}
     for base in graphs_of_order(n - 1):
         for nbhd in range(1 << (n - 1)):
-            theta = np.full((n, n), ANTI, dtype=np.int8)
-            theta[: n - 1, : n - 1] = base.theta
-            np.fill_diagonal(theta, 0)
-            for v in range(n - 1):
-                if nbhd >> v & 1:
-                    theta[n - 1, v] = STRONG
-                    theta[v, n - 1] = STRONG
-            G = Trigraph(theta)
+            strong = list(base.strong) + [nbhd]
+            for v in bits_of(nbhd):
+                strong[v] |= 1 << (n - 1)
+            G = Trigraph(strong, [0] * n)
             out.setdefault(canonical_form(G), G)
     return tuple(out.values())
 
@@ -78,22 +72,20 @@ def random_canonical_graphs(n: int, count: int, seed: int = 0) -> list[Trigraph]
 
 def plant_small(G: Trigraph, u: int, v: int) -> Trigraph:
     """Copy of G with the pair {u, v} made switchable."""
-    theta = np.array(G.theta)
-    theta[u, v] = SWITCHABLE
-    theta[v, u] = SWITCHABLE
-    return Trigraph(theta)
+    strong, switch = list(G.strong), list(G.switch)
+    for x, y in ((u, v), (v, u)):
+        strong[x] &= ~(1 << y)
+        switch[x] |= 1 << y
+    return Trigraph(strong, switch)
 
 
 def plant_light(G: Trigraph, x: int, y: int) -> Trigraph:
     """G plus a fresh vertex attached to x and y by switchable pairs only."""
     n = G.n
-    theta = np.full((n + 1, n + 1), ANTI, dtype=np.int8)
-    theta[:n, :n] = G.theta
-    np.fill_diagonal(theta, 0)
-    for w in (x, y):
-        theta[n, w] = SWITCHABLE
-        theta[w, n] = SWITCHABLE
-    return Trigraph(theta)
+    switch = list(G.switch) + [1 << x | 1 << y]
+    switch[x] |= 1 << n
+    switch[y] |= 1 << n
+    return Trigraph(list(G.strong) + [0], switch)
 
 
 @lru_cache(maxsize=None)

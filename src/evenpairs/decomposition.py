@@ -16,13 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .detect import is_berge
 from .errors import InputError, NonBergeError
-from .trigraph import (ANTI, STRONG, SWITCHABLE, Trigraph, bits_of,
-                       complement, components, full_realization, induced,
-                       is_connected, is_anticonnected, iter_paths, mask_of)
+from .trigraph import (Trigraph, bits_of, complement, components,
+                       full_realization, induced, is_connected,
+                       is_anticonnected, iter_paths, mask_of, renumber)
 
 
 @dataclass(frozen=True)
@@ -342,34 +340,28 @@ def build_block(T: Trigraph, split: TwoJoinSplit, side: int) -> Block:
     side_vertices = sorted(a_set | b_set | c_set)
     m = len(side_vertices)
     marker_count = 2 if split.parity == "odd" else 3
-    n = m + marker_count
-    theta = np.full((n, n), ANTI, dtype=np.int8)
-    np.fill_diagonal(theta, 0)
-    theta[:m, :m] = T.theta[np.ix_(side_vertices, side_vertices)]
+    strong = renumber(T.strong, side_vertices) + [0] * marker_count
+    switch = renumber(T.switch, side_vertices) + [0] * marker_count
     a_marker = m
     b_marker = m + marker_count - 1
     for j, old in enumerate(side_vertices):
         if old in a_set:
-            theta[a_marker, j] = STRONG
-            theta[j, a_marker] = STRONG
+            strong[a_marker] |= 1 << j
+            strong[j] |= 1 << a_marker
         if old in b_set:
-            theta[b_marker, j] = STRONG
-            theta[j, b_marker] = STRONG
+            strong[b_marker] |= 1 << j
+            strong[j] |= 1 << b_marker
     if split.parity == "odd":
-        theta[a_marker, b_marker] = SWITCHABLE
-        theta[b_marker, a_marker] = SWITCHABLE
         markers = (a_marker, b_marker)
         kind = "small"
     else:
-        c_marker = m + 1
-        for w in (a_marker, b_marker):
-            theta[c_marker, w] = SWITCHABLE
-            theta[w, c_marker] = SWITCHABLE
-        markers = (a_marker, c_marker, b_marker)
+        markers = (a_marker, m + 1, b_marker)
         kind = "light"
+    for x, y in zip(markers, markers[1:]):
+        switch[x] |= 1 << y
+        switch[y] |= 1 << x
     parent_map = tuple(side_vertices) + (None,) * marker_count
-    block_graph = Trigraph(theta, parent_vertices=None)
-    return Block(block_graph, markers, kind, side, split, parent_map)
+    return Block(Trigraph(strong, switch), markers, kind, side, split, parent_map)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import InputError
-from .trigraph import (ANTI, STRONG, HoleWitness, PathWitness, Trigraph,
-                       bits_of, complement, iter_paths, mask_of,
-                       switchable_components)
+from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, bits_of,
+                       complement, iter_paths, mask_of, switchable_vertices)
 
 
 def _iter_holes_of_length(T: Trigraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -147,11 +144,9 @@ def validate_prism(T: Trigraph, witness: PrismWitness) -> None:
 
 
 def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
-    n = T.n
-    theta = T.theta
-    triangles = [t for t in itertools.combinations(range(n), 3)
-                 if theta[t[0], t[1]] >= 0 and theta[t[0], t[2]] >= 0
-                 and theta[t[1], t[2]] >= 0]
+    n, adj = T.n, T.adj
+    triangles = [(a, b, c) for a, b, c in itertools.combinations(range(n), 3)
+                 if adj[a] >> b & 1 and adj[c] >> a & 1 and adj[c] >> b & 1]
 
     for ia, tri_a in enumerate(triangles):
         mask_a = mask_of(tri_a)
@@ -161,7 +156,7 @@ def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
                 continue
             for perm in itertools.permutations(tri_b):
                 # between the triangles only matched pairs may be adjacent
-                ok = all(theta[tri_a[i], perm[j]] == ANTI
+                ok = all(not adj[tri_a[i]] >> perm[j] & 1
                          for i in range(3) for j in range(3) if i != j)
                 if not ok:
                     continue
@@ -173,8 +168,8 @@ def _extend_rungs(T: Trigraph, tri_a, tri_b, i: int, used: int,
         yield PrismWitness((tri_a, tri_b), rungs)
         return
     a, b = tri_a[i], tri_b[i]
-    theta, adj = T.theta, T.adj
-    if theta[a, b] >= 0:
+    adj = T.adj
+    if adj[a] >> b & 1:
         # direct edge: the rung must be exactly a-b, otherwise a chord appears
         yield from _extend_rungs(T, tri_a, tri_b, i + 1, used,
                                  rungs + (PathWitness((a, b)),))
@@ -187,9 +182,9 @@ def _extend_rungs(T: Trigraph, tri_a, tri_b, i: int, used: int,
         for w in bits_of(cand):
             # interior vertices touch nothing already chosen except the
             # predecessor; adjacency to b forces the rung to close there
-            if any(theta[w, z] != ANTI for z in bits_of(others)):
+            if adj[w] & others:
                 continue
-            if theta[w, b] >= 0:
+            if adj[w] >> b & 1:
                 yield from _extend_rungs(
                     T, tri_a, tri_b, i + 1, used_now | (1 << w),
                     rungs + (PathWitness(path + (w, b)),))
@@ -231,13 +226,10 @@ def _gadget_sees_odd_path(G: Trigraph, u: int, v: int) -> bool:
     """Second route for graphs: attach a degree-two vertex to u and v and
     look for an odd hole through it.  Independent of the path enumerator."""
     n = G.n
-    theta = np.full((n + 1, n + 1), ANTI, dtype=np.int8)
-    theta[:n, :n] = G.theta
-    np.fill_diagonal(theta, 0)
-    for w in (u, v):
-        theta[n, w] = STRONG
-        theta[w, n] = STRONG
-    gadget = Trigraph(theta)
+    strong = list(G.strong) + [1 << u | 1 << v]
+    strong[u] |= 1 << n
+    strong[v] |= 1 << n
+    gadget = Trigraph(strong, [0] * (n + 1))
     for k in range(5, n + 2, 2):
         for cycle in _iter_holes_of_length(gadget, k):
             if n in cycle:
@@ -284,10 +276,7 @@ def find_even_pair_oracle(T: Trigraph,
                           ) -> tuple[int, int] | None:
     """Brute-force scan: the lexicographically least even pair, optionally
     avoiding every switchable component."""
-    forbidden: frozenset[int] = frozenset()
-    if require_disjoint_from_switchable:
-        for comp in switchable_components(T):
-            forbidden |= comp
+    forbidden = switchable_vertices(T) if require_disjoint_from_switchable else frozenset()
     for u, v in itertools.combinations(range(T.n), 2):
         if T.value(u, v) != ANTI:
             continue

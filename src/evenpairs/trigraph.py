@@ -8,10 +8,10 @@ no switchable pair.  All values here are immutable after construction and
 every operation is a pure function, so everything is safe to use from
 multiple workers.
 
-Vertices are the integers 0..n-1.  Adjacency is stored as a dense symmetric
-matrix of codes (n is capped at MAX_VERTICES, which is plenty for the
-exhaustive workloads this library targets); per-vertex bitmasks are
-precomputed for the search routines.
+Vertices are the integers 0..n-1 (n is capped at MAX_VERTICES, which is
+plenty for the exhaustive workloads this library targets).  Adjacency is
+stored as two per-vertex bitmasks, one for the strong partners and one for
+the switchable partners; every other pair is strongly antiadjacent.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import InputError
 
@@ -49,11 +47,13 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Trigraph:
     """Immutable trigraph on vertices 0..n-1.
 
-    ``theta`` is the symmetric code matrix (int8, zero diagonal).  The
-    derived per-vertex bitmasks are:
+    The pair codes are the per-vertex bitmasks
 
     - ``strong[v]``: partners with code +1,
     - ``switch[v]``: partners with code 0,
+
+    and every other pair has code -1.  Derived once at construction:
+
     - ``adj[v]``: adjacent partners (code >= 0),
     - ``anti[v]``: antiadjacent partners (code <= 0).
 
@@ -62,44 +62,40 @@ class Trigraph:
     bookkeeping only and does not participate in equality.
     """
 
-    __slots__ = ("n", "theta", "strong", "switch", "adj", "anti",
-                 "parent_vertices", "_hash")
+    __slots__ = ("n", "strong", "switch", "adj", "anti", "parent_vertices",
+                 "_complement")
 
-    def __init__(self, theta: np.ndarray, parent_vertices: tuple[int, ...] | None = None):
-        theta = np.asarray(theta, dtype=np.int8)
-        n = theta.shape[0]
-        if theta.shape != (n, n):
-            raise InputError("adjacency matrix must be square")
+    def __init__(self, strong: Sequence[int], switch: Sequence[int],
+                 parent_vertices: tuple[int, ...] | None = None):
+        strong, switch = tuple(strong), tuple(switch)
+        n = len(strong)
+        if len(switch) != n:
+            raise InputError("strong and switch masks must cover the same vertices")
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
-        if n and (np.diag(theta) != 0).any():
-            raise InputError("diagonal entries must be 0 (no self-pairs)")
-        if not np.array_equal(theta, theta.T):
-            raise InputError("adjacency matrix must be symmetric")
-        bad = np.abs(theta) > 1
-        if bad.any():
-            u, v = np.argwhere(bad)[0]
-            raise InputError(f"illegal code {int(theta[u, v])} for pair ({u}, {v})")
-        theta = theta.copy()
-        theta.setflags(write=False)
-        self.n = n
-        self.theta = theta
-        strong, switch, adj, anti = [], [], [], []
         full = (1 << n) - 1
+        adj, anti = [], []
         for v in range(n):
-            row = theta[v]
-            s = mask_of(int(u) for u in np.nonzero(row == 1)[0])
-            w = mask_of(int(u) for u in np.nonzero(row == 0)[0]) & ~(1 << v)
-            strong.append(s)
-            switch.append(w)
+            s, w = strong[v], switch[v]
+            others = full ^ (1 << v)
+            if (s | w) & ~others:
+                raise InputError(f"vertex {v} has a self-pair or a partner out of range")
+            if s & w:
+                u = (s & w).bit_length() - 1
+                raise InputError(f"pair ({v}, {u}) is both strong and switchable")
             adj.append(s | w)
-            anti.append((full & ~s) & ~(1 << v))
-        self.strong = tuple(strong)
-        self.switch = tuple(switch)
+            anti.append(others & ~s)
+        for v in range(n):
+            for u in bits_of(adj[v]):
+                if not adj[u] >> v & 1 or (strong[u] >> v & 1) != (strong[v] >> u & 1):
+                    raise InputError(f"pair ({v}, {u}) has asymmetric codes")
+        self.n = n
+        self.strong = strong
+        self.switch = switch
         self.adj = tuple(adj)
         self.anti = tuple(anti)
         self.parent_vertices = parent_vertices
-        self._hash = hash((n, theta.tobytes()))
+        self._complement = None
 
     @property
     def is_graph(self) -> bool:
@@ -108,7 +104,11 @@ class Trigraph:
     def value(self, u: int, v: int) -> int:
         if u == v:
             raise InputError(f"no self-pair ({u}, {v})")
-        return int(self.theta[u, v])
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InputError(f"pair ({u}, {v}) out of range for n={self.n}")
+        if self.strong[u] >> v & 1:
+            return STRONG
+        return SWITCHABLE if self.switch[u] >> v & 1 else ANTI
 
     def vertices(self) -> range:
         return range(self.n)
@@ -116,26 +116,40 @@ class Trigraph:
     def pairs(self) -> Iterator[tuple[int, int]]:
         return itertools.combinations(range(self.n), 2)
 
+    def _pairs_in(self, masks: Sequence[int]) -> list[tuple[int, int]]:
+        return [(u, v) for u in range(self.n) for v in bits_of(masks[u] >> u << u)]
+
     def strong_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in self.pairs() if self.theta[u, v] == STRONG]
+        return self._pairs_in(self.strong)
 
     def switchable_pairs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in self.pairs() if self.theta[u, v] == SWITCHABLE]
-
-    def strong_antiedges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in self.pairs() if self.theta[u, v] == ANTI]
+        return self._pairs_in(self.switch)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Trigraph) and self.n == other.n
-                and np.array_equal(self.theta, other.theta))
+        return (isinstance(other, Trigraph) and self.strong == other.strong
+                and self.switch == other.switch)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.strong, self.switch))
 
     def __repr__(self) -> str:
         kind = "graph" if self.is_graph else "trigraph"
         return (f"<{kind} n={self.n} strong={len(self.strong_edges())} "
                 f"switchable={len(self.switchable_pairs())}>")
+
+
+def renumber(masks: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Rows ``order`` of a per-vertex mask table, renumbered so that vertex
+    ``order[i]`` becomes i; vertices missing from ``order`` drop out."""
+    where = {old: new for new, old in enumerate(order)}
+    keep = mask_of(order)
+    out = []
+    for old in order:
+        m = 0
+        for w in bits_of(masks[old] & keep):
+            m |= 1 << where[w]
+        out.append(m)
+    return out
 
 
 def make_trigraph(n: int, entries: Iterable[tuple[int, int, int]] = ()) -> Trigraph:
@@ -149,8 +163,7 @@ def make_trigraph(n: int, entries: Iterable[tuple[int, int, int]] = ()) -> Trigr
         raise InputError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
         raise InputError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
-    theta = np.full((n, n), ANTI, dtype=np.int8)
-    np.fill_diagonal(theta, 0)
+    strong, switch = [0] * n, [0] * n
     seen: set[tuple[int, int]] = set()
     for u, v, value in entries:
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -161,9 +174,11 @@ def make_trigraph(n: int, entries: Iterable[tuple[int, int, int]] = ()) -> Trigr
         if value not in (ANTI, SWITCHABLE, STRONG):
             raise InputError(f"illegal code {value} for pair ({u}, {v})")
         seen.add(key)
-        theta[u, v] = value
-        theta[v, u] = value
-    return Trigraph(theta)
+        if value != ANTI:
+            masks = strong if value == STRONG else switch
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return Trigraph(strong, switch)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Trigraph:
@@ -172,8 +187,12 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Trigraph:
 
 
 def complement(T: Trigraph) -> Trigraph:
-    """Negate every pair code (an involution)."""
-    return Trigraph(-T.theta)
+    """Negate every pair code (an involution).  Computed once per instance."""
+    if T._complement is None:
+        co = Trigraph([a & ~w for a, w in zip(T.anti, T.switch)], T.switch)
+        co._complement = T
+        T._complement = co
+    return T._complement
 
 
 def induced(T: Trigraph, X: Iterable[int]) -> Trigraph:
@@ -186,28 +205,26 @@ def induced(T: Trigraph, X: Iterable[int]) -> Trigraph:
     for v in idx:
         if not (0 <= v < T.n):
             raise InputError(f"vertex {v} out of range for n={T.n}")
-    sub = T.theta[np.ix_(idx, idx)] if idx else np.zeros((0, 0), dtype=np.int8)
-    return Trigraph(sub, parent_vertices=tuple(idx))
+    return Trigraph(renumber(T.strong, idx), renumber(T.switch, idx),
+                    parent_vertices=tuple(idx))
 
 
 def realization(T: Trigraph, S: Iterable[tuple[int, int]]) -> Trigraph:
     """Graph whose edges are the strong edges of T plus the chosen
     switchable pairs S; every other pair becomes strongly antiadjacent."""
-    theta = np.full((T.n, T.n), ANTI, dtype=np.int8)
-    np.fill_diagonal(theta, 0)
-    theta[T.theta == STRONG] = STRONG
+    strong = list(T.strong)
     for u, v in S:
         if u == v or not (0 <= u < T.n and 0 <= v < T.n):
             raise InputError(f"pair ({u}, {v}) out of range for n={T.n}")
-        if T.theta[u, v] != SWITCHABLE:
+        if not T.switch[u] >> v & 1:
             raise InputError(f"pair ({u}, {v}) is not switchable")
-        theta[u, v] = STRONG
-        theta[v, u] = STRONG
-    return Trigraph(theta)
+        strong[u] |= 1 << v
+        strong[v] |= 1 << u
+    return Trigraph(strong, [0] * T.n)
 
 
 def full_realization(T: Trigraph) -> Trigraph:
-    return realization(T, T.switchable_pairs())
+    return Trigraph(T.adj, [0] * T.n)
 
 
 def is_semirealization(candidate: Trigraph, base: Trigraph) -> bool:
@@ -215,9 +232,10 @@ def is_semirealization(candidate: Trigraph, base: Trigraph) -> bool:
     antiedge of ``base`` (switchable pairs of the base may go either way)."""
     if candidate.n != base.n:
         raise InputError("semirealization check requires equal vertex counts")
-    strong_kept = np.all(candidate.theta[base.theta == STRONG] == STRONG)
-    anti_kept = np.all(candidate.theta[base.theta == ANTI] == ANTI)
-    return bool(strong_kept and anti_kept)
+    return all(not bs & ~cs and not (ba & ~bw) & ~(ca & ~cw)
+               for bs, ba, bw, cs, ca, cw in zip(
+                   base.strong, base.anti, base.switch,
+                   candidate.strong, candidate.anti, candidate.switch))
 
 
 def _mask_components(neigh: Sequence[int], mask: int) -> list[int]:
@@ -403,20 +421,24 @@ class ClassFVerdict:
         return self.ok
 
 
-def neighborhood(T: Trigraph, v: int) -> frozenset[int]:
-    """Vertices adjacent to v (code >= 0)."""
-    return frozenset(bits_of(T.adj[v]))
+def switchable_vertices(T: Trigraph) -> frozenset[int]:
+    """Union of the switchable components: the vertices with a switchable
+    partner."""
+    return frozenset(v for v in range(T.n) if T.switch[v])
 
 
-def _switchable_structure(T: Trigraph) -> ClassFVerdict:
+def switchable_structure(T: Trigraph) -> ClassFVerdict:
+    """The structural half of class membership: at most one switchable
+    component, either a single pair ("small") or a two-edge path ("light"),
+    with the neighborhood restrictions checked here.  ``in_class_F`` adds
+    Bergeness."""
     comps = switchable_components(T)
     if len(comps) > 1:
         return ClassFVerdict(False, "more than one switchable component")
     if not comps:
         return ClassFVerdict(True, None, None, None)
     D = comps[0]
-    sigma_edges = [(u, v) for u, v in itertools.combinations(sorted(D), 2)
-                   if T.theta[u, v] == SWITCHABLE]
+    sigma_edges = T.switchable_pairs()
     if len(sigma_edges) > 2:
         return ClassFVerdict(False, "switchable component has more than two edges", D)
     if len(sigma_edges) == 1:
@@ -434,7 +456,7 @@ def _switchable_structure(T: Trigraph) -> ClassFVerdict:
         return ClassFVerdict(
             False, "light component center has a neighbor outside the component",
             D, "light")
-    if T.theta[x, y] != ANTI:
+    if T.adj[x] >> y & 1:
         return ClassFVerdict(
             False, "light component ends are not strongly antiadjacent", D, "light")
     if T.adj[x] & T.adj[y] != 1 << center:
@@ -442,6 +464,15 @@ def _switchable_structure(T: Trigraph) -> ClassFVerdict:
             False, "light component ends have common neighbors besides the center",
             D, "light")
     return ClassFVerdict(True, None, D, "light")
+
+
+def with_bergeness(structure: ClassFVerdict, berge: bool) -> ClassFVerdict:
+    """Class membership from its two halves, the ``switchable_structure``
+    verdict and whether the trigraph is Berge.  A structural violation is
+    named first, so the reported violation is deterministic."""
+    if structure.ok and not berge:
+        return ClassFVerdict(False, "not Berge", structure.component, structure.kind)
+    return structure
 
 
 def in_class_F(T: Trigraph) -> ClassFVerdict:
@@ -452,15 +483,12 @@ def in_class_F(T: Trigraph) -> ClassFVerdict:
     Structural conditions are checked first so the named violation is
     deterministic; Bergeness is checked last.
     """
-    verdict = _switchable_structure(T)
+    verdict = switchable_structure(T)
     if not verdict.ok:
         return verdict
     from .detect import is_berge  # deferred: detect builds on this module
 
-    berge, _ = is_berge(T)
-    if not berge:
-        return ClassFVerdict(False, "not Berge", verdict.component, verdict.kind)
-    return verdict
+    return with_bergeness(verdict, is_berge(T)[0])
 
 
 def is_complete(T: Trigraph) -> bool:

@@ -103,20 +103,16 @@ def test_line_trigraphs_are_claw_and_diamond_free():
 
 
 def test_closure_over_all_semirealizations_of_planted_members():
-    import numpy as np
-
     from evenpairs.corpus import planted_class_f_trigraphs
-    from evenpairs.trigraph import Trigraph, is_semirealization
+    from evenpairs.trigraph import is_semirealization, make_trigraph
 
     for t in planted_class_f_trigraphs(4):
         if not classify_basic(t).is_basic:
             continue
         pairs = t.switchable_pairs()
         for codes in itertools.product((-1, 0, 1), repeat=len(pairs)):
-            theta = np.array(t.theta)
-            for (u, v), code in zip(pairs, codes):
-                theta[u, v] = theta[v, u] = code
-            semi = Trigraph(theta)
+            semi = make_trigraph(t.n, [(u, v, 1) for u, v in t.strong_edges()]
+                                 + [(u, v, code) for (u, v), code in zip(pairs, codes)])
             assert is_semirealization(semi, t)
             assert classify_basic(semi).is_basic
 

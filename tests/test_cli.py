@@ -160,3 +160,13 @@ def test_verify_sampled_via_cli(capsys):
     assert code == 0
     assert doc["summary"]["instances"] == 30
     assert doc["summary"]["failures"] == []
+
+
+def test_cli_import_leaves_numpy_out():
+    # the library has no runtime dependency
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, evenpairs.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

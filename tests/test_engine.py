@@ -1,10 +1,13 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
-from evenpairs.detect import is_even_pair
-from evenpairs.engine import (check_preconditions, find_even_pair_structured,
-                              verify_main_theorem)
+from evenpairs.corpus import graphs_of_order, planted_class_f_trigraphs
+from evenpairs.detect import EvenPairReport, is_even_pair
+from evenpairs.engine import (PRECONDITIONS, check_preconditions,
+                              find_even_pair_structured, verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.trigraph import make_trigraph
 
@@ -15,7 +18,7 @@ def failed_names(report):
 
 def test_preconditions_pass_c6(c6):
     report = check_preconditions(c6)
-    assert report.ok and len(report.checks) == 5
+    assert report.ok and tuple(c.name for c in report.checks) == PRECONDITIONS
 
 
 def test_preconditions_p4_bsp(p4):
@@ -180,3 +183,80 @@ def test_structured_two_join_keeps_switchable_side(monkeypatch):
     assert not (chosen & d_side)
     assert not (set(pair) & d_side)
     assert is_even_pair(t, *pair).is_even_pair
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every evenpairs module that
+    binds it; returns the list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("evenpairs")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+CORPORA = [(5, "graphs"), (4, "trigraphs_in_F")]
+
+
+@pytest.mark.parametrize("n_max, scope", CORPORA)
+def test_verify_checks_each_instance_and_pair_once(monkeypatch, n_max, scope):
+    import evenpairs.detect as detect
+    import evenpairs.engine as engine
+
+    # corpora are cached; build them first so only the verification counts
+    engine._instances_for(scope, n_max, None, 0)
+    preconditions = count_calls(monkeypatch, engine, "check_preconditions")
+    berge = count_calls(monkeypatch, detect, "is_berge")
+    oracle = count_calls(monkeypatch, detect, "is_even_pair")
+    gadget = count_calls(monkeypatch, detect, "_gadget_sees_odd_path")
+    summary = verify_main_theorem(n_max, scope)
+    assert summary.ok and summary.even_pair > 0
+    assert len(preconditions) == len(berge) == summary.instances
+    assert len(oracle) == summary.even_pair
+    if scope == "graphs":
+        assert len(gadget) == summary.even_pair
+
+
+@pytest.mark.parametrize("n_max, scope, digest", [
+    (5, "graphs", "f31f75e26344799cb96fc8b833eef04510998beb76dc1df0989e6a299c955475"),
+    (4, "trigraphs_in_F", "4d131ce87b7a25be75b5e76ea6ee9451b373bea577aba280865e53881f9d9c02"),
+])
+def test_verify_log_is_golden(tmp_path, n_max, scope, digest):
+    log = tmp_path / "log.jsonl"
+    verify_main_theorem(n_max, scope, log_path=str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+
+
+def test_canonical_labelings_are_golden():
+    from evenpairs.canonical import canonical_labeling
+
+    h = hashlib.sha256()
+    for t in graphs_of_order(6) + planted_class_f_trigraphs(4):
+        form, perm = canonical_labeling(t)
+        h.update(form + bytes(perm))
+    assert h.hexdigest() == (
+        "231a8166d2047a475674cf0be6f1b38b0f25044e987840d700a3bdf92d071252")
+
+
+def test_oracle_rejection_is_recorded_as_failure(monkeypatch):
+    # a finder whose pair the oracle rejects fails its instance, and the
+    # harness records that instead of raising or counting the pair
+    import evenpairs.basic as basic
+
+    def rejecting(T, u, v):
+        return EvenPairReport((u, v), "not_even_pair", None, 0)
+
+    monkeypatch.setattr(basic, "is_even_pair", rejecting)
+    summary = verify_main_theorem(5, "graphs")
+    assert summary.even_pair == 0
+    assert summary.complete == 5
+    assert len(summary.failures) == 8
+    assert all(f.stage == "TheoremContradictionError"
+               and "fails the oracle" in f.detail for f in summary.failures)

@@ -47,6 +47,26 @@ def test_vertex_cap():
         make_trigraph(33)
 
 
+@pytest.mark.parametrize("strong, switch, message", [
+    ([0b10, 0b01], [0], "same vertices"),
+    ([0b01, 0], [0, 0], "self-pair"),
+    ([0b100, 0b1], [0, 0], "out of range"),
+    ([0b10, 0b01], [0b10, 0b01], "both strong and switchable"),
+    ([0b10, 0], [0, 0], "asymmetric"),
+    ([0b10, 0], [0, 0b01], "asymmetric"),
+])
+def test_trigraph_rejects_inconsistent_masks(strong, switch, message):
+    from evenpairs.trigraph import Trigraph
+
+    with pytest.raises(InputError, match=message):
+        Trigraph(strong, switch)
+
+
+def test_value_rejects_out_of_range(c5):
+    with pytest.raises(InputError, match="out of range"):
+        c5.value(0, 5)
+
+
 # -- complement ------------------------------------------------------------
 
 def test_complement_is_involution_on_randoms():
@@ -54,6 +74,11 @@ def test_complement_is_involution_on_randoms():
     for _ in range(50):
         t = random_trigraph(rng, rng.randint(0, 8))
         assert complement(complement(t)) == t
+
+
+def test_complement_is_built_once(c6):
+    co = complement(c6)
+    assert complement(c6) is co and complement(co) is c6
 
 
 def test_complement_of_c6_is_prism(c6):
