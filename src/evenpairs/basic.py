@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .detect import is_even_pair
 from .errors import InputError, TheoremContradictionError
-from .trigraph import (ANTI, Trigraph, bits_of, complement, components,
-                       full_realization, induced, in_class_F, is_complete,
-                       mask_of, switchable_vertices)
+from .trigraph import (ANTI, Trigraph, _mask_components, bits_of, complement,
+                       components, full_realization, induced, in_class_F,
+                       is_complete, mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +178,33 @@ def line_root_of(T: Trigraph) -> LineRootCertificate | None:
 def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:
     full = (1 << T.n) - 1
     y_mask = full & ~x_mask
-    for v in bits_of(x_mask):
-        if T.switch[v] & y_mask:
+    strong, switch, adj, anti = T.strong, T.switch, T.adj, T.anti
+    # components of X and anticomponents of Y have at most two vertices
+    # exactly when no vertex has two neighbors (antineighbors) on its side;
+    # no switchable pair may cross
+    rest = x_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        inside = adj[v] & x_mask
+        if inside & (inside - 1) or switch[v] & y_mask:
             return False
-    x_comps = components(T, bits_of(x_mask), "connected")
-    if any(len(c) > 2 for c in x_comps):
-        return False
-    y_anticomps = components(T, bits_of(y_mask), "anticonnected")
-    if any(len(c) > 2 for c in y_anticomps):
-        return False
+    rest = y_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inside = anti[low.bit_length() - 1] & y_mask
+        if inside & (inside - 1):
+            return False
 
     def at_most_one_each(v: int, side: int) -> bool:
         # at most one strong neighbor and one strong antineighbor in side
-        return ((T.strong[v] & side).bit_count() <= 1
-                and (T.anti[v] & ~T.switch[v] & side).bit_count() <= 1)
+        return ((strong[v] & side).bit_count() <= 1
+                and (anti[v] & ~switch[v] & side).bit_count() <= 1)
 
-    x_masks = [mask_of(c) for c in x_comps]
-    y_masks = [mask_of(c) for c in y_anticomps]
+    x_masks = _mask_components(adj, x_mask)
+    y_masks = _mask_components(anti, y_mask)
     return all(all(at_most_one_each(v, cy) for v in bits_of(cx))
                and all(at_most_one_each(v, cx) for v in bits_of(cy))
                for cx in x_masks for cy in y_masks)
@@ -204,7 +214,7 @@ def good_partition_of(T: Trigraph) -> GoodPartition | None:
     """First good partition in mask order; the all-one-side partitions are
     tried last so nontrivial certificates are preferred."""
     full = (1 << T.n) - 1
-    order = list(range(1, full)) + [0, full] if T.n else [0]
+    order = itertools.chain(range(1, full), (0, full)) if T.n else (0,)
     for x_mask in order:
         if _good_partition_masks(T, x_mask):
             x = frozenset(bits_of(x_mask))

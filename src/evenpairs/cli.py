@@ -171,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except TheoremContradictionError as exc:
+    except (TheoremContradictionError, AssertionError) as exc:
+        # an AssertionError is an internal cross-check that failed
         print(json.dumps({"theorem_contradiction": str(exc)}), file=sys.stderr)
         return EXIT_CONTRADICTION
 

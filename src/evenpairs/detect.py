@@ -18,15 +18,17 @@ from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, bits_of,
                        complement, iter_paths, mask_of, switchable_vertices)
 
 
-def _iter_holes_of_length(T: Trigraph, k: int) -> Iterator[tuple[int, ...]]:
+def _iter_holes_of_length(T: Trigraph, k: int,
+                          first: int | None = None) -> Iterator[tuple[int, ...]]:
     """Chordless cycles of exactly k vertices, produced in canonical form:
-    the smallest vertex first and the second vertex smaller than the last."""
+    the smallest vertex first and the second vertex smaller than the last.
+    With ``first``, only the cycles whose smallest vertex is ``first``."""
     n = T.n
     if k > n:
         return
     adj, anti = T.adj, T.anti
 
-    for h1 in range(n):
+    for h1 in range(n) if first is None else (first,):
         above = ~((1 << (h1 + 1)) - 1) & ((1 << n) - 1)
         h1_bit = 1 << h1
 
@@ -224,17 +226,15 @@ class EvenPairReport:
 
 def _gadget_sees_odd_path(G: Trigraph, u: int, v: int) -> bool:
     """Second route for graphs: attach a degree-two vertex to u and v and
-    look for an odd hole through it.  Independent of the path enumerator."""
-    n = G.n
-    strong = list(G.strong) + [1 << u | 1 << v]
-    strong[u] |= 1 << n
-    strong[v] |= 1 << n
-    gadget = Trigraph(strong, [0] * (n + 1))
-    for k in range(5, n + 2, 2):
-        for cycle in _iter_holes_of_length(gadget, k):
-            if n in cycle:
-                return True
-    return False
+    look for an odd hole through it.  Independent of the path enumerator.
+
+    The new vertex is numbered 0 (graph vertex i becomes i + 1), so the holes
+    through it are exactly those whose smallest vertex is 0."""
+    ends = 1 << u | 1 << v
+    strong = [ends << 1] + [m << 1 | (ends >> i & 1) for i, m in enumerate(G.strong)]
+    gadget = Trigraph(strong, [0] * (G.n + 1))
+    return any(next(_iter_holes_of_length(gadget, k, first=0), None)
+               for k in range(5, G.n + 2, 2))
 
 
 def is_even_pair(T: Trigraph, u: int, v: int,

@@ -256,6 +256,32 @@ def _mask_components(neigh: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def _mask_connected(neigh: Sequence[int], mask: int) -> bool:
+    """Whether ``mask`` is one component (or empty) under ``neigh``: a
+    single search grown from the lowest bit must reach all of it."""
+    comp = frontier = mask & -mask
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= neigh[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & mask & ~comp
+        comp |= frontier
+    return comp == mask
+
+
+def _vertex_mask(T: Trigraph, X: Iterable[int] | None) -> int:
+    if X is None:
+        return (1 << T.n) - 1
+    mask = 0
+    for v in sorted(set(X)):
+        if not (0 <= v < T.n):
+            raise InputError(f"vertex {v} out of range for n={T.n}")
+        mask |= 1 << v
+    return mask
+
+
 def components(T: Trigraph, X: Iterable[int] | None = None,
                mode: str = "connected") -> list[frozenset[int]]:
     """Maximal connected (or anticonnected) subsets of X.
@@ -267,21 +293,16 @@ def components(T: Trigraph, X: Iterable[int] | None = None,
     """
     if mode not in ("connected", "anticonnected"):
         raise InputError(f"unknown mode {mode!r}")
-    vertices = range(T.n) if X is None else sorted(set(X))
-    for v in vertices:
-        if not (0 <= v < T.n):
-            raise InputError(f"vertex {v} out of range for n={T.n}")
-    mask = mask_of(vertices)
     neigh = T.adj if mode == "connected" else T.anti
-    return [frozenset(bits_of(c)) for c in _mask_components(neigh, mask)]
+    return [frozenset(bits_of(c)) for c in _mask_components(neigh, _vertex_mask(T, X))]
 
 
 def is_connected(T: Trigraph, X: Iterable[int] | None = None) -> bool:
-    return len(components(T, X, "connected")) <= 1
+    return _mask_connected(T.adj, _vertex_mask(T, X))
 
 
 def is_anticonnected(T: Trigraph, X: Iterable[int] | None = None) -> bool:
-    return len(components(T, X, "anticonnected")) <= 1
+    return _mask_connected(T.anti, _vertex_mask(T, X))
 
 
 @dataclass(frozen=True)

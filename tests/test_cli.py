@@ -1,6 +1,11 @@
+import hashlib
+import itertools
 import json
+import random
 import subprocess
 import sys
+
+import pytest
 
 from evenpairs.cli import main
 from evenpairs.families import complete_graph, cycle, prism3
@@ -170,3 +175,54 @@ def test_cli_import_leaves_numpy_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _seeded_graph(kind: str, n: int, seed: int):
+    from evenpairs.trigraph import complement, graph_from_edges
+
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "gnp":
+        return graph_from_edges(n, [p for p in pairs if rng.random() < 0.3])
+    side = [rng.random() < 0.5 for _ in range(n)]
+    G = graph_from_edges(n, [(u, v) for u, v in pairs
+                             if side[u] != side[v] and rng.random() < 0.4])
+    return complement(G) if kind == "co-bipartite" else G
+
+
+CLI_DIGESTS = {
+    "C10": "457acfdd1b470f4744a8bd6e8d1ce30cf4e6101d7e19f251123b03172afabc7f",
+    "C12": "f4e9008a36787f87ee51fe18b94a13e0cdd6d8a4f892a5d48542a3a08b2b20a0",
+    "bipartite": "88c3275e9d1f2fc6d37643aa491fa20549693d445d7dfaf895166eaebf1e3b75",
+    "co-bipartite": "9c10f1aa5fc43f6cbf1581bf87dd88b6cb1e2db80527b26b1013df948f4461ff",
+    "gnp": "d113405ccdbbff522130716e0d7d3c307a4a4ef168f69a8ab555d30100702632",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_witnesses_are_golden(capsys, name):
+    # the bipartition scans return their smallest-mask witness; these
+    # digests pin that order through the analyze, classify and decompose
+    # output
+    if name.startswith("C"):
+        G = cycle(int(name[1:]))
+    else:
+        G = _seeded_graph(name, 11, 20261018)
+    g6 = to_graph6(G)
+    h = hashlib.sha256()
+    for command in ("analyze", "classify", "decompose"):
+        code = main([command, g6])
+        h.update(f"{command} {code}\n{capsys.readouterr().out}".encode())
+    assert h.hexdigest() == CLI_DIGESTS[name]
+
+
+def test_internal_contradiction_exits_three(capsys, monkeypatch, c8):
+    # a failed internal cross-check (here the two even-pair routes
+    # disagreeing) is a contradiction of a proved statement, not a
+    # precondition failure
+    from evenpairs import detect
+
+    monkeypatch.setattr(detect, "_gadget_sees_odd_path", lambda G, u, v: True)
+    code, _, err = run_cli(capsys, "contract-color", to_graph6(c8))
+    assert code == 3
+    assert "routes disagree" in json.loads(err)["theorem_contradiction"]
