@@ -13,7 +13,7 @@ from evenpairs import (clique_number, derive_coloring, is_even_contractile,
 from evenpairs.families import cycle, complete_graph
 
 # The 4-cycle contracts twice and ends complete.
-seq = run_contraction_sequence(cycle(4), "first_found")
+seq = run_contraction_sequence(cycle(4))
 print("C4 contraction steps:")
 for step in seq.steps:
     print(f"  contract {step.pair} -> {sorted(step.after.strong_edges())}")
@@ -24,8 +24,8 @@ print("coloring of C4:", coloring.assignment,
       "using", coloring.color_count, "colors")
 assert coloring.color_count == clique_number(cycle(4))
 
-# Bigger even holes contract too; the exhaustive strategy backtracks over
-# the choice of pair until a complete-ending sequence appears.
+# Bigger even holes contract too; the search backtracks over the choice
+# of pair until a complete-ending sequence appears.
 ok, seq = is_even_contractile(cycle(8))
 print("C8 even-contractile:", ok, "in", len(seq.steps), "steps")
 print("coloring of C8:", derive_coloring(seq).assignment)

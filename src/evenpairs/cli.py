@@ -21,6 +21,7 @@ Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,7 +78,7 @@ def _cmd_contract_color(args) -> int:
     T = _load_input(args)
     if not T.is_graph:
         raise InputError("contract-color expects a graph input")
-    seq = run_contraction_sequence(T, "exhaustive_search_for_complete")
+    seq = run_contraction_sequence(T)
     coloring = derive_coloring(seq) if seq.outcome == "complete" else None
     _emit({"command": "contract-color", "sequence": seq, "coloring": coloring},
           [seq, coloring], args.emit_cert)
@@ -112,7 +113,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if summary.ok else EXIT_CONTRADICTION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="evenpairs",
         description="Even pairs and decompositions of Berge graphs, "
@@ -161,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonBergeError as exc:

@@ -4,17 +4,18 @@ Contracting an even pair {u, v} replaces the two vertices by one whose
 neighborhood is the union of theirs; for Berge graphs this preserves both
 Bergeness and the clique number, which is what makes the coloring unwind
 work.  Contraction is defined for graphs only; realize a trigraph first.
+A contraction sequence ends "complete" (its terminal is a clique, so it
+unwinds into an optimal coloring) or "stuck" (no even pair is left).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .canonical import canonical_form
-from .detect import is_berge, is_even_pair
+from .detect import even_pairs, is_berge, is_even_pair
 from .errors import InputError, NonBergeError, NotEvenPairError
-from .trigraph import ANTI, Trigraph, bits_of, clique_number, is_complete, renumber
+from .trigraph import Trigraph, bits_of, clique_number, is_complete, renumber
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class ContractionStep:
 class ContractionSequence:
     steps: tuple[ContractionStep, ...]
     terminal: Trigraph
-    outcome: str  # "complete" | "stuck" | "inconclusive"
+    outcome: str  # "complete" | "stuck"
 
     @property
     def initial(self) -> Trigraph:
@@ -58,7 +59,11 @@ def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:
     if not report.is_even_pair:
         raise NotEvenPairError(
             f"({u}, {v}) is not an even pair ({report.verdict})", report.witness)
-    u, v = min(u, v), max(u, v)
+    return _merge(G, min(u, v), max(u, v))
+
+
+def _merge(G: Trigraph, u: int, v: int) -> Trigraph:
+    """G / {u, v} for a pair u < v already known to be even."""
     keep = [w for w in range(G.n) if w != v]
     strong = list(G.strong)
     strong[u] = (G.strong[u] | G.strong[v]) & ~(1 << u | 1 << v)
@@ -68,85 +73,46 @@ def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:
                     parent_vertices=tuple(keep))
 
 
-def _least_even_pair(G: Trigraph) -> tuple[int, int] | None:
-    for u, v in itertools.combinations(range(G.n), 2):
-        if G.value(u, v) == ANTI and is_even_pair(G, u, v).is_even_pair:
-            return (u, v)
-    return None
+def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
+    """Contract even pairs, looking for a sequence that ends complete.
 
-
-def _all_even_pairs(G: Trigraph) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in itertools.combinations(range(G.n), 2)
-            if G.value(u, v) == ANTI and is_even_pair(G, u, v).is_even_pair]
-
-
-def _step(G: Trigraph, pair: tuple[int, int]) -> ContractionStep:
-    after = contract_even_pair(G, *pair)
-    return ContractionStep(G, pair, min(pair), after)
-
-
-def run_contraction_sequence(G: Trigraph, strategy: str = "first_found",
-                             depth_cap: int | None = None) -> ContractionSequence:
-    """Contract even pairs until none remain.
-
-    ``first_found`` greedily contracts the least even pair.  The
-    ``exhaustive_search_for_complete`` strategy backtracks over pair choices
-    looking for a sequence whose terminal is complete, returning the first
-    such sequence or, failing that, the greedy stuck sequence.  A depth cap
-    below the natural bound (vertex count) yields outcome "inconclusive".
+    A depth-first search takes the even pairs of each graph in lexicographic
+    order and skips graphs already known, up to isomorphism, to lead
+    nowhere.  It returns the first complete sequence found or, failing
+    that, the first stuck one, which is the greedy sequence that always
+    contracts the least even pair.
     """
-    if strategy not in ("first_found", "exhaustive_search_for_complete"):
-        raise InputError(f"unknown strategy {strategy!r}")
     berge, witness = is_berge(G)
     if not berge:
         raise NonBergeError("contraction sequences require a Berge graph", witness)
-    cap = G.n if depth_cap is None else depth_cap
-
-    def greedy(start: Trigraph) -> ContractionSequence:
-        steps: list[ContractionStep] = []
-        current = start
-        while len(steps) < cap:
-            pair = _least_even_pair(current)
-            if pair is None:
-                outcome = "complete" if is_complete(current) else "stuck"
-                return ContractionSequence(tuple(steps), current, outcome)
-            steps.append(_step(current, pair))
-            current = steps[-1].after
-        if _least_even_pair(current) is None:
-            outcome = "complete" if is_complete(current) else "stuck"
-        else:
-            outcome = "inconclusive"
-        return ContractionSequence(tuple(steps), current, outcome)
-
-    if strategy == "first_found":
-        return greedy(G)
-
     dead_ends: set[bytes] = set()
+    stuck: list[ContractionSequence] = []
 
     def search(current: Trigraph, steps: list[ContractionStep]) -> ContractionSequence | None:
         if is_complete(current):
             return ContractionSequence(tuple(steps), current, "complete")
-        if len(steps) >= cap:
-            return None
         key = canonical_form(current)
         if key in dead_ends:
             return None
-        for pair in _all_even_pairs(current):
-            step = _step(current, pair)
-            steps.append(step)
-            found = search(step.after, steps)
+        for u, v in even_pairs(current):
+            steps.append(ContractionStep(current, (u, v), u, _merge(current, u, v)))
+            found = search(steps[-1].after, steps)
             if found is not None:
                 return found
             steps.pop()
+        if not stuck:
+            # the first graph exhausted ends the first descent, which took
+            # the least even pair at every step and has none left here
+            stuck.append(ContractionSequence(tuple(steps), current, "stuck"))
         dead_ends.add(key)
         return None
 
     found = search(G, [])
-    return found if found is not None else greedy(G)
+    return found if found is not None else stuck[0]
 
 
 def is_even_contractile(G: Trigraph) -> tuple[bool, ContractionSequence]:
-    seq = run_contraction_sequence(G, "exhaustive_search_for_complete")
+    seq = run_contraction_sequence(G)
     return seq.outcome == "complete", seq
 
 

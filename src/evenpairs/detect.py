@@ -271,17 +271,18 @@ def is_even_pair(T: Trigraph, u: int, v: int,
     return EvenPairReport((u, v), verdict, witness, count)
 
 
+def even_pairs(T: Trigraph) -> Iterator[tuple[int, int]]:
+    """The even pairs of T, lazily and in lexicographic order; each
+    candidate gets its one oracle check when the scan reaches it."""
+    for u, v in itertools.combinations(range(T.n), 2):
+        if T.value(u, v) == ANTI and is_even_pair(T, u, v).is_even_pair:
+            yield (u, v)
+
+
 def find_even_pair_oracle(T: Trigraph,
                           require_disjoint_from_switchable: bool = False
                           ) -> tuple[int, int] | None:
     """Brute-force scan: the lexicographically least even pair, optionally
     avoiding every switchable component."""
     forbidden = switchable_vertices(T) if require_disjoint_from_switchable else frozenset()
-    for u, v in itertools.combinations(range(T.n), 2):
-        if T.value(u, v) != ANTI:
-            continue
-        if forbidden & {u, v}:
-            continue
-        if is_even_pair(T, u, v).is_even_pair:
-            return (u, v)
-    return None
+    return next((p for p in even_pairs(T) if not forbidden & set(p)), None)

@@ -127,6 +127,19 @@ def test_exit_codes_are_function_of_outcome(capsys, c5, c6, p4, k4):
         assert code == (0 if outcome in ("complete", "even_pair") else 1)
 
 
+def test_parser_is_built_once(capsys, c6):
+    # in-process callers run main many times; the parser is built on the
+    # first call only
+    from evenpairs import cli
+
+    cli.build_parser.cache_clear()
+    for command in ("analyze", "classify", "contract-color"):
+        assert main([command, to_graph6(c6)]) == 0
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "evenpairs.cli", "classify", to_graph6(cycle(4))],
@@ -214,6 +227,36 @@ def test_cli_witnesses_are_golden(capsys, name):
         code = main([command, g6])
         h.update(f"{command} {code}\n{capsys.readouterr().out}".encode())
     assert h.hexdigest() == CLI_DIGESTS[name]
+
+
+CONTRACT_COLOR_DIGESTS = {
+    "C10": "469d0a0d140e57f78bb1023cfeb4c4554e0bf09a40ad657d4406e2661a04b639",
+    "C12": "d257f5cce714d84d94123d2c37746a667419f39d4988f1a7cab917578ea28228",
+    "FCrQo": "5d825cbe1c3495c9e0840e126503e437b7448bec1b0942707aa34fa7a79d0286",
+    "bipartite": "ed90e6a5199b3aea6373720474373cfcce24d237051045559de6892eba2f91b6",
+    "co-bipartite": "323cd690d3322ad434737a149884bb3bc9b1523a233e0900816bd1417c7591cf",
+    "gnp": "0e8015c00d091b0ec0bba7ad860e763f8332f973abff3b7803a7ccae43ff513d",
+    "prism3": "1220b5a1e72373066bea200a9a2178f8521fb5f4233c57c7edd251a206969bde",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_COLOR_DIGESTS))
+def test_contract_color_is_golden(capsys, name):
+    # the search returns the first complete sequence in lexicographic pair
+    # order, or else the greedy least-pair sequence: prism3 is stuck after
+    # no step, FCrQo after the one step (0, 2)
+    if name.startswith("C"):
+        g6 = to_graph6(cycle(int(name[1:])))
+    elif name == "prism3":
+        g6 = to_graph6(prism3())
+    elif name == "FCrQo":
+        g6 = name
+    else:
+        g6 = to_graph6(_seeded_graph(name, 11, 20261018))
+    code = main(["contract-color", g6])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"contract-color {code}\n{out}".encode()).hexdigest()
+    assert digest == CONTRACT_COLOR_DIGESTS[name]
 
 
 def test_internal_contradiction_exits_three(capsys, monkeypatch, c8):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,8 @@ from evenpairs.contraction import (contract_even_pair, derive_coloring,
                                    run_contraction_sequence)
 from evenpairs.detect import is_berge, is_even_pair
 from evenpairs.errors import InputError, NonBergeError, NotEvenPairError
-from evenpairs.families import cycle, empty_graph
+from evenpairs.families import cycle, empty_graph, prism3
+from evenpairs.formats import from_graph6
 from evenpairs.trigraph import clique_number, is_complete, make_trigraph
 
 from conftest import random_graph
@@ -46,7 +48,7 @@ def test_contract_rejects_trigraph():
 
 
 def test_sequence_c4_two_steps(c4):
-    seq = run_contraction_sequence(c4, "first_found")
+    seq = run_contraction_sequence(c4)
     assert seq.outcome == "complete"
     assert [s.pair for s in seq.steps] == [(0, 2), (1, 2)]
     assert seq.terminal.n == 2 and is_complete(seq.terminal)
@@ -75,13 +77,13 @@ def test_every_step_revalidates():
         if not is_berge(g)[0]:
             continue
         checked += 1
-        seq = run_contraction_sequence(g, "first_found")
+        seq = run_contraction_sequence(g)
         for step in seq.steps:
             assert is_even_pair(step.before, *step.pair).is_even_pair
 
 
 def test_derive_coloring_c4(c4):
-    seq = run_contraction_sequence(c4, "exhaustive_search_for_complete")
+    seq = run_contraction_sequence(c4)
     coloring = derive_coloring(seq)
     assert coloring.color_count == 2
     a = coloring.assignment
@@ -102,16 +104,41 @@ def test_derive_coloring_c6(c6):
 
 
 def test_derive_coloring_rejects_stuck():
-    # a stuck-looking sequence: fabricate by contracting nothing on a
-    # non-complete graph and relabeling outcome is not possible, so use the
-    # real search on a graph with no even pair at all
-    from evenpairs.contraction import ContractionSequence
+    # prism3 has no even pair at all; FCrQo has no complete sequence, so
+    # the search falls back to the greedy one, stuck after (0, 2)
+    for G, pairs in [(prism3(), []), (from_graph6("FCrQo"), [(0, 2)])]:
+        seq = run_contraction_sequence(G)
+        assert seq.outcome == "stuck" and not is_complete(seq.terminal)
+        assert [s.pair for s in seq.steps] == pairs
+        with pytest.raises(InputError):
+            derive_coloring(seq)
 
-    c7_minus = cycle(6)
-    seq = run_contraction_sequence(c7_minus, "first_found")
-    stuck = ContractionSequence((), cycle(6), "stuck")
-    with pytest.raises(InputError):
-        derive_coloring(stuck)
+
+@pytest.mark.parametrize("G", [cycle(8), cycle(10), from_graph6("FCrQo")],
+                         ids=["C8", "C10", "FCrQo"])
+def test_each_contracted_pair_is_checked_once(monkeypatch, G):
+    # the scan's oracle check (with its gadget cross-check) is the only one
+    # a contracted pair gets; the merge does not check it again
+    from evenpairs import contraction, detect
+
+    checks, gadgets = Counter(), Counter()
+
+    def counted(counter, original):
+        def wrapper(T, u, v, *args, **kwargs):
+            counter[T, (min(u, v), max(u, v))] += 1
+            return original(T, u, v, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(detect, "_gadget_sees_odd_path",
+                        counted(gadgets, detect._gadget_sees_odd_path))
+    wrapped = counted(checks, detect.is_even_pair)
+    for module in (detect, contraction):
+        monkeypatch.setattr(module, "is_even_pair", wrapped)
+    seq = run_contraction_sequence(G)
+    assert seq.steps
+    for step in seq.steps:
+        assert checks[step.before, step.pair] == 1
+        assert gadgets[step.before, step.pair] == 1
 
 
 def test_contraction_preserves_berge_and_clique_number():
