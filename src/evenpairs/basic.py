@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .detect import is_even_pair
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (ANTI, Trigraph, _mask_components, bits_of, complement,
-                       components, full_realization, induced, in_class_F,
-                       is_complete, mask_of, switchable_vertices)
+                       components, full_realization, graph_from_edges, induced,
+                       in_class_F, is_complete, mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -89,73 +89,49 @@ def _strong_triangles_only(T: Trigraph) -> bool:
     return not any(T.adj[u] & T.adj[v] for u, v in T.switchable_pairs())
 
 
-def _krausz_partitions(G: Trigraph):
-    """Partitions of G's edges into cliques covering each vertex at most
-    twice, enumerated deterministically (pivot edge lexicographic, clique
-    extensions in ascending vertex order)."""
-    edges = G.strong_edges()
-    edge_id = {frozenset(e): i for i, e in enumerate(edges)}
-    load = [0] * G.n
+def _forced_cliques(G: Trigraph) -> list[tuple[int, ...]] | None:
+    """The edge partition of G into the stars of a triangle-free root, or
+    None if there is none.
 
-    def cliques_for(u: int, v: int, uncovered: frozenset[int]):
-        """Cliques through the edge (u, v) made of uncovered edges whose
-        members all have spare load."""
-        common = [w for w in range(G.n)
-                  if w not in (u, v) and load[w] < 2
-                  and G.strong[u] >> w & 1 and G.strong[v] >> w & 1
-                  and edge_id[frozenset((u, w))] in uncovered
-                  and edge_id[frozenset((v, w))] in uncovered]
-
-        def extend(base: tuple[int, ...], pool: list[int]):
-            yield base
-            for i, w in enumerate(pool):
-                if all(G.strong[w] >> z & 1
-                       and edge_id[frozenset((w, z))] in uncovered
-                       for z in base):
-                    yield from extend(base + (w,), pool[i + 1:])
-
-        yield from extend((u, v), common)
-
-    def cover(uncovered: frozenset[int], chosen: list[tuple[int, ...]]):
-        if not uncovered:
-            yield list(chosen)
-            return
-        pivot = min(uncovered)
-        u, v = edges[pivot]
-        if load[u] >= 2 or load[v] >= 2:
-            return
-        for clique in cliques_for(u, v, uncovered):
-            inside = {edge_id[frozenset(p)] for p in itertools.combinations(clique, 2)}
-            for w in clique:
-                load[w] += 1
-            chosen.append(clique)
-            yield from cover(uncovered - inside, chosen)
-            chosen.pop()
-            for w in clique:
-                load[w] -= 1
-
-    yield from cover(frozenset(range(len(edges))), [])
+    In the line graph of a triangle-free graph, the common neighbors of two
+    adjacent vertices are the other edges of the root star holding both, so
+    the clique through an uncovered edge uv is forced to be {u, v} plus the
+    common neighbors of u and v.  Edges are taken in lexicographic order,
+    so the cliques come out ordered by their least edge.
+    """
+    covered = [0] * G.n  # partners each vertex already shares a clique with
+    cliques = []
+    for u, v in G.strong_edges():
+        if covered[u] >> v & 1:
+            continue
+        clique = 1 << u | 1 << v | (G.strong[u] & G.strong[v])
+        for w in bits_of(clique):
+            # not a clique, or an edge in two cliques: no root is triangle-free
+            if clique & ~G.strong[w] != 1 << w or covered[w] & clique:
+                return None
+            covered[w] |= clique ^ 1 << w
+        cliques.append(tuple(bits_of(clique)))
+    return cliques
 
 
 def _root_from_cliques(G: Trigraph, cliques: list[tuple[int, ...]]) -> LineRootCertificate | None:
-    """Build the root graph of a Krausz partition; None if not bipartite."""
+    """Build the root graph of an edge-disjoint clique cover; None if a
+    vertex lies in three or more cliques or the root is not bipartite."""
     membership: dict[int, list[int]] = {v: [] for v in range(G.n)}
     for i, clique in enumerate(cliques):
         for w in clique:
             membership[w].append(i)
     next_node = len(cliques)
     vertex_edges = []
-    root_edges = []
     for v in range(G.n):
         nodes = membership[v]
+        if len(nodes) > 2:
+            return None
         while len(nodes) < 2:
             nodes = nodes + [next_node]
             next_node += 1
         vertex_edges.append((nodes[0], nodes[1]))
-        root_edges.append((nodes[0], nodes[1]))
-    from .trigraph import graph_from_edges
-
-    root = graph_from_edges(next_node, root_edges)
+    root = graph_from_edges(next_node, vertex_edges)
     if bipartition_of(root) is None:
         return None
     return LineRootCertificate(root, tuple(vertex_edges))
@@ -163,16 +139,18 @@ def _root_from_cliques(G: Trigraph, cliques: list[tuple[int, ...]]) -> LineRootC
 
 def line_root_of(T: Trigraph) -> LineRootCertificate | None:
     """Line-trigraph recognizer: the full realization must be the line
-    graph of a bipartite graph (found by Krausz partition search) and every
-    clique of size three or more must be strong."""
+    graph of a bipartite graph and every clique of size three or more must
+    be strong.
+
+    A bipartite root has no triangle, so every clique of size three or more
+    in its line graph is a star and the clique partition is forced (see
+    ``_forced_cliques``); no partition is searched.  Root nodes are numbered
+    in the order of the cliques, then one fresh node per missing end."""
     if not _strong_triangles_only(T):
         return None
     G = full_realization(T)
-    for cliques in _krausz_partitions(G):
-        cert = _root_from_cliques(G, cliques)
-        if cert is not None:
-            return cert
-    return None
+    cliques = _forced_cliques(G)
+    return None if cliques is None else _root_from_cliques(G, cliques)
 
 
 def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:

@@ -1,8 +1,8 @@
 """Even-pair contraction for graphs, contraction sequences, and colorings.
 
 Contracting an even pair {u, v} replaces the two vertices by one whose
-neighborhood is the union of theirs; for Berge graphs this preserves both
-Bergeness and the clique number, which is what makes the coloring unwind
+neighborhood is the union of theirs; this preserves the clique number,
+and for Berge graphs Bergeness too, which is what makes the coloring unwind
 work.  Contraction is defined for graphs only; realize a trigraph first.
 A contraction sequence ends "complete" (its terminal is a clique, so it
 unwinds into an optimal coloring) or "stuck" (no even pair is left).
@@ -91,7 +91,8 @@ def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
     def search(current: Trigraph, steps: list[ContractionStep]) -> ContractionSequence | None:
         if is_complete(current):
             return ContractionSequence(tuple(steps), current, "complete")
-        key = canonical_form(current)
+        # the key matters only once a dead end is known or this node is one
+        key = canonical_form(current) if dead_ends else None
         if key in dead_ends:
             return None
         for u, v in even_pairs(current):
@@ -104,7 +105,7 @@ def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
             # the first graph exhausted ends the first descent, which took
             # the least even pair at every step and has none left here
             stuck.append(ContractionSequence(tuple(steps), current, "stuck"))
-        dead_ends.add(key)
+        dead_ends.add(canonical_form(current) if key is None else key)
         return None
 
     found = search(G, [])
@@ -118,8 +119,9 @@ def is_even_contractile(G: Trigraph) -> tuple[bool, ContractionSequence]:
 
 def derive_coloring(seq: ContractionSequence) -> Coloring:
     """Unwind a complete-terminal sequence into a proper coloring of the
-    original graph; for Berge inputs the color count equals the clique
-    number, and that equality is asserted here."""
+    original graph.  Contracting an even pair keeps the clique number of any
+    graph, so the color count equals it, and that equality is asserted
+    here."""
     if seq.outcome != "complete":
         raise InputError(f"cannot derive a coloring from outcome {seq.outcome!r}")
     colors = {v: v for v in range(seq.terminal.n)}
@@ -138,6 +140,6 @@ def derive_coloring(seq: ContractionSequence) -> Coloring:
     count = len(set(assignment))
     if count != seq.terminal.n:
         raise AssertionError("color count does not match the terminal clique")
-    if is_berge(original)[0] and count != clique_number(original):
+    if count != clique_number(original):
         raise AssertionError("coloring does not use clique-number many colors")
     return Coloring(assignment, count)

@@ -90,14 +90,6 @@ class Block:
     parent_split: TwoJoinSplit
     parent_map: tuple[int | None, ...]
 
-    @property
-    def marker_component(self) -> frozenset[int]:
-        return frozenset(self.markers)
-
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.markers[0], self.markers[-1]
-
 
 def _odd_path_exists(T: Trigraph, ends: frozenset[int], interior: frozenset[int]) -> bool:
     """Any odd path of length > 1 with both ends in ``ends`` and every
@@ -135,9 +127,10 @@ def _star_center(T: Trigraph, b: frozenset[int]) -> int | None:
     return None
 
 
-def _witness_for(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> SkewPartitionWitness:
-    return SkewPartitionWitness(a, b, _partition_split(T, a, b),
-                                is_balanced_partition(T, a, b), _star_center(T, b))
+def _witness_for(T: Trigraph, a: frozenset[int], b: frozenset[int],
+                 balanced: bool) -> SkewPartitionWitness:
+    return SkewPartitionWitness(a, b, _partition_split(T, a, b), balanced,
+                                _star_center(T, b))
 
 
 def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
@@ -154,7 +147,7 @@ def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
                     continue
                 # v has no antiadjacent partner in B, so {v} is a singleton
                 # anticomponent and B is automatically not anticonnected
-                return _witness_for(T, a, b)
+                return _witness_for(T, a, b, is_balanced_partition(T, a, b))
     return None
 
 
@@ -172,7 +165,7 @@ def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
         a = frozenset(bits_of(a_mask))
         b = frozenset(bits_of(b_mask))
         if is_balanced_partition(T, a, b):
-            return _witness_for(T, a, b)
+            return _witness_for(T, a, b, True)
     return None
 
 

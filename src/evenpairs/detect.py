@@ -17,6 +17,9 @@ from .errors import InputError
 from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, bits_of,
                        complement, iter_paths, mask_of, switchable_vertices)
 
+# is_even_pair gives up with a RuntimeError past this many u-v paths
+MAX_PATHS = 1_000_000
+
 
 def _iter_holes_of_length(T: Trigraph, k: int,
                           first: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -237,8 +240,7 @@ def _gadget_sees_odd_path(G: Trigraph, u: int, v: int) -> bool:
                for k in range(5, G.n + 2, 2))
 
 
-def is_even_pair(T: Trigraph, u: int, v: int,
-                 max_paths: int = 1_000_000) -> EvenPairReport:
+def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
     """Decide whether {u, v} is an even pair: a strongly antiadjacent pair
     all of whose connecting paths are even.
 
@@ -255,9 +257,9 @@ def is_even_pair(T: Trigraph, u: int, v: int,
     witness = None
     for seq in iter_paths(T, u, v):
         count += 1
-        if count > max_paths:
+        if count > MAX_PATHS:
             raise RuntimeError(
-                f"path enumeration for ({u}, {v}) exceeded {max_paths} paths")
+                f"path enumeration for ({u}, {v}) exceeded {MAX_PATHS} paths")
         if (len(seq) - 1) % 2 == 1:
             witness = PathWitness(seq)
             break

@@ -211,11 +211,8 @@ class VerifySummary:
         return not self.failures
 
 
-def _run_instance(text: str) -> dict:
-    from .formats import from_text
-
-    T = from_text(text)
-    record: dict = {"instance": text, "n": T.n}
+def _run_instance(T: Trigraph) -> dict:
+    record: dict = {"instance": to_text(T), "n": T.n}
     try:
         result = find_even_pair_structured(T)
         if result.outcome == "precondition_failed":
@@ -265,12 +262,12 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
         raise ValueError(f"n_max {n_max} exceeds the enumeration cap {ENUMERATION_CAP}")
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    texts = [to_text(T) for T in _instances_for(scope, n_max, sample, seed)]
+    instances = _instances_for(scope, n_max, sample, seed)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_instance, texts, chunksize=64))
+            records = list(pool.map(_run_instance, instances, chunksize=64))
     else:
-        records = [_run_instance(t) for t in texts]
+        records = [_run_instance(T) for T in instances]
     records.sort(key=lambda r: (r["n"], r["instance"]))
     filtered_in = complete = even = 0
     failures: list[FailureRecord] = []

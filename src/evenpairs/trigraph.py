@@ -110,9 +110,6 @@ class Trigraph:
             return STRONG
         return SWITCHABLE if self.switch[u] >> v & 1 else ANTI
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         return itertools.combinations(range(self.n), 2)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -52,3 +53,20 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5):
     entries = [(u, v, 1) for u in range(n) for v in range(u + 1, n)
                if rng.random() < p]
     return make_trigraph(n, entries)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every evenpairs module that
+    binds it; returns the list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("evenpairs")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -10,12 +10,12 @@ from evenpairs.basic import (classify_basic, even_pair_basic,
                              is_favorable, is_good_pair, line_root_of,
                              verify_root_properties, bipartition_of)
 from evenpairs.decomposition import build_block, find_2join, split_for
-from evenpairs.detect import find_prism, is_berge, is_even_pair
+from evenpairs.detect import find_odd_hole, find_prism, is_berge, is_even_pair
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, complete_graph, cycle,
                                 empty_graph, line_graph, path_graph, prism3)
 from evenpairs.trigraph import (complement, graph_from_edges, induced,
-                                make_trigraph, realization)
+                                make_trigraph, mask_of, realization)
 
 from conftest import random_graph, random_trigraph
 
@@ -100,6 +100,85 @@ def test_line_trigraphs_are_claw_and_diamond_free():
         assert not _has_induced(fr, claw, 4)
         assert not _has_induced(fr, diamond, 4)
     assert recognized > 15
+
+
+def _census_and_complements():
+    from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
+
+    base = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    return base + [complement(t) for t in base]
+
+
+def test_line_roots_are_golden():
+    # the forced cliques come out in the order of their least edge, which
+    # numbers the root nodes; this digest pins roots and vertex edges
+    import hashlib
+    import json
+
+    from evenpairs.certs import to_jsonable
+
+    h = hashlib.sha256()
+    found = 0
+    for t in _census_and_complements():
+        cert = line_root_of(t)
+        found += cert is not None
+        h.update(json.dumps(to_jsonable(cert), sort_keys=True).encode() + b"\n")
+    assert found == 512
+    assert h.hexdigest() == (
+        "7b966b8934803bb6fa002e4eb5d97c6ce0bf2d36b14a5f0aee471fba6dee57b5")
+
+
+def _has_claw_or_diamond(g):
+    # on four vertices the claw is the only graph with degrees 3, 1, 1, 1
+    # and the diamond the only one with five edges
+    for quad in itertools.combinations(range(g.n), 4):
+        degrees = sorted((g.strong[v] & mask_of(quad)).bit_count() for v in quad)
+        if degrees in ([1, 1, 1, 3], [2, 2, 3, 3]):
+            return True
+    return False
+
+
+def test_line_roots_match_harary_holzmann():
+    # line graphs of bipartite graphs are exactly the graphs with no
+    # induced claw, diamond or odd hole
+    from evenpairs.corpus import graphs_upto
+
+    checked = 0
+    for g in graphs_upto(6):
+        for h in (g, complement(g)):
+            expected = not _has_claw_or_diamond(h) and find_odd_hole(h) is None
+            assert (line_root_of(h) is not None) == expected
+            checked += expected
+    assert checked > 100
+
+
+def test_line_roots_match_networkx_inverse_line_graph():
+    nx = pytest.importorskip("networkx")
+    from evenpairs.corpus import random_bipartite_graph
+
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(400):
+        lg, _ = line_graph(random_bipartite_graph(rng, 14))
+        order = list(range(lg.n))
+        rng.shuffle(order)
+        lg = graph_from_edges(lg.n, [(order[u], order[v]) for u, v in lg.strong_edges()])
+        as_nx = nx.Graph(lg.strong_edges())
+        as_nx.add_nodes_from(range(lg.n))
+        if not nx.is_connected(as_nx):
+            continue
+        cert = line_root_of(lg)
+        assert cert is not None
+        root = nx.Graph(cert.root.strong_edges())
+        assert nx.is_isomorphic(root, nx.inverse_line_graph(as_nx))
+        checked += 1
+    assert checked > 100
+
+
+def test_line_root_none_on_dense_non_line_graphs():
+    # dense graphs that are not line graphs are rejected without a search
+    assert line_root_of(complement(cycle(15))) is None
+    assert line_root_of(random_graph(random.Random(7), 16, 0.7)) is None
 
 
 def test_closure_over_all_semirealizations_of_planted_members():

@@ -35,7 +35,7 @@ def reference_bsp(T):
         if _connected(T, a, "connected") or _connected(T, b, "anticonnected"):
             continue
         if is_balanced_partition(T, a, b):
-            return _witness_for(T, a, b)
+            return _witness_for(T, a, b, True)
     return None
 
 

@@ -9,7 +9,9 @@ import pytest
 
 from evenpairs.cli import main
 from evenpairs.families import complete_graph, cycle, prism3
-from evenpairs.formats import to_graph6, to_text
+from evenpairs.formats import from_graph6, to_graph6, to_text
+
+from conftest import count_calls
 
 
 def run_cli(capsys, *args):
@@ -257,6 +259,19 @@ def test_contract_color_is_golden(capsys, name):
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"contract-color {code}\n{out}".encode()).hexdigest()
     assert digest == CONTRACT_COLOR_DIGESTS[name]
+
+
+def test_contract_color_checks_bergeness_once(capsys, monkeypatch):
+    # the search checks the input once; the coloring does not check again
+    import evenpairs.detect as detect
+
+    checks = count_calls(monkeypatch, detect, "is_berge")
+    inputs = [cycle(5), cycle(8), cycle(10), complete_graph(4), prism3(),
+              from_graph6("FCrQo")]
+    for G in inputs:
+        main(["contract-color", to_graph6(G)])
+    capsys.readouterr()
+    assert len(checks) == len(inputs)
 
 
 def test_internal_contradiction_exits_three(capsys, monkeypatch, c8):

@@ -13,7 +13,7 @@ from evenpairs.families import cycle, empty_graph, prism3
 from evenpairs.formats import from_graph6
 from evenpairs.trigraph import clique_number, is_complete, make_trigraph
 
-from conftest import random_graph
+from conftest import count_calls, random_graph
 
 
 def test_contract_c4_gives_path(c4):
@@ -139,6 +139,16 @@ def test_each_contracted_pair_is_checked_once(monkeypatch, G):
     for step in seq.steps:
         assert checks[step.before, step.pair] == 1
         assert gadgets[step.before, step.pair] == 1
+
+
+def test_search_keys_no_graph_before_a_dead_end(monkeypatch):
+    # C10 contracts to a clique on the first descent, so no graph is ever
+    # exhausted and no canonical key is needed
+    import evenpairs.canonical as canonical
+
+    keys = count_calls(monkeypatch, canonical, "canonical_form")
+    assert run_contraction_sequence(cycle(10)).outcome == "complete"
+    assert keys == []
 
 
 def test_contraction_preserves_berge_and_clique_number():

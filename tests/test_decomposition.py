@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from evenpairs.corpus import graphs_of_order
 from evenpairs.decomposition import (build_block, check_nobsp_2join_shape,
                                      find_2join, find_balanced_skew_partition,
                                      find_complement_2join, find_star_cutset,
@@ -15,7 +16,7 @@ from evenpairs.trigraph import (complement, full_realization, in_class_F,
                                 is_anticonnected, is_connected, make_trigraph,
                                 switchable_components)
 
-from conftest import random_graph
+from conftest import count_calls, random_graph
 
 
 # -- star cutsets ------------------------------------------------------------
@@ -74,6 +75,23 @@ def test_bsp_absent_on_c6_and_c8(c6, c8):
 def test_bsp_total_on_non_berge(c5):
     # operation stays total off the Berge world
     find_balanced_skew_partition(c5)
+
+
+def test_bsp_witness_takes_the_scan_balance(monkeypatch):
+    # the scan's balance verdict goes into the witness: no skew-partition
+    # is tested twice
+    import evenpairs.decomposition as decomposition
+
+    tested = count_calls(monkeypatch, decomposition, "is_balanced_partition")
+    found = 0
+    for g in graphs_of_order(5):
+        tested.clear()
+        wit = find_balanced_skew_partition(g)
+        assert len(set(tested)) == len(tested)
+        if wit is not None:
+            found += 1
+            assert wit.balanced and tested[-1] == (g, wit.a, wit.b)
+    assert found > 0
 
 
 def test_balance_checker_direct(c6):

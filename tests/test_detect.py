@@ -201,6 +201,15 @@ def test_is_even_pair_adjacency_guard(c6):
         is_even_pair(c6, 3, 3)
 
 
+def test_is_even_pair_path_cap(monkeypatch, c8):
+    # C8's (0, 2) has two even paths; a cap of one path gives up on it
+    import evenpairs.detect as detect
+
+    monkeypatch.setattr(detect, "MAX_PATHS", 1)
+    with pytest.raises(RuntimeError, match="exceeded 1 paths"):
+        is_even_pair(c8, 0, 2)
+
+
 def test_even_pair_gadget_agreement_small():
     rng = random.Random(14)
     for _ in range(150):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -10,6 +9,8 @@ from evenpairs.engine import (PRECONDITIONS, check_preconditions,
                               find_even_pair_structured, verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.trigraph import make_trigraph
+
+from conftest import count_calls
 
 
 def failed_names(report):
@@ -102,8 +103,21 @@ def test_verify_log_records(tmp_path):
     # records replay: re-running an instance gives the same status
     sample = lines[0]
     from evenpairs.engine import _run_instance
+    from evenpairs.formats import from_text
 
-    assert _run_instance(sample["instance"])["status"] == sample["status"]
+    assert _run_instance(from_text(sample["instance"]))["status"] == sample["status"]
+
+
+def test_verify_runs_instances_without_parsing(monkeypatch):
+    # the harness runs each corpus trigraph as it is; only its log record
+    # holds the text
+    import evenpairs.engine as engine
+    import evenpairs.formats as formats
+
+    engine._instances_for("graphs", 5, None, 0)  # corpora are cached
+    parses = count_calls(monkeypatch, formats, "from_text")
+    assert verify_main_theorem(5, "graphs").ok
+    assert parses == []
 
 
 def test_verify_sampled():
@@ -183,23 +197,6 @@ def test_structured_two_join_keeps_switchable_side(monkeypatch):
     assert not (chosen & d_side)
     assert not (set(pair) & d_side)
     assert is_even_pair(t, *pair).is_even_pair
-
-
-def count_calls(monkeypatch, module, name):
-    """Count calls of ``module.name`` through every evenpairs module that
-    binds it; returns the list the calls are appended to."""
-    original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("evenpairs")
-                and getattr(mod, name, None) is original):
-            monkeypatch.setattr(mod, name, counting)
-    return calls
 
 
 CORPORA = [(5, "graphs"), (4, "trigraphs_in_F")]
