@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 from .detect import is_even_pair
 from .errors import InputError, TheoremContradictionError
-from .trigraph import (ANTI, Trigraph, _mask_components, bits_of, complement,
-                       components, full_realization, graph_from_edges, induced,
-                       in_class_F, is_complete, mask_of, switchable_vertices)
+from .trigraph import (ANTI, Trigraph, _mask_components, _pruned_masks, bits_of,
+                       complement, components, full_realization,
+                       graph_from_edges, induced, in_class_F, is_complete,
+                       mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +154,13 @@ def line_root_of(T: Trigraph) -> LineRootCertificate | None:
     return None if cliques is None else _root_from_cliques(G, cliques)
 
 
-def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:
-    full = (1 << T.n) - 1
-    y_mask = full & ~x_mask
-    strong, switch, adj, anti = T.strong, T.switch, T.adj, T.anti
-    # components of X and anticomponents of Y have at most two vertices
-    # exactly when no vertex has two neighbors (antineighbors) on its side;
-    # no switchable pair may cross
+def _small_sides(T: Trigraph, x_mask: int, y_mask: int) -> bool:
+    """No switchable pair between ``x_mask`` and ``y_mask``, no vertex of
+    ``x_mask`` with two neighbors in it and no vertex of ``y_mask`` with two
+    antineighbors in it.  For a whole bipartition that says the components
+    of X and the anticomponents of Y have at most two vertices; for parts
+    of one it is a necessary condition."""
+    switch, adj, anti = T.switch, T.adj, T.anti
     rest = x_mask
     while rest:
         low = rest & -rest
@@ -175,6 +176,14 @@ def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:
         inside = anti[low.bit_length() - 1] & y_mask
         if inside & (inside - 1):
             return False
+    return True
+
+
+def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:
+    y_mask = (1 << T.n) - 1 & ~x_mask
+    if not _small_sides(T, x_mask, y_mask):
+        return False
+    strong, switch, adj, anti = T.strong, T.switch, T.adj, T.anti
 
     def at_most_one_each(v: int, side: int) -> bool:
         # at most one strong neighbor and one strong antineighbor in side
@@ -189,11 +198,17 @@ def _good_partition_masks(T: Trigraph, x_mask: int) -> bool:
 
 
 def good_partition_of(T: Trigraph) -> GoodPartition | None:
-    """First good partition in mask order; the all-one-side partitions are
-    tried last so nontrivial certificates are preferred."""
+    """First good partition in increasing X-mask order; the all-one-side
+    partitions are tried last so nontrivial certificates are preferred.
+
+    The nontrivial X-masks come from ``_pruned_masks``, which leaves a
+    subtree once its fixed parts break ``_small_sides``; no mask it skips is
+    good, so the witness is the one a scan of every bipartition would find
+    first.  The search stays exponential in the worst case.
+    """
     full = (1 << T.n) - 1
-    order = itertools.chain(range(1, full), (0, full)) if T.n else (0,)
-    for x_mask in order:
+    masks = _pruned_masks(T.n, lambda x, y, free: _small_sides(T, x, y))
+    for x_mask in itertools.chain(masks, (0, full) if T.n else (0,)):
         if _good_partition_masks(T, x_mask):
             x = frozenset(bits_of(x_mask))
             return GoodPartition(x, frozenset(range(T.n)) - x)

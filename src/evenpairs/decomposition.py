@@ -1,16 +1,21 @@
 """Skew-partitions, star cutsets, 2-joins, fragments, and blocks.
 
-All searches scan bipartitions in increasing bitmask order (bit i is vertex
-i), so results are deterministic and the first witness returned is the one
-with the smallest characteristic mask.  Split sets are derived from the
-cross strong-edge pattern: a valid 2-join forces the classification of every
-vertex once the bipartition is fixed, so no split search is needed.
+The balanced-skew-partition and 2-join searches meet bipartitions in
+increasing bitmask order (bit i is vertex i), so results are deterministic
+and the first witness returned is the one with the smallest characteristic
+mask.  Split sets are derived from the cross strong-edge pattern: a valid
+2-join forces the classification of every vertex once the bipartition is
+fixed, so no split search is needed.
 
-Everything is exhaustive over bipartitions with fail-fast classification,
-run on integer masks; sets are built only for a candidate that passes the
-mask tests.  The cost doubles with each vertex: on one 2-vCPU core a full
-balanced-skew-partition scan of a 16-vertex graph with none (C16) takes
-about 80 ms, and a full 2-join scan about 50 ms.
+The bipartitions come from ``trigraph._pruned_masks``, a depth-first search
+that leaves a subtree once its fixed vertices rule out every completion.
+Each search supplies a necessary condition for that and runs its full
+mask test on every bipartition that remains, so it returns exactly what a
+scan of all 2^n bipartitions would.  Sets are built only for a candidate
+that passes the mask tests.  On one core of a 2-vCPU machine the full
+balanced-skew-partition search of C16 and the full 2-join search of its
+complement take about 2 ms each.  The searches stay exponential in the
+worst case; near-complete inputs prune least.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from dataclasses import dataclass
 
 from .detect import is_berge
 from .errors import InputError, NonBergeError
-from .trigraph import (Trigraph, _mask_components, _mask_connected, bits_of,
-                       complement, components, full_realization, induced,
-                       is_connected, iter_paths, mask_of, renumber)
+from .trigraph import (Trigraph, _mask_components, _mask_connected,
+                       _pruned_masks, bits_of, complement, components,
+                       full_realization, induced, is_connected, iter_paths,
+                       mask_of, renumber)
 
 
 @dataclass(frozen=True)
@@ -151,19 +157,46 @@ def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
     return None
 
 
-def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
-    """Exhaustive over bipartitions in mask order; first balanced one.
+def _skew_masks(T: Trigraph):
+    """The A-masks of the skew-partitions (A, B) of T, in increasing order.
 
-    Both skew conditions are tested on the masks; sets are built only for a
-    skew-partition, to test its balance."""
+    The masks come from ``_pruned_masks``, which skips a subtree only when
+    no A-mask in it can be skew.  A fixed part of B that is anticonnected
+    lies inside one anticomponent of B, so some free vertex must be strongly
+    adjacent to all of it; a fixed part of A that is connected lies inside
+    one component of A, so some free vertex must see none of it.  Both skew
+    conditions are then tested on each remaining mask.
+    """
     full = (1 << T.n) - 1
     adj, anti = T.adj, T.anti
-    for a_mask in range(1, full):
-        b_mask = full ^ a_mask
-        if _mask_connected(anti, b_mask) or _mask_connected(adj, a_mask):
-            continue
+
+    def feasible(a_fixed: int, b_fixed: int, free: int) -> bool:
+        if b_fixed and _mask_connected(anti, b_fixed):
+            if all(anti[v] & b_fixed for v in bits_of(free)):
+                return False
+        if a_fixed and _mask_connected(adj, a_fixed):
+            if all(adj[v] & a_fixed for v in bits_of(free)):
+                return False
+        return True
+
+    for a_mask in _pruned_masks(T.n, feasible):
+        if not (_mask_connected(anti, full ^ a_mask) or _mask_connected(adj, a_mask)):
+            yield a_mask
+
+
+def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
+    """First balanced skew-partition (A, B) in increasing A-mask order.
+
+    Only the skew-partitions from ``_skew_masks`` are tested for balance,
+    and they come in the order a scan of every bipartition meets them, so
+    the witness is the one that scan would return.  Sets are built only for
+    a skew-partition.  The pruned search stays exponential in the worst
+    case.
+    """
+    full = (1 << T.n) - 1
+    for a_mask in _skew_masks(T):
         a = frozenset(bits_of(a_mask))
-        b = frozenset(bits_of(b_mask))
+        b = frozenset(bits_of(full ^ a_mask))
         if is_balanced_partition(T, a, b):
             return _witness_for(T, a, b, True)
     return None
@@ -268,14 +301,55 @@ def observed_parity(T: Trigraph, sets) -> str | None:
     return None
 
 
+def _bundles_fit(T: Trigraph, side: int, other: int) -> bool:
+    """Whether no switchable pair joins ``side`` to ``other`` and the strong
+    crossings of ``side`` into ``other`` are pairwise equal or disjoint with
+    at most two distinct nonempty values, as the restriction of a 2-join's
+    A1-A2 and B1-B2 bundles to ``other`` must be."""
+    strong, switch = T.strong, T.switch
+    first = second = 0
+    while side:
+        low = side & -side
+        side ^= low
+        v = low.bit_length() - 1
+        if switch[v] & other:
+            return False
+        cross = strong[v] & other
+        if not cross or cross == first or cross == second:
+            continue
+        if second or cross & first:
+            return False
+        if first:
+            second = cross
+        else:
+            first = cross
+    return True
+
+
 def iter_2joins(T: Trigraph):
     """All 2-join splits, in increasing X1-mask order.
 
     Each unordered bipartition appears twice, once per choice of X1; that is
-    deliberate since fragments are one-sided.
+    deliberate since fragments are one-sided.  The X1-masks come from
+    ``_pruned_masks``, which leaves a subtree once a switchable pair crosses
+    between the fixed parts or the strong crossings of either fixed part
+    into the other no longer fit two disjoint bundles; no mask it skips has
+    a split, so the sequence is the one a scan of every bipartition gives.
+    The search stays exponential in the worst case.
     """
-    n = T.n
-    for x1_mask in range(1, (1 << n) - 1):
+    adj = T.adj
+
+    def feasible(x1_fixed: int, x2_fixed: int, free: int) -> bool:
+        # v is the vertex fixed last (n at the root).  When it sees nothing
+        # on the other side, the crossings are those of the parent node,
+        # which passed already.
+        v = free.bit_length()
+        if v < T.n and not adj[v] & (x2_fixed if x1_fixed >> v & 1 else x1_fixed):
+            return True
+        return (_bundles_fit(T, x1_fixed, x2_fixed)
+                and _bundles_fit(T, x2_fixed, x1_fixed))
+
+    for x1_mask in _pruned_masks(T.n, feasible):
         split = _derive_split(T, x1_mask)
         if split is not None:
             yield split

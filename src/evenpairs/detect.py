@@ -150,14 +150,17 @@ def validate_prism(T: Trigraph, witness: PrismWitness) -> None:
 
 def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
     n, adj = T.n, T.adj
-    triangles = [(a, b, c) for a, b, c in itertools.combinations(range(n), 3)
+    triangles = [((a, b, c), mask_of((a, b, c)))
+                 for a, b, c in itertools.combinations(range(n), 3)
                  if adj[a] >> b & 1 and adj[c] >> a & 1 and adj[c] >> b & 1]
 
-    for ia, tri_a in enumerate(triangles):
-        mask_a = mask_of(tri_a)
-        for tri_b in triangles[ia + 1:]:
-            mask_b = mask_of(tri_b)
-            if mask_a & mask_b:
+    for ia, (tri_a, mask_a) in enumerate(triangles):
+        # each vertex of the second triangle lies outside the first and may
+        # see only its own partner there, so it must miss ``blocked``
+        sa, sb, sc = (adj[v] for v in tri_a)
+        blocked = mask_a | sa & sb | sa & sc | sb & sc
+        for tri_b, mask_b in triangles[ia + 1:]:
+            if mask_b & blocked:
                 continue
             for perm in itertools.permutations(tri_b):
                 # between the triangles only matched pairs may be adjacent
@@ -166,6 +169,7 @@ def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
                 if not ok:
                     continue
                 yield from _extend_rungs(T, tri_a, perm, 0, mask_a | mask_b, ())
+
 
 def _extend_rungs(T: Trigraph, tri_a, tri_b, i: int, used: int,
                   rungs: tuple) -> Iterator[PrismWitness]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -266,6 +266,35 @@ def _mask_connected(neigh: Sequence[int], mask: int) -> bool:
         frontier = grow & mask & ~comp
         comp |= frontier
     return comp == mask
+
+
+def _pruned_masks(n: int, feasible: Callable[[int, int, int], bool]) -> Iterator[int]:
+    """Yield the masks 0 < x < 2^n - 1 in increasing order, skipping
+    subtrees that cannot hold a wanted mask.
+
+    A depth-first search decides vertex n - 1 first and vertex 0 last,
+    putting each vertex on the Y side (bit clear) before the X side, which
+    is increasing integer order.  A node, leaves included, is entered only
+    while ``feasible(x_fixed, y_fixed, free)`` holds, where ``free`` is the
+    mask of the undecided vertices.  The predicate must be a necessary
+    condition: when it holds on every partial assignment that a wanted mask
+    completes, every wanted mask is yielded, in the order of
+    ``range(1, 2^n - 1)``.
+    """
+    full = (1 << n) - 1
+    stack = [(0, 0, full)]
+    while stack:
+        x, y, free = stack.pop()
+        if not feasible(x, y, free):
+            continue
+        if not free:
+            if 0 < x < full:
+                yield x
+            continue
+        bit = 1 << (free.bit_length() - 1)
+        free ^= bit
+        stack.append((x | bit, y, free))
+        stack.append((x, y | bit, free))
 
 
 def _vertex_mask(T: Trigraph, X: Iterable[int] | None) -> int:

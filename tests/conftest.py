@@ -37,14 +37,17 @@ def k4():
     return complete_graph(4)
 
 
-def random_trigraph(rng: random.Random, n: int, switch_prob: float = 0.15):
+def random_trigraph(rng: random.Random, n: int, switch_prob: float = 0.15,
+                    p: float = 0.55):
+    """Each pair is switchable with probability ``switch_prob`` and
+    adjacent (strong or switchable) with probability ``p``."""
     entries = []
     for u in range(n):
         for v in range(u + 1, n):
             r = rng.random()
             if r < switch_prob:
                 entries.append((u, v, 0))
-            elif r < 0.55:
+            elif r < p:
                 entries.append((u, v, 1))
     return make_trigraph(n, entries)
 

@@ -14,14 +14,15 @@ from evenpairs.contraction import (contract_even_pair, derive_coloring,
                                    is_even_contractile)
 from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
                               random_bipartite_graph)
-from evenpairs.decomposition import (build_block, find_balanced_skew_partition,
-                                     iter_2joins)
+from evenpairs.decomposition import (_skew_masks, build_block,
+                                     find_balanced_skew_partition, iter_2joins)
 from evenpairs.detect import (_gadget_sees_odd_path,
                               find_antihole_of_length_at_least, find_prism,
                               is_berge, is_even_pair)
 from evenpairs.engine import verify_main_theorem
 from evenpairs.families import line_graph
-from evenpairs.trigraph import ANTI, clique_number, is_complete
+from evenpairs.trigraph import (ANTI, bits_of, clique_number, components,
+                                is_complete)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -230,3 +231,32 @@ def test_criterion_9_gadget_vs_enumeration():
     report("criterion 9 (dual-method even pairs)",
            f"{pairs} nonadjacent pairs across all graphs n<=7, gadget and "
            f"enumeration in full agreement")
+
+
+# -- criterion 10: a skew-partition forces a balanced one ---------------------
+
+def test_criterion_10_skew_partitions_are_balanced():
+    # Chudnovsky, Robertson, Seymour and Thomas: a Berge graph with a
+    # skew-partition has a balanced one.  Checked here, on trigraphs too,
+    # and never assumed by the library.
+    corpora = {"Berge graphs n<=7": [g for g in graphs_upto(7) if is_berge(g)[0]],
+               "planted trigraphs base n<=6": planted_class_f_trigraphs(6)}
+    counts = {}
+    for name, instances in corpora.items():
+        skew = 0
+        for T in instances:
+            a_mask = next(_skew_masks(T), None)
+            if a_mask is None:
+                continue
+            a = set(bits_of(a_mask))
+            assert len(components(T, a, "connected")) > 1
+            assert len(components(T, set(range(T.n)) - a, "anticonnected")) > 1
+            skew += 1
+            assert find_balanced_skew_partition(T) is not None, T
+        counts[name] = (len(instances), skew)
+    assert counts == {"Berge graphs n<=7": (1105, 1086),
+                      "planted trigraphs base n<=6": (379, 358)}
+    report("criterion 10 (skew implies balanced skew)",
+           ", ".join(f"{skew} of {total} {name} have a skew-partition"
+                     for name, (total, skew) in counts.items())
+           + "; every one has a balanced one, 0 exceptions")
