@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""The five basic classes and their constructive even-pair finders.
+"""The five basic classes and their even-pair finders.
 
 Basic trigraphs are bipartite trigraphs, line trigraphs of bipartite
-graphs, their complements, and doubled trigraphs.  Each class yields even
-pairs constructively: same-side vertices in the bipartite case, good pairs
-of the root graph in the line case, a maximal-anticonnected-set descent in
-the complement cases, and a partition case split for doubled trigraphs.
+graphs, their complements, and doubled trigraphs.  Bipartite trigraphs take
+two same-side vertices and the complement classes a
+maximal-anticonnected-set descent.  A line trigraph lifts the first good
+pair of its root graph from a lexicographic scan over pairs of disjoint
+root edges; a doubled trigraph takes the first pair of the lazy oracle
+scan over its strongly antiadjacent pairs.
 """
 
 from evenpairs import (classify_basic, even_pair_basic, find_good_pair,

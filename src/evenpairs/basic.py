@@ -1,13 +1,15 @@
-"""Basic trigraph classes and their constructive even-pair finders.
+"""Basic trigraph classes and their even-pair finders.
 
 The five basic classes are bipartite trigraphs, line trigraphs of bipartite
 graphs, their complements, and doubled trigraphs (those with a good
-partition).  Each class has a finder that builds an even pair the way the
-structure suggests: same-side vertices for bipartite, good pairs in the
-root graph for line trigraphs, a maximal-anticonnected-set descent for the
-complement classes, and a partition case split for doubled trigraphs.
+partition).  Bipartite trigraphs take two same-side vertices and the
+complement classes a maximal-anticonnected-set descent.  Line trigraphs
+lift the first good pair of the root graph, from a scan of all pairs of
+disjoint allowed root edges in lexicographic order, so a good pair is
+missed only when none exists.  Doubled trigraphs take the first even pair
+of the lazy oracle scan of all strongly antiadjacent pairs.
 
-Every finder verifies its output against the path-enumeration oracle before
+Every finder checks its output against the path-enumeration oracle before
 returning it, so a construction bug surfaces as a hard failure rather than
 a wrong certificate.  That is the one oracle check a returned pair gets.
 """
@@ -18,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .detect import is_even_pair
+from .detect import find_even_pair_oracle, is_even_pair
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (ANTI, Trigraph, _mask_components, _pruned_masks, bits_of,
                        complement, components, full_realization,
@@ -371,181 +373,42 @@ def is_good_pair(H: Trigraph, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     coloring = bipartition_of(H)
     if coloring is None:
         raise InputError("good pairs live in bipartite graphs")
-    a1, b1 = e1 if e1[0] in coloring[0] else (e1[1], e1[0])
-    a2, b2 = e2 if e2[0] in coloring[0] else (e2[1], e2[0])
-    if _reachable_avoiding(H, a1, a2, frozenset((b1, b2))):
-        return False
-    return not _reachable_avoiding(H, b1, b2, frozenset((a1, a2)))
+    return _good_witness(H, coloring[0], e1, e2) is not None
 
 
-def _oriented(H: Trigraph, e1, e2) -> tuple[tuple[int, int], tuple[int, int]]:
-    coloring = bipartition_of(H)
-    o1 = e1 if e1[0] in coloring[0] else (e1[1], e1[0])
-    o2 = e2 if e2[0] in coloring[0] else (e2[1], e2[0])
-    return o1, o2
-
-
-def _simple_cycles(H: Trigraph) -> list[tuple[int, ...]]:
-    """All simple (not necessarily induced) cycles, canonically rooted at
-    their smallest vertex with the second vertex below the last."""
-    out = []
-    n = H.n
-
-    def rec(path, used):
-        last = path[-1]
-        for w in bits_of(H.adj[last]):
-            if w == path[0] and len(path) >= 3 and path[1] < last:
-                out.append(tuple(path))
-            elif w > path[0] and not (used >> w) & 1:
-                rec(path + [w], used | 1 << w)
-
-    for root in range(n):
-        rec([root], 1 << root)
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-def _chord_path_exists(H: Trigraph, u: int, w: int, cycle: tuple[int, ...]) -> bool:
-    cyc_set = set(cycle)
-    cyc_edges = {frozenset((cycle[i], cycle[(i + 1) % len(cycle)]))
-                 for i in range(len(cycle))}
-    if H.strong[u] >> w & 1 and frozenset((u, w)) not in cyc_edges:
-        return True
-    outside = [v for v in range(H.n) if v not in cyc_set]
-    for comp in components(H, outside, "connected"):
-        comp_mask = mask_of(comp)
-        if (H.adj[u] & comp_mask) and (H.adj[w] & comp_mask):
-            return True
-    return False
-
-
-def _edges_at(H: Trigraph, v: int) -> list[tuple[int, int]]:
-    return [tuple(sorted((v, w))) for w in bits_of(H.adj[v])]
+def _good_witness(H: Trigraph, side: frozenset[int], e1: tuple[int, int],
+                  e2: tuple[int, int]) -> GoodPairWitness | None:
+    """The disjoint edges e1, e2 oriented with a1, a2 in ``side``, if they
+    form a good pair."""
+    a1, b1 = e1 if e1[0] in side else (e1[1], e1[0])
+    a2, b2 = e2 if e2[0] in side else (e2[1], e2[0])
+    if (_reachable_avoiding(H, a1, a2, frozenset((b1, b2)))
+            or _reachable_avoiding(H, b1, b2, frozenset((a1, a2)))):
+        return None
+    return GoodPairWitness((a1, b1), (a2, b2))
 
 
 def find_good_pair(H: Trigraph, forbidden_interior=frozenset()) -> GoodPairWitness | None:
-    """Construct a good pair of the bipartite graph H whose four endpoints
-    avoid ``forbidden_interior``.
+    """First good pair of the bipartite graph H whose four endpoints avoid
+    ``forbidden_interior``, or None when there is none.
 
-    The search follows the structure of H: edges in two different
-    components are trivially good; trees give a path of length three (or
-    the two component edges around the forbidden path); a longest cycle of
-    length at least six gives either an alternating edge pair or the end
-    edges of a minimal chord-path span; and in graphs whose cycles all have
-    length four, an opposite pair of a cycle (or an edge paired with the
-    anchor opposite the forbidden vertex) works.  Every candidate is checked
-    against the definition before being returned; None is returned only
-    when nothing verifies, which under the structural preconditions means
-    the line graph is complete.
+    Pairs of disjoint allowed edges are scanned in lexicographic order and
+    each gets the two disconnection checks of ``is_good_pair``.  The root
+    of a line trigraph has one edge per trigraph vertex, so the scan meets
+    at most C(32, 2) = 496 pairs there.
     """
     if not H.is_graph:
         raise InputError("good pairs live in graphs")
-    if bipartition_of(H) is None:
+    coloring = bipartition_of(H)
+    if coloring is None:
         raise InputError("good pairs live in bipartite graphs")
     forb = frozenset(forbidden_interior)
-    allowed = [e for e in H.strong_edges() if not (set(e) & forb)]
-    if len(allowed) < 2:
-        return None
-
-    def attempt(e1, e2) -> GoodPairWitness | None:
-        if set(e1) & forb or set(e2) & forb:
-            return None
-        if is_good_pair(H, e1, e2):
-            o1, o2 = _oriented(H, e1, e2)
-            return GoodPairWitness(o1, o2)
-        return None
-
-    comps = components(H, None, "connected")
-    comps_with_edges = [c for c in comps
-                        if any(set(e) <= c for e in allowed)]
-    if len(comps_with_edges) >= 2:
-        e1 = min(e for e in allowed if set(e) <= comps_with_edges[0])
-        e2 = min(e for e in allowed if set(e) <= comps_with_edges[1])
-        found = attempt(e1, e2)
-        if found:
-            return found
-
-    cycles = _simple_cycles(H)
-
-    if not cycles:
-        # forest: any path of length three clear of the forbidden set
-        for b1, a2 in H.strong_edges():
-            for a1, b2 in itertools.product(bits_of(H.adj[b1]), bits_of(H.adj[a2])):
-                path = (a1, b1, a2, b2)
-                if len(set(path)) == 4 and not (set(path) & forb):
-                    found = attempt((a1, b1), (a2, b2))
-                    if found:
-                        return found
-        # both leftover components are stars: take one edge at each end of
-        # the forbidden path (the light-component case)
-        ends = sorted(v for v in range(H.n)
-                      if v not in forb and H.adj[v] & mask_of(forb))
-        if len(ends) == 2:
-            for e1 in _edges_at(H, ends[0]):
-                for e2 in _edges_at(H, ends[1]):
-                    found = attempt(e1, e2)
-                    if found:
-                        return found
-        return None
-
-    longest = max(len(c) for c in cycles)
-    if longest >= 6:
-        cycle = min((c for c in cycles if len(c) == longest), key=lambda c: c)
-        k = len(cycle)
-        chord_ends = [(i, j) for i, j in itertools.combinations(range(k), 2)
-                      if _chord_path_exists(H, cycle[i], cycle[j], cycle)]
-        if not chord_ends:
-            for start in (0, 1):
-                family = [(cycle[i], cycle[(i + 1) % k]) for i in range(start, k, 2)]
-                usable = [e for e in family if not (set(e) & forb)]
-                for e1, e2 in itertools.combinations(usable, 2):
-                    found = attempt(tuple(sorted(e1)), tuple(sorted(e2)))
-                    if found:
-                        return found
-            return None
-        j_edges = {frozenset(e) for v in forb for e in _edges_at(H, v)}
-        i, j = chord_ends[0]
-        arcs = [cycle[i:j + 1], cycle[j:] + cycle[:i + 1]]
-        arcs.sort(key=lambda arc: sum(frozenset(p) in j_edges
-                                      for p in zip(arc, arc[1:])))
-        for arc in arcs:
-            for span in range(3, len(arc), 2):
-                for s in range(len(arc) - span):
-                    u, w = arc[s], arc[s + span]
-                    if not _chord_path_exists(H, u, w, cycle):
-                        continue
-                    e1 = tuple(sorted((arc[s], arc[s + 1])))
-                    e2 = tuple(sorted((arc[s + span - 1], arc[s + span])))
-                    found = attempt(e1, e2)
-                    if found:
-                        return found
-        return None
-
-    # every cycle is a square: opposite pairs first
-    for cycle in cycles:
-        for shift in (0, 1):
-            e1 = tuple(sorted((cycle[shift], cycle[shift + 1])))
-            e2 = tuple(sorted((cycle[(shift + 2) % 4], cycle[(shift + 3) % 4])))
-            found = attempt(e1, e2)
-            if found:
-                return found
-    # squares all touch the forbidden vertex: pair an outside edge with the
-    # anchor edge opposite it
-    for cycle in cycles:
-        touched = [v for v in cycle if v in forb]
-        if not touched:
-            continue
-        b1 = touched[0]
-        pos = cycle.index(b1)
-        b2 = cycle[(pos + 2) % 4]
-        anchors = [tuple(sorted((b2, cycle[(pos + 1) % 4]))),
-                   tuple(sorted((b2, cycle[(pos + 3) % 4])))]
-        for anchor in anchors:
-            for e in allowed:
-                if set(e) & set(anchor):
-                    continue
-                found = attempt(e, anchor)
-                if found:
-                    return found
+    allowed = [e for e in H.strong_edges() if not set(e) & forb]
+    for e1, e2 in itertools.combinations(allowed, 2):
+        if not set(e1) & set(e2):
+            witness = _good_witness(H, coloring[0], e1, e2)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -688,53 +551,12 @@ def even_pair_co_classes(T: Trigraph, need_disjoint: bool = False) -> tuple[int,
 # even pairs in doubled trigraphs
 
 
-def _doubled_candidates(T: Trigraph, gp: GoodPartition, D: frozenset[int]):
-    """Candidate pairs in the order the doubled-graph case split suggests."""
-    x_sorted = sorted(gp.x)
-    y_sorted = sorted(gp.y)
-    comps = components(T, None, "connected")
-    if len(comps) >= 2:
-        first = min(comps, key=min)
-        rest = sorted(set(range(T.n)) - first)
-        yield (min(first), rest[0])
-    x_comps = components(T, gp.x, "connected") if gp.x else []
-    y_anticomps = components(T, gp.y, "anticonnected") if gp.y else []
-    size2 = [tuple(sorted(c)) for c in x_comps if len(c) == 2]
-    singles = [next(iter(c)) for c in y_anticomps if len(c) == 1]
-    # side-X edge against a singleton anticomponent: the antineighbor pairs
-    for x1, x2 in sorted(size2, key=lambda c: (c in (tuple(sorted(D)),), c)):
-        for v in sorted(singles):
-            for xi in (x2, x1):
-                if T.value(v, xi) == ANTI:
-                    yield tuple(sorted((v, xi)))
-    # a third X-vertex with an antineighbor in Y (the favorable construction)
-    if D and D <= gp.x:
-        for x3 in x_sorted:
-            if x3 in D:
-                continue
-            for y1 in y_sorted:
-                if T.value(x3, y1) == ANTI:
-                    yield tuple(sorted((x3, y1)))
-    # two-element Y against the matched X edge, and X-side pairs
-    for yi in y_sorted:
-        for x in x_sorted:
-            if T.value(yi, x) == ANTI:
-                yield tuple(sorted((yi, x)))
-    for p, q in itertools.combinations(y_sorted, 2):
-        if T.value(p, q) == ANTI:
-            yield (p, q)
-    for p, q in itertools.combinations(x_sorted, 2):
-        if T.value(p, q) == ANTI:
-            yield (p, q)
-
-
 def even_pair_doubled(T: Trigraph, need_disjoint: bool = False,
                       partition: GoodPartition | None = None) -> tuple[int, int] | None:
-    """Even pairs in doubled trigraphs by the partition case split;
-    candidates are generated in proof order and each is checked against the
-    oracle, so only a true even pair is ever returned."""
-    gp = partition or good_partition_of(T)
-    if gp is None:
+    """The lexicographically least even pair of a doubled trigraph, from
+    the lazy oracle scan ``find_even_pair_oracle``; with the disjoint flag,
+    pairs meeting the switchable component are skipped."""
+    if (partition or good_partition_of(T)) is None:
         raise InputError("not a doubled trigraph")
     if is_complete(T):
         return None
@@ -742,19 +564,10 @@ def even_pair_doubled(T: Trigraph, need_disjoint: bool = False,
     if D and len(D) != 2:
         raise TheoremContradictionError(
             "a doubled trigraph cannot carry a light switchable component")
-    seen = set()
-    for pair in _doubled_candidates(T, gp, D):
-        if pair in seen:
-            continue
-        seen.add(pair)
-        u, v = pair
-        if T.value(u, v) != ANTI:
-            continue
-        if need_disjoint and ({u, v} & D):
-            continue
-        if is_even_pair(T, u, v).is_even_pair:
-            return pair
-    raise TheoremContradictionError("doubled finder exhausted its case split")
+    pair = find_even_pair_oracle(T, need_disjoint)
+    if pair is None:
+        raise TheoremContradictionError("doubled finder found no even pair")
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .detect import is_berge
 from .errors import InputError, NonBergeError
 from .trigraph import (Trigraph, _mask_components, _mask_connected,
                        _pruned_masks, bits_of, complement, components,
-                       full_realization, induced, is_connected, iter_paths,
+                       full_realization, induced, iter_paths,
                        mask_of, renumber)
 
 
@@ -140,20 +140,17 @@ def _witness_for(T: Trigraph, a: frozenset[int], b: frozenset[int],
 
 
 def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
-    """First skew-partition (A, B) in which some anticomponent of B is a
-    single vertex v; then B consists of v and strong neighbors of v."""
-    n = T.n
-    for v in range(n):
-        strong_nbrs = list(bits_of(T.strong[v]))
-        for size in range(1, len(strong_nbrs) + 1):
-            for chosen in itertools.combinations(strong_nbrs, size):
-                b = frozenset(chosen) | {v}
-                a = frozenset(range(n)) - b
-                if not a or is_connected(T, a):
-                    continue
-                # v has no antiadjacent partner in B, so {v} is a singleton
-                # anticomponent and B is automatically not anticonnected
-                return _witness_for(T, a, b, is_balanced_partition(T, a, b))
+    """First skew-partition (A, B) in increasing A-mask order in which some
+    anticomponent of B is a single vertex v; then B consists of v and
+    strong neighbors of v.  A vertex is a one-vertex anticomponent of B
+    exactly when it has no antineighbor in B."""
+    full = (1 << T.n) - 1
+    for a_mask in _skew_masks(T):
+        b_mask = full ^ a_mask
+        if any(not T.anti[v] & b_mask for v in bits_of(b_mask)):
+            a = frozenset(bits_of(a_mask))
+            b = frozenset(bits_of(b_mask))
+            return _witness_for(T, a, b, is_balanced_partition(T, a, b))
     return None
 
 
@@ -368,12 +365,12 @@ def join_parity(T: Trigraph, split: TwoJoinSplit) -> str:
         raise NonBergeError("join parity requires a Berge trigraph", witness)
     if not split.proper:
         raise InputError("join parity requires a proper 2-join")
-    parities = (_side_path_parities(T, split.a1, split.b1, split.c1)
-                | _side_path_parities(T, split.a2, split.b2, split.c2))
-    if len(parities) != 1:
+    parity = observed_parity(T, (split.a1, split.b1, split.c1,
+                                 split.a2, split.b2, split.c2))
+    if parity is None:
         raise AssertionError(
-            f"proper 2-join of a Berge trigraph with parities {parities}")
-    return "odd" if parities == {1} else "even"
+            "proper 2-join of a Berge trigraph without a common path parity")
+    return parity
 
 
 def find_complement_2join(T: Trigraph) -> TwoJoinSplit | None:

@@ -5,7 +5,7 @@ import pytest
 
 from evenpairs.basic import (classify_basic, even_pair_basic,
                              even_pair_bipartite, even_pair_co_classes,
-                             even_pair_doubled, even_pair_line,
+                             even_pair_doubled, even_pair_line, favorability,
                              find_good_pair, good_partition_of, has_k4_minor,
                              is_favorable, is_good_pair, line_root_of,
                              verify_root_properties, bipartition_of)
@@ -14,10 +14,13 @@ from evenpairs.detect import find_odd_hole, find_prism, is_berge, is_even_pair
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, complete_graph, cycle,
                                 empty_graph, line_graph, path_graph, prism3)
-from evenpairs.trigraph import (complement, graph_from_edges, induced,
-                                make_trigraph, mask_of, realization)
+from evenpairs.formats import from_text, to_text
+from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
+                                in_class_F, induced, is_complete,
+                                make_trigraph, mask_of, realization,
+                                switchable_vertices)
 
-from conftest import random_graph, random_trigraph
+from conftest import count_calls, random_graph, random_trigraph
 
 
 # -- recognition ---------------------------------------------------------------
@@ -303,10 +306,18 @@ def test_good_pair_rejects_non_bipartite():
         find_good_pair(complete_graph(3))
 
 
-def test_good_pair_oracle_definition():
-    # cross-check is_good_pair against brute-force path enumeration
+def _good_by_definition(h, side, e1, e2):
+    # every a1-a2 path meets {b1, b2} and every b1-b2 path meets {a1, a2}
     from evenpairs.basic import _simple_paths
 
+    a1, b1 = e1 if e1[0] in side else (e1[1], e1[0])
+    a2, b2 = e2 if e2[0] in side else (e2[1], e2[0])
+    return (all({b1, b2} & set(p) for p in _simple_paths(h, a1, a2))
+            and all({a1, a2} & set(p) for p in _simple_paths(h, b1, b2)))
+
+
+def test_good_pair_oracle_definition():
+    # cross-check is_good_pair against brute-force path enumeration
     rng = random.Random(44)
     for _ in range(40):
         a, b = rng.randint(1, 3), rng.randint(1, 3)
@@ -316,11 +327,7 @@ def test_good_pair_oracle_definition():
         for e1, e2 in itertools.combinations(edges, 2):
             if set(e1) & set(e2):
                 continue
-            coloring = bipartition_of(h)
-            a1, b1 = e1 if e1[0] in coloring[0] else (e1[1], e1[0])
-            a2, b2 = e2 if e2[0] in coloring[0] else (e2[1], e2[0])
-            brute = (all({b1, b2} & set(p) for p in _simple_paths(h, a1, a2))
-                     and all({a1, a2} & set(p) for p in _simple_paths(h, b1, b2)))
+            brute = _good_by_definition(h, bipartition_of(h)[0], e1, e2)
             assert is_good_pair(h, e1, e2) == brute
 
 
@@ -329,6 +336,39 @@ def test_good_pair_avoids_forbidden_interior():
     w = find_good_pair(h, forbidden_interior={1, 2})
     assert w is not None
     assert not ((set(w.edge1) | set(w.edge2)) & {1, 2})
+
+
+def test_find_good_pair_matches_definition():
+    # the scan returns the first disjoint allowed pair that is good by the
+    # path definition, and None exactly when there is no such pair
+    rng = random.Random(47)
+    found = 0
+    for _ in range(40):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        h = graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)
+                                     if rng.random() < 0.6])
+        forb = frozenset(v for v in range(h.n) if rng.random() < 0.2)
+        side = bipartition_of(h)[0]
+        allowed = [e for e in h.strong_edges() if not set(e) & forb]
+        good = [(e1, e2) for e1, e2 in itertools.combinations(allowed, 2)
+                if not set(e1) & set(e2) and _good_by_definition(h, side, e1, e2)]
+        w = find_good_pair(h, forb)
+        if not good:
+            assert w is None
+            continue
+        found += 1
+        e1, e2 = good[0]
+        assert {frozenset(w.edge1), frozenset(w.edge2)} == {frozenset(e1), frozenset(e2)}
+        assert w.edge1[0] in side and w.edge2[0] in side
+    assert found > 10
+
+
+def test_good_pair_found_on_a_path_root_around_a_forbidden_vertex():
+    # root path 4-0-1-3-2-5 with vertex 1 forbidden: the end edges are good
+    h = graph_from_edges(6, [(0, 1), (0, 4), (1, 3), (2, 3), (2, 5)])
+    w = find_good_pair(h, {1})
+    assert w is not None and is_good_pair(h, w.edge1, w.edge2)
+    assert not ((set(w.edge1) | set(w.edge2)) & {1})
 
 
 # -- line finder --------------------------------------------------------------------
@@ -350,6 +390,68 @@ def test_even_pair_line_disjoint_on_marker_block(c8):
     assert cert is not None  # the 6-hole-with-switch is also a line trigraph
     pair = even_pair_line(block.trigraph, need_disjoint=True, cert=cert)
     assert pair is not None and not (set(pair) & set(block.markers))
+
+
+def test_even_pair_line_disjoint_needs_a_pair_around_the_switchable_path():
+    # a path with a small switchable pair on {0, 3}; the root path has its
+    # interior vertex forbidden, and only its end edges make a good pair
+    t = from_text("trigraph 5\n0 1 E\n0 3 S\n2 4 E\n3 4 E\n")
+    assert even_pair_line(t, need_disjoint=True) == (1, 2)
+    assert is_even_pair(t, 1, 2).is_even_pair
+
+
+def _planted_line_trigraphs(seed, roots):
+    """Line graphs of seeded random bipartite roots (sides of 1-5 vertices,
+    3-14 edges), each with every plant of one switchable pair on a strong
+    edge and of a switchable path x-c-y with x, y nonadjacent; only the
+    non-complete class members with no odd prism and a line root are
+    kept."""
+    rng = random.Random(seed)
+    for _ in range(roots):
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < 0.5]
+        if not 3 <= len(edges) <= 14:
+            continue
+        lg, _ = line_graph(graph_from_edges(a + b, edges))
+        strong = lg.strong_edges()
+        plants = [{e} for e in strong]
+        plants += [{(min(x, c), max(x, c)), (min(c, y), max(c, y))}
+                   for c in range(lg.n) for x, y in itertools.combinations(bits_of(lg.adj[c]), 2)
+                   if not lg.adj[x] >> y & 1]
+        for switched in plants:
+            t = make_trigraph(lg.n, [(u, v, 0 if (u, v) in switched else 1) for u, v in strong])
+            if is_complete(t) or not in_class_F(t).ok or find_prism(t, "odd") is not None:
+                continue
+            cert = line_root_of(t)
+            if cert is not None:
+                yield t, cert
+
+
+def test_even_pair_line_on_planted_line_trigraphs():
+    # zero tolerance: every instance gets an oracle-verified pair, disjoint
+    # from the switchable component whenever the instance is favorable
+    instances = disjoint = 0
+    for t, cert in _planted_line_trigraphs(1, 1000):
+        need_disjoint = favorability(t).favorable
+        pair = even_pair_line(t, need_disjoint, cert)
+        assert pair is not None and is_even_pair(t, *pair).is_even_pair, to_text(t)
+        if need_disjoint:
+            disjoint += 1
+            assert not set(pair) & switchable_vertices(t), to_text(t)
+        instances += 1
+    assert instances == 1335 and disjoint == 738
+
+
+def test_line_finder_makes_one_oracle_call_per_pair(monkeypatch):
+    import evenpairs.detect as detect
+
+    oracle = count_calls(monkeypatch, detect, "is_even_pair")
+    for t, cert in _planted_line_trigraphs(2, 100):
+        oracle.clear()
+        find_good_pair(cert.root)
+        assert oracle == []
+        pair = even_pair_line(t, favorability(t).favorable, cert)
+        assert oracle == [(t, *pair)]
 
 
 # -- complement classes ---------------------------------------------------------------
@@ -423,6 +525,28 @@ def test_even_pair_doubled_p4_partition_gap(p4):
     # anticomponent branch
     pair = even_pair_doubled(p4)
     assert pair is not None and is_even_pair(p4, *pair).is_even_pair
+
+
+def test_even_pair_doubled_avoids_the_switchable_component():
+    # planted doubled members: with the disjoint flag the finder returns the
+    # least even pair off the switchable component, which on most of them is
+    # not the least even pair overall
+    from evenpairs.corpus import planted_class_f_trigraphs
+
+    disjoint = moved = 0
+    for t in planted_class_f_trigraphs(6):
+        c = classify_basic(t)
+        if c.verdict != "doubled" or is_complete(t) or not favorability(t).favorable:
+            continue
+        pair = even_pair_doubled(t, need_disjoint=True, partition=c.good_partition)
+        D = switchable_vertices(t)
+        assert is_even_pair(t, *pair).is_even_pair and not set(pair) & D
+        assert all(set(p) & D or not is_even_pair(t, *p).is_even_pair
+                   for p in itertools.combinations(range(t.n), 2)
+                   if p < pair and t.value(*p) == -1)
+        disjoint += 1
+        moved += set(even_pair_doubled(t, partition=c.good_partition)) & D != set()
+    assert disjoint == 15 and moved == 12
 
 
 # -- dispatch -----------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from evenpairs.corpus import graphs_of_order
-from evenpairs.decomposition import (build_block, check_nobsp_2join_shape,
+from evenpairs.decomposition import (TwoJoinSplit, build_block,
+                                     check_nobsp_2join_shape,
                                      find_2join, find_balanced_skew_partition,
                                      find_complement_2join, find_star_cutset,
                                      is_balanced_partition, is_fragment,
@@ -14,7 +15,7 @@ from evenpairs.errors import InputError, NonBergeError
 from evenpairs.families import cycle
 from evenpairs.trigraph import (complement, full_realization, in_class_F,
                                 is_anticonnected, is_connected, make_trigraph,
-                                switchable_components)
+                                mask_of, switchable_components)
 
 from conftest import count_calls, random_graph
 
@@ -51,6 +52,34 @@ def test_star_cutset_implies_bsp_for_berge():
             continue
         hits += 1
         assert find_balanced_skew_partition(g) is not None
+    assert hits > 100
+
+
+def _star_cutset_per_vertex(t):
+    """Reference: B is a vertex v plus a nonempty set of its strong
+    neighbors, tried for every such set, and A = V - B is nonempty and
+    disconnected."""
+    for v in range(t.n):
+        nbrs = [w for w in range(t.n) if t.strong[v] >> w & 1]
+        for size in range(1, len(nbrs) + 1):
+            for chosen in itertools.combinations(nbrs, size):
+                a = frozenset(range(t.n)) - {v, *chosen}
+                if a and not is_connected(t, a):
+                    return True
+    return False
+
+
+def test_star_cutset_existence_matches_per_vertex_search():
+    from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
+
+    hits = 0
+    for t in list(graphs_upto(6)) + list(planted_class_f_trigraphs(5)):
+        wit = find_star_cutset(t)
+        assert (wit is not None) == _star_cutset_per_vertex(t), t
+        if wit is not None:
+            hits += 1
+            assert wit.star in wit.b and not t.anti[wit.star] & mask_of(wit.b)
+            assert not is_connected(t, wit.a) and not is_anticonnected(t, wit.b)
     assert hits > 100
 
 
@@ -148,6 +177,14 @@ def test_join_parity_rejects_non_berge(c5):
     fake = split_for(cycle(8), {0, 1, 2, 3})
     with pytest.raises(NonBergeError):
         join_parity(c5, fake)
+
+
+def test_join_parity_without_paths_is_an_assertion():
+    # a hand-made "proper" split of a stable set has no A-B path on either
+    # side, so no parity is observed
+    fake = TwoJoinSplit(*(frozenset({v}) for v in range(6)), parity=None, proper=True)
+    with pytest.raises(AssertionError):
+        join_parity(make_trigraph(6), fake)
 
 
 def test_complement_two_join(c8, c6, k4):
