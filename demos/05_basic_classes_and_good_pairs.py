@@ -3,11 +3,10 @@
 
 Basic trigraphs are bipartite trigraphs, line trigraphs of bipartite
 graphs, their complements, and doubled trigraphs.  Bipartite trigraphs take
-two same-side vertices and the complement classes a
-maximal-anticonnected-set descent.  A line trigraph lifts the first good
-pair of its root graph from a lexicographic scan over pairs of disjoint
-root edges; a doubled trigraph takes the first pair of the lazy oracle
-scan over its strongly antiadjacent pairs.
+two same-side vertices.  A line trigraph lifts the first good pair of its
+root graph from a lexicographic scan over pairs of disjoint root edges; the
+complement classes and doubled trigraphs take the first pair of the lazy
+oracle scan over their strongly antiadjacent pairs.
 """
 
 from evenpairs import (classify_basic, even_pair_basic, find_good_pair,

@@ -2,12 +2,12 @@
 
 The five basic classes are bipartite trigraphs, line trigraphs of bipartite
 graphs, their complements, and doubled trigraphs (those with a good
-partition).  Bipartite trigraphs take two same-side vertices and the
-complement classes a maximal-anticonnected-set descent.  Line trigraphs
-lift the first good pair of the root graph, from a scan of all pairs of
-disjoint allowed root edges in lexicographic order, so a good pair is
-missed only when none exists.  Doubled trigraphs take the first even pair
-of the lazy oracle scan of all strongly antiadjacent pairs.
+partition).  Bipartite trigraphs take two same-side vertices.  Line
+trigraphs lift the first good pair of the root graph, from a scan of all
+pairs of disjoint allowed root edges in lexicographic order, so a good pair
+is missed only when none exists.  The complement classes and doubled
+trigraphs take the first even pair of the lazy oracle scan of all strongly
+antiadjacent pairs.
 
 Every finder checks its output against the path-enumeration oracle before
 returning it, so a construction bug surfaces as a hard failure rather than
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 from .detect import find_even_pair_oracle, is_even_pair
 from .errors import InputError, TheoremContradictionError
-from .trigraph import (ANTI, Trigraph, _mask_components, _pruned_masks, bits_of,
-                       complement, components, full_realization,
-                       graph_from_edges, induced, in_class_F, is_complete,
-                       mask_of, switchable_vertices)
+from .trigraph import (Trigraph, _mask_components, _pruned_masks, bits_of,
+                       complement, full_realization, graph_from_edges,
+                       in_class_F, is_complete, mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -447,127 +446,46 @@ def even_pair_line(T: Trigraph, need_disjoint: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# even pairs in the complement classes
+# even pairs in the complement classes and doubled trigraphs
 
 
-def _grow_maximal_anticonnected(T: Trigraph) -> frozenset[int] | None:
-    """Greedy lexicographic growth of an anticonnected set M that keeps at
-    least two strongly antiadjacent vertices outside complete to M."""
-    n = T.n
-
-    def witnesses_exist(m_mask: int) -> bool:
-        outside = [v for v in range(n) if not (m_mask >> v) & 1
-                   and (T.adj[v] & m_mask) == m_mask]
-        return any(T.value(u, v) == ANTI
-                   for u, v in itertools.combinations(outside, 2))
-
-    seed = None
-    for v in range(n):
-        if witnesses_exist(1 << v):
-            seed = 1 << v
-            break
-    if seed is None:
-        for u, v in itertools.combinations(range(n), 2):
-            if T.anti[u] >> v & 1 and witnesses_exist(1 << u | 1 << v):
-                seed = 1 << u | 1 << v
-                break
-    if seed is None:
-        return None
-    m_mask = seed
-    grown = True
-    while grown:
-        grown = False
-        for v in range(n):
-            if (m_mask >> v) & 1:
-                continue
-            candidate = m_mask | 1 << v
-            anticonnected = len(components(T, bits_of(candidate), "anticonnected")) == 1
-            if anticonnected and witnesses_exist(candidate):
-                m_mask = candidate
-                grown = True
-                break
-    return frozenset(bits_of(m_mask))
-
-
-def _co_class_descent(T: Trigraph) -> tuple[int, int]:
-    """Even pair of a non-complete complement-of-bipartite or
-    complement-of-line trigraph, by recursing into the common neighborhood
-    of a maximal anticonnected set."""
-    comps = components(T, None, "connected")
-    if len(comps) >= 2:
-        first = min(comps, key=min)
-        rest = sorted(set(range(T.n)) - first)
-        u = min(first)
-        pair = (u, rest[0]) if u < rest[0] else (rest[0], u)
-        return pair
-    M = _grow_maximal_anticonnected(T)
-    if M is None:
-        raise TheoremContradictionError(
-            "no anticonnected set with two antiadjacent common neighbors")
-    m_mask = mask_of(M)
-    c_set = [v for v in range(T.n) if not (m_mask >> v) & 1
-             and (T.adj[v] & m_mask) == m_mask]
-    sub = induced(T, c_set)
-    if is_complete(sub):
-        raise TheoremContradictionError("common neighborhood came out complete")
-    inner = _co_class_descent(sub)
-    return tuple(sorted(sub.parent_vertices[p] for p in inner))
+def _scanned_even_pair(T: Trigraph, need_disjoint: bool, context: str) -> tuple[int, int]:
+    """The lexicographically least even pair of a non-complete class member
+    from the lazy oracle scan ``find_even_pair_oracle``; with the disjoint
+    flag, pairs meeting the switchable component are skipped.  The scan is
+    exhaustive, so it raises only when no allowed even pair exists."""
+    pair = find_even_pair_oracle(T, need_disjoint)
+    if pair is None:
+        raise TheoremContradictionError(f"{context} found no even pair")
+    return pair
 
 
 def even_pair_co_classes(T: Trigraph, need_disjoint: bool = False) -> tuple[int, int] | None:
-    """Even pairs in complements of bipartite and of line trigraphs.
-
-    With a small switchable component {x, y} and the disjoint flag, the
-    neighborhoods N(x) and N(y) are stable here, and two vertices inside
-    one of them form an even pair; otherwise the maximal anticonnected-set
-    descent applies."""
+    """Even pairs in complements of bipartite and of line trigraphs, from
+    the lazy oracle scan (see ``_scanned_even_pair``)."""
     co = complement(T)
     if bipartition_of(co) is None and line_root_of(co) is None:
         raise InputError("not the complement of a bipartite or line trigraph")
     if is_complete(T):
         return None
-    D = switchable_vertices(T)
-    if need_disjoint and D:
-        if len(D) != 2:
-            raise TheoremContradictionError(
-                "light switchable component inside a complement class")
-        for z in sorted(D):
-            nbrs = sorted(set(bits_of(T.adj[z])) - D)
-            for s, t in itertools.combinations(nbrs, 2):
-                if T.value(s, t) != ANTI or {s, t} & D:
-                    continue
-                if is_even_pair(T, s, t).is_even_pair:
-                    return (s, t)
-        pair = _co_class_descent(T)
-        if not (set(pair) & D) and is_even_pair(T, *pair).is_even_pair:
-            return pair
+    if need_disjoint and len(switchable_vertices(T)) > 2:
         raise TheoremContradictionError(
-            "no stable-neighborhood even pair beside a small component")
-    pair = _co_class_descent(T)
-    return _verify_pair(T, pair, need_disjoint, D, "complement-class finder")
-
-
-# ---------------------------------------------------------------------------
-# even pairs in doubled trigraphs
+            "light switchable component inside a complement class")
+    return _scanned_even_pair(T, need_disjoint, "complement-class finder")
 
 
 def even_pair_doubled(T: Trigraph, need_disjoint: bool = False,
                       partition: GoodPartition | None = None) -> tuple[int, int] | None:
-    """The lexicographically least even pair of a doubled trigraph, from
-    the lazy oracle scan ``find_even_pair_oracle``; with the disjoint flag,
-    pairs meeting the switchable component are skipped."""
+    """Even pairs in doubled trigraphs, from the lazy oracle scan (see
+    ``_scanned_even_pair``)."""
     if (partition or good_partition_of(T)) is None:
         raise InputError("not a doubled trigraph")
     if is_complete(T):
         return None
-    D = switchable_vertices(T)
-    if D and len(D) != 2:
+    if len(switchable_vertices(T)) > 2:
         raise TheoremContradictionError(
             "a doubled trigraph cannot carry a light switchable component")
-    pair = find_even_pair_oracle(T, need_disjoint)
-    if pair is None:
-        raise TheoremContradictionError("doubled finder found no even pair")
-    return pair
+    return _scanned_even_pair(T, need_disjoint, "doubled finder")
 
 
 # ---------------------------------------------------------------------------

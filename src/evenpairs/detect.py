@@ -277,18 +277,28 @@ def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
     return EvenPairReport((u, v), verdict, witness, count)
 
 
+def _even_pairs_avoiding(T: Trigraph, avoid: frozenset[int]) -> Iterator[tuple[int, int]]:
+    """The even pairs of T that avoid ``avoid``, lazily and in lexicographic
+    order; a candidate meeting ``avoid`` is dropped before its oracle check,
+    and every other strongly antiadjacent one gets its one check when the
+    scan reaches it."""
+    for u, v in itertools.combinations(range(T.n), 2):
+        if (u not in avoid and v not in avoid and T.value(u, v) == ANTI
+                and is_even_pair(T, u, v).is_even_pair):
+            yield (u, v)
+
+
 def even_pairs(T: Trigraph) -> Iterator[tuple[int, int]]:
     """The even pairs of T, lazily and in lexicographic order; each
     candidate gets its one oracle check when the scan reaches it."""
-    for u, v in itertools.combinations(range(T.n), 2):
-        if T.value(u, v) == ANTI and is_even_pair(T, u, v).is_even_pair:
-            yield (u, v)
+    return _even_pairs_avoiding(T, frozenset())
 
 
 def find_even_pair_oracle(T: Trigraph,
                           require_disjoint_from_switchable: bool = False
                           ) -> tuple[int, int] | None:
     """Brute-force scan: the lexicographically least even pair, optionally
-    avoiding every switchable component."""
+    avoiding every switchable component (pairs meeting one are skipped
+    without an oracle call)."""
     forbidden = switchable_vertices(T) if require_disjoint_from_switchable else frozenset()
-    return next((p for p in even_pairs(T) if not forbidden & set(p)), None)
+    return next(_even_pairs_avoiding(T, forbidden), None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,10 @@ from evenpairs.basic import (classify_basic, even_pair_basic,
                              is_favorable, is_good_pair, line_root_of,
                              verify_root_properties, bipartition_of)
 from evenpairs.decomposition import build_block, find_2join, split_for
-from evenpairs.detect import find_odd_hole, find_prism, is_berge, is_even_pair
+from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
+                              planted_class_f_trigraphs)
+from evenpairs.detect import (find_antihole_of_length_at_least, find_odd_hole,
+                              find_prism, is_berge, is_even_pair)
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, complete_graph, cycle,
                                 empty_graph, line_graph, path_graph, prism3)
@@ -499,6 +503,53 @@ def test_odd_paths_short_in_co_classes():
     assert checked > 20
 
 
+def _complement_leaf_pool():
+    """Graphs on <= 7 vertices, their complements, every small and light
+    plant into both, and the complements of the planted class members on
+    base <= 6."""
+    graphs = graphs_upto(7)
+    for g in list(graphs) + [complement(g) for g in graphs]:
+        yield g
+        for u, v in itertools.combinations(range(g.n), 2):
+            yield plant_small(g, u, v)
+            if g.value(u, v) == -1 and not g.adj[u] & g.adj[v]:
+                yield plant_light(g, u, v)
+    for t in planted_class_f_trigraphs(6):
+        yield complement(t)
+
+
+def test_complement_leaves_on_real_instances():
+    # zero tolerance: every non-complete complement-class member with no odd
+    # prism and no long antihole gets an oracle-verified pair, disjoint from
+    # the switchable component whenever the instance is favorable
+    verdicts = Counter()
+    plants = favorable_plants = 0
+    for t in _complement_leaf_pool():
+        co = complement(t)
+        # the two complement recognizers first: classify_basic is slow on the
+        # many non-basic plants
+        if is_complete(t) or bipartition_of(co) is None and line_root_of(co) is None:
+            continue
+        c = classify_basic(t)
+        if c.verdict not in ("complement_bipartite", "complement_line"):
+            continue
+        if (not in_class_F(t).ok or find_prism(t, "odd") is not None
+                or find_antihole_of_length_at_least(t, 6) is not None):
+            continue
+        need_disjoint = favorability(t).favorable
+        pair = even_pair_basic(t, need_disjoint, c)
+        assert pair is not None and is_even_pair(t, *pair).is_even_pair, to_text(t)
+        D = switchable_vertices(t)
+        if need_disjoint:
+            assert not set(pair) & D, to_text(t)
+        verdicts[c.verdict] += 1
+        if D:
+            plants += 1
+            favorable_plants += need_disjoint
+    assert verdicts == {"complement_bipartite": 579, "complement_line": 160}
+    assert plants == 317 and favorable_plants == 0
+
+
 # -- doubled finder ---------------------------------------------------------------------
 
 def test_even_pair_doubled_c4(c4):
@@ -547,6 +598,34 @@ def test_even_pair_doubled_avoids_the_switchable_component():
         disjoint += 1
         moved += set(even_pair_doubled(t, partition=c.good_partition)) & D != set()
     assert disjoint == 15 and moved == 12
+
+
+def test_doubled_finder_skips_switchable_pairs_before_the_oracle(monkeypatch):
+    # engine-style doubled leaves over graphs <= 7 and planted base <= 6: the
+    # disjoint flag drops pairs meeting the switchable component before their
+    # oracle call, so each run checks exactly the allowed strongly
+    # antiadjacent pairs up to the one it returns
+    import evenpairs.detect as detect
+
+    instances = [t for t in list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+                 if in_class_F(t).ok and not is_complete(t)]
+    oracle = count_calls(monkeypatch, detect, "is_even_pair")
+    runs = total = 0
+    for t in instances:
+        c = classify_basic(t)
+        if c.verdict != "doubled":
+            continue
+        D = switchable_vertices(t)
+        need_disjoint = bool(D) and favorability(t).favorable
+        oracle.clear()
+        pair = even_pair_doubled(t, need_disjoint, c.good_partition)
+        avoid = D if need_disjoint else set()
+        allowed = [p for p in itertools.combinations(range(t.n), 2)
+                   if p <= pair and t.value(*p) == -1 and not set(p) & avoid]
+        assert [call[1:] for call in oracle] == allowed, to_text(t)
+        runs += 1
+        total += len(oracle)
+    assert runs == 286 and total == 351
 
 
 # -- dispatch -----------------------------------------------------------------------------

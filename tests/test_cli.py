@@ -120,6 +120,16 @@ def test_need_disjoint_flag(capsys, c8):
     assert not (set(doc["result"]["pair"]) & set(block.markers))
 
 
+def test_need_disjoint_error_exit(capsys):
+    # the engine pair (0, 2) of this small trigraph meets the switchable
+    # pair {0, 1}, so the disjoint request fails with exit code 1
+    code, doc, _ = run_cli(capsys, "even-pair", "trigraph 3\n0 1 S\n",
+                           "--need-disjoint")
+    assert code == 1
+    assert doc["result"]["pair"] == [0, 2]
+    assert doc["error"] == "no even pair disjoint from the switchable component"
+
+
 def test_exit_codes_are_function_of_outcome(capsys, c5, c6, p4, k4):
     # outcome category fully determines the exit code across a fixture corpus
     fixtures = [c5, c6, p4, k4, cycle(8), prism3(), complete_graph(2)]

@@ -169,34 +169,41 @@ def test_structured_two_join_branch_wiring(c8, monkeypatch):
 
 
 def test_structured_two_join_keeps_switchable_side(monkeypatch):
-    # a switchable pair inside X1 forces the fragment onto the other side
+    # C8 with one switchable edge; the first 2-join is X1 = {0..3},
+    # X2 = {4..7}.  A switchable pair inside X1 forces the fragment onto
+    # side 2, one inside X2 onto side 1.
     import evenpairs.engine as engine
     from evenpairs.basic import BasicClassification, classify_basic
 
-    t = make_trigraph(8, [(0, 1, 0)] +
-                      [(i, (i + 1) % 8, 1) for i in range(1, 8)])
-    assert check_preconditions(t, fast=True).ok
-
-    calls = {"n": 0}
     real = classify_basic
+    sides = []
+    for a in (0, 6):
+        t = make_trigraph(8, [(a, a + 1, 0)] +
+                          [(i, (i + 1) % 8, 1) for i in range(8) if i != a])
+        assert check_preconditions(t, fast=True).ok
 
-    def forced(x):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return BasicClassification("not_basic")
-        return real(x)
+        calls = {"n": 0}
 
-    monkeypatch.setattr(engine, "classify_basic", forced)
-    trace: list = []
-    outcome, pair = engine._structured(t, False, trace, 0)
-    assert outcome == "even_pair"
-    join = trace[0]
-    assert join["step"] == "two_join"
-    d_side = {0, 1}
-    chosen = set(join["x1"]) if join["side"] == 1 else set(join["x2"])
-    assert not (chosen & d_side)
-    assert not (set(pair) & d_side)
-    assert is_even_pair(t, *pair).is_even_pair
+        def forced(x):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return BasicClassification("not_basic")
+            return real(x)
+
+        monkeypatch.setattr(engine, "classify_basic", forced)
+        trace: list = []
+        outcome, pair = engine._structured(t, False, trace, 0)
+        assert outcome == "even_pair"
+        join = trace[0]
+        assert join["step"] == "two_join"
+        assert (join["x1"], join["x2"]) == ([0, 1, 2, 3], [4, 5, 6, 7])
+        d_side = {a, a + 1}
+        chosen = set(join["x1"]) if join["side"] == 1 else set(join["x2"])
+        assert not (chosen & d_side)
+        assert not (set(pair) & d_side)
+        assert is_even_pair(t, *pair).is_even_pair
+        sides.append(join["side"])
+    assert sides == [2, 1]
 
 
 CORPORA = [(5, "graphs"), (4, "trigraphs_in_F")]
