@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""The five basic classes and their even-pair finders.
+"""The five basic classes and the even-pair finder that serves them all.
 
 Basic trigraphs are bipartite trigraphs, line trigraphs of bipartite
-graphs, their complements, and doubled trigraphs.  Bipartite trigraphs take
-two same-side vertices.  A line trigraph lifts the first good pair of its
-root graph from a lexicographic scan over pairs of disjoint root edges; the
-complement classes and doubled trigraphs take the first pair of the lazy
-oracle scan over their strongly antiadjacent pairs.
+graphs, their complements, and doubled trigraphs.  ``classify_basic`` names
+the first class that fits, with a certificate, and ``even_pair_basic``
+works from that certificate.  Bipartite trigraphs take two same-side
+vertices of the bipartition.  A line trigraph lifts the first good pair of
+its root graph from a lexicographic scan over pairs of disjoint root edges;
+the complement classes and doubled trigraphs take the first pair of the
+lazy oracle scan over their strongly antiadjacent pairs.
 """
 
 from evenpairs import (classify_basic, even_pair_basic, find_good_pair,

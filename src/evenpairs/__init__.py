@@ -5,10 +5,11 @@ The package is organized around one chain of ideas: trigraphs and their
 realizations (``trigraph``), brute-force detectors with witnesses
 (``detect``), even-pair contraction and coloring (``contraction``),
 2-joins, skew-partitions and blocks (``decomposition``), the five basic
-classes with constructive even-pair finders (``basic``), and the main
-recursion plus the verification harness (``engine``).  ``formats`` holds
-the text formats, ``canonical``/``corpus`` the isomorphism machinery and
-instance generators, and ``cli`` the command-line surface.
+classes with one even-pair finder driven by their certificates
+(``basic``), and the main recursion plus the verification harness
+(``engine``).  ``formats`` holds the text formats, ``canonical``/``corpus``
+the isomorphism machinery and instance generators, and ``cli`` the
+command-line surface.
 """
 
 from .basic import (BasicClassification, FavorabilityVerdict, GoodPairWitness,

@@ -1,17 +1,20 @@
-"""Basic trigraph classes and their even-pair finders.
+"""Basic trigraph classes and the one even-pair finder for them.
 
 The five basic classes are bipartite trigraphs, line trigraphs of bipartite
 graphs, their complements, and doubled trigraphs (those with a good
-partition).  Bipartite trigraphs take two same-side vertices.  Line
-trigraphs lift the first good pair of the root graph, from a scan of all
-pairs of disjoint allowed root edges in lexicographic order, so a good pair
-is missed only when none exists.  The complement classes and doubled
-trigraphs take the first even pair of the lazy oracle scan of all strongly
-antiadjacent pairs.
+partition).  ``classify_basic`` names the first class that fits, with its
+certificate, and ``even_pair_basic`` works from that certificate without
+recognizing the class again.  Bipartite trigraphs take two same-side
+vertices.  Line trigraphs lift the first good pair of the root graph, from
+a scan of all pairs of disjoint allowed root edges in lexicographic order,
+so a good pair is missed only when none exists.  The complement classes
+and doubled trigraphs take the first even pair of the lazy oracle scan of
+all strongly antiadjacent pairs.
 
-Every finder checks its output against the path-enumeration oracle before
-returning it, so a construction bug surfaces as a hard failure rather than
-a wrong certificate.  That is the one oracle check a returned pair gets.
+Every returned pair has passed the path-enumeration oracle once: a
+constructed pair is checked before it is returned, so a construction bug
+surfaces as a hard failure rather than a wrong certificate, and the scan
+returns only pairs the oracle accepted.
 """
 
 from __future__ import annotations
@@ -292,49 +295,6 @@ def favorability(T: Trigraph) -> FavorabilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# even pairs in bipartite trigraphs
-
-
-def _verify_pair(T: Trigraph, pair: tuple[int, int], need_disjoint: bool,
-                 D: frozenset[int], context: str) -> tuple[int, int]:
-    u, v = sorted(pair)
-    if need_disjoint and ({u, v} & D):
-        raise TheoremContradictionError(
-            f"{context}: constructed pair ({u}, {v}) meets the switchable component")
-    report = is_even_pair(T, u, v)
-    if not report.is_even_pair:
-        raise TheoremContradictionError(
-            f"{context}: constructed pair ({u}, {v}) fails the oracle "
-            f"({report.verdict})")
-    return (u, v)
-
-
-def even_pair_bipartite(T: Trigraph, need_disjoint: bool = False) -> tuple[int, int] | None:
-    """Two vertices on the same side of the bipartition; with the disjoint
-    flag, the sides are searched after removing the switchable component,
-    falling back to the cross pair with the isolated end when both reduced
-    sides are singletons."""
-    cert = bipartition_of(T)
-    if cert is None:
-        raise InputError("not a bipartite trigraph")
-    if is_complete(T):
-        return None
-    D = switchable_vertices(T) if need_disjoint else frozenset()
-    x = sorted(cert[0] - D)
-    y = sorted(cert[1] - D)
-    if len(x) >= 2:
-        pair = (x[0], x[1])
-    elif len(y) >= 2:
-        pair = (y[0], y[1])
-    elif x and y:
-        pair = (x[0], y[0])
-    else:
-        raise TheoremContradictionError(
-            "bipartite finder ran out of vertices outside the switchable component")
-    return _verify_pair(T, pair, need_disjoint, D, "bipartite finder")
-
-
-# ---------------------------------------------------------------------------
 # good pairs in bipartite roots
 
 
@@ -412,103 +372,85 @@ def find_good_pair(H: Trigraph, forbidden_interior=frozenset()) -> GoodPairWitne
 
 
 # ---------------------------------------------------------------------------
-# even pairs in line trigraphs
+# even pairs of basic trigraphs
 
 
-def even_pair_line(T: Trigraph, need_disjoint: bool = False,
-                   cert: LineRootCertificate | None = None) -> tuple[int, int] | None:
-    """Lift a good pair of the root graph to an even pair of the line
-    trigraph.  With the disjoint flag the root search avoids the interior
-    of the short path that carries the switchable component."""
-    if cert is None:
-        cert = line_root_of(T)
-    if cert is None:
-        raise InputError("not a line trigraph")
-    if is_complete(T):
-        return None
-    H = cert.root
-    edge_to_vertex = {frozenset(e): i for i, e in enumerate(cert.vertex_edges)}
-    D = switchable_vertices(T)
+def _lifted_good_pair(cert: LineRootCertificate, D: frozenset[int]) -> tuple[int, int]:
+    """The trigraph vertices of the first good pair of the root graph; with
+    a switchable component D the root search avoids the interior of the
+    short root path that carries D."""
     forb: frozenset[int] = frozenset()
-    if need_disjoint and D:
+    if D:
         degree = Counter(w for d in sorted(D) for w in cert.vertex_edges[d])
         if sorted(degree.values()) not in ([1, 1, 2], [1, 1, 2, 2]):
             raise TheoremContradictionError(
                 "switchable component does not map to a short root path")
         forb = frozenset(w for w, deg in degree.items() if deg == 2)
-    witness = find_good_pair(H, forb)
+    witness = find_good_pair(cert.root, forb)
     if witness is None:
         raise TheoremContradictionError(
             "no good pair in the root of a non-complete line trigraph")
-    u = edge_to_vertex[frozenset(witness.edge1)]
-    v = edge_to_vertex[frozenset(witness.edge2)]
-    return _verify_pair(T, (u, v), need_disjoint, D, "line finder")
-
-
-# ---------------------------------------------------------------------------
-# even pairs in the complement classes and doubled trigraphs
-
-
-def _scanned_even_pair(T: Trigraph, need_disjoint: bool, context: str) -> tuple[int, int]:
-    """The lexicographically least even pair of a non-complete class member
-    from the lazy oracle scan ``find_even_pair_oracle``; with the disjoint
-    flag, pairs meeting the switchable component are skipped.  The scan is
-    exhaustive, so it raises only when no allowed even pair exists."""
-    pair = find_even_pair_oracle(T, need_disjoint)
-    if pair is None:
-        raise TheoremContradictionError(f"{context} found no even pair")
-    return pair
-
-
-def even_pair_co_classes(T: Trigraph, need_disjoint: bool = False) -> tuple[int, int] | None:
-    """Even pairs in complements of bipartite and of line trigraphs, from
-    the lazy oracle scan (see ``_scanned_even_pair``)."""
-    co = complement(T)
-    if bipartition_of(co) is None and line_root_of(co) is None:
-        raise InputError("not the complement of a bipartite or line trigraph")
-    if is_complete(T):
-        return None
-    if need_disjoint and len(switchable_vertices(T)) > 2:
-        raise TheoremContradictionError(
-            "light switchable component inside a complement class")
-    return _scanned_even_pair(T, need_disjoint, "complement-class finder")
-
-
-def even_pair_doubled(T: Trigraph, need_disjoint: bool = False,
-                      partition: GoodPartition | None = None) -> tuple[int, int] | None:
-    """Even pairs in doubled trigraphs, from the lazy oracle scan (see
-    ``_scanned_even_pair``)."""
-    if (partition or good_partition_of(T)) is None:
-        raise InputError("not a doubled trigraph")
-    if is_complete(T):
-        return None
-    if len(switchable_vertices(T)) > 2:
-        raise TheoremContradictionError(
-            "a doubled trigraph cannot carry a light switchable component")
-    return _scanned_even_pair(T, need_disjoint, "doubled finder")
-
-
-# ---------------------------------------------------------------------------
-# dispatch and root sanity checks
+    edge_to_vertex = {frozenset(e): i for i, e in enumerate(cert.vertex_edges)}
+    return (edge_to_vertex[frozenset(witness.edge1)],
+            edge_to_vertex[frozenset(witness.edge2)])
 
 
 def even_pair_basic(T: Trigraph, need_disjoint: bool = False,
                     classification: BasicClassification | None = None
                     ) -> tuple[int, int] | None:
-    """Even pair of a basic trigraph (None when complete), dispatching to
-    the class finder picked by classify_basic."""
+    """Even pair of a basic trigraph, or None when it is complete; with
+    ``need_disjoint`` the pair avoids the switchable component.
+
+    The class certificate comes from ``classification``, trusted when
+    passed and computed by ``classify_basic`` otherwise.  A bipartite
+    trigraph whose sides are singletons once the switchable component is
+    removed takes the cross pair.  The oracle scan of the other classes is
+    exhaustive, so it fails only when no allowed even pair exists.
+    """
     c = classification or classify_basic(T)
     if not c.is_basic:
         raise InputError("not a basic trigraph")
     if is_complete(T):
         return None
+    S = switchable_vertices(T)
+    D = S if need_disjoint else frozenset()
     if c.verdict == "bipartite":
-        return even_pair_bipartite(T, need_disjoint)
-    if c.verdict in ("complement_bipartite", "complement_line"):
-        return even_pair_co_classes(T, need_disjoint)
-    if c.verdict == "line":
-        return even_pair_line(T, need_disjoint, c.line_root)
-    return even_pair_doubled(T, need_disjoint, c.good_partition)
+        x, y = (sorted(side - D) for side in c.bipartition)
+        if len(x) >= 2:
+            pair = (x[0], x[1])
+        elif len(y) >= 2:
+            pair = (y[0], y[1])
+        elif x and y:
+            pair = (x[0], y[0])
+        else:
+            raise TheoremContradictionError(
+                "bipartite leaf ran out of vertices outside the switchable component")
+    elif c.verdict == "line":
+        pair = _lifted_good_pair(c.line_root, D)
+    else:
+        # no doubled leaf, and no complement-class leaf owing a disjoint
+        # pair, carries a light switchable component
+        if len(S) > 2 and (need_disjoint or c.verdict == "doubled"):
+            raise TheoremContradictionError(
+                f"light switchable component inside a {c.verdict} leaf")
+        pair = find_even_pair_oracle(T, need_disjoint)
+        if pair is None:
+            raise TheoremContradictionError(f"{c.verdict} leaf found no even pair")
+        return pair
+    u, v = sorted(pair)
+    if {u, v} & D:
+        raise TheoremContradictionError(
+            f"{c.verdict} leaf: constructed pair ({u}, {v}) meets the switchable component")
+    report = is_even_pair(T, u, v)
+    if not report.is_even_pair:
+        raise TheoremContradictionError(
+            f"{c.verdict} leaf: constructed pair ({u}, {v}) fails the oracle "
+            f"({report.verdict})")
+    return (u, v)
+
+
+# ---------------------------------------------------------------------------
+# root sanity checks
 
 
 @dataclass(frozen=True)

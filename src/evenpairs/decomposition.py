@@ -27,8 +27,7 @@ from .detect import is_berge
 from .errors import InputError, NonBergeError
 from .trigraph import (Trigraph, _mask_components, _mask_connected,
                        _pruned_masks, bits_of, complement, components,
-                       full_realization, induced, iter_paths,
-                       mask_of, renumber)
+                       iter_paths, mask_of, renumber)
 
 
 @dataclass(frozen=True)
@@ -116,27 +115,17 @@ def is_balanced_partition(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> 
     return not _odd_path_exists(complement(T), a, b)
 
 
-def _partition_split(T: Trigraph, a: frozenset[int], b: frozenset[int]):
-    comps = components(T, a, "connected")
-    anticomps = components(T, b, "anticonnected")
-    a1 = comps[0]
-    a2 = frozenset().union(*comps[1:])
-    b1 = anticomps[0]
-    b2 = frozenset().union(*anticomps[1:])
-    return a1, a2, b1, b2
-
-
-def _star_center(T: Trigraph, b: frozenset[int]) -> int | None:
-    for comp in components(T, b, "anticonnected"):
-        if len(comp) == 1:
-            return next(iter(comp))
-    return None
-
-
 def _witness_for(T: Trigraph, a: frozenset[int], b: frozenset[int],
                  balanced: bool) -> SkewPartitionWitness:
-    return SkewPartitionWitness(a, b, _partition_split(T, a, b), balanced,
-                                _star_center(T, b))
+    """The witness of a skew-partition: the split puts the first component
+    of A and the first anticomponent of B apart from the rest, and the star
+    center is the first one-vertex anticomponent of B, if any."""
+    comps = components(T, a, "connected")
+    anticomps = components(T, b, "anticonnected")
+    split = (comps[0], frozenset().union(*comps[1:]),
+             anticomps[0], frozenset().union(*anticomps[1:]))
+    star = next((min(comp) for comp in anticomps if len(comp) == 1), None)
+    return SkewPartitionWitness(a, b, split, balanced, star)
 
 
 def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
@@ -238,26 +227,17 @@ def _derive_split(T: Trigraph, x1_mask: int) -> TwoJoinSplit | None:
             return None  # a third bundle
     if not b2_mask or a2_mask & b2_mask:
         return None  # two bundles with disjoint targets are needed
+    # the X2 side needs no pass of its own: the masks are symmetric, so each
+    # vertex of A2 (B2) sees exactly A1 (B1) across, C2 nothing, and no
+    # switchable pair crosses
     c2_mask = x2_mask & ~a2_mask & ~b2_mask
-    # the X2 side of the pattern is forced; verify it
-    rest = x2_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        if switch[v] & x1_mask:
-            return None
-        expected = a1_mask if low & a2_mask else b1_mask if low & b2_mask else 0
-        if strong[v] & x1_mask != expected:
-            return None
     for side_a, side_b, side_x in ((a1_mask, b1_mask, x1_mask),
                                    (a2_mask, b2_mask, x2_mask)):
-        if side_a.bit_count() == 1 and side_b.bit_count() == 1:
-            if side_x.bit_count() == 3:
-                part = full_realization(induced(T, bits_of(side_x)))
-                degrees = sorted(m.bit_count() for m in part.adj)
-                if degrees == [1, 1, 2]:
-                    return None  # side realizes as a path of length two
+        if (side_a.bit_count() == 1 and side_b.bit_count() == 1
+                and side_x.bit_count() == 3):
+            degrees = sorted((T.adj[v] & side_x).bit_count() for v in bits_of(side_x))
+            if degrees == [1, 1, 2]:
+                return None  # side realizes as a path of length two
     split_masks = (a1_mask, b1_mask, c1_mask, a2_mask, b2_mask, c2_mask)
     sets = tuple(frozenset(bits_of(m)) for m in split_masks)
     proper = _is_proper(T, split_masks)

@@ -3,10 +3,10 @@
 ``find_even_pair_structured`` decides "complete or has an even pair" for
 inputs passing the preconditions (Berge, no odd prism, no antihole beyond
 what Bergeness already excludes, no balanced skew-partition, restricted
-switchable structure): basic trigraphs go to the class finders, everything
-else is decomposed along a proper 2-join, recursing into the block built on
-the side away from the switchable component and lifting the block's even
-pair through the marker bookkeeping.
+switchable structure): basic trigraphs go to the basic-leaf finder,
+everything else is decomposed along a proper 2-join, recursing into the
+block built on the side away from the switchable component and lifting the
+block's even pair through the marker bookkeeping.
 
 ``verify_main_theorem`` runs that engine over every instance of a corpus
 and reports counts; any failure, an oracle rejection included, is recorded
@@ -98,10 +98,8 @@ class EngineResult:
     trace: tuple[dict, ...] = ()
 
 
-def _structured(T: Trigraph, disjoint_required: bool, trace: list[dict],
-                depth: int) -> tuple[str, tuple[int, int] | None]:
-    if depth > T.n + 2:
-        raise TheoremContradictionError("recursion failed to shrink the instance")
+def _structured(T: Trigraph, disjoint_required: bool,
+                trace: list[dict]) -> tuple[str, tuple[int, int] | None]:
     if is_complete(T):
         trace.append({"step": "complete", "n": T.n})
         return "complete", None
@@ -115,9 +113,6 @@ def _structured(T: Trigraph, disjoint_required: bool, trace: list[dict],
                     "block must be favorable but is not")
             want_disjoint = False
         pair = even_pair_basic(T, want_disjoint, classification)
-        if pair is None:
-            raise TheoremContradictionError(
-                "a non-complete basic trigraph produced no even pair")
         trace.append({"step": "basic_leaf", "class": classification.verdict,
                       "n": T.n, "pair": list(pair)})
         return "even_pair", pair
@@ -158,7 +153,7 @@ def _structured(T: Trigraph, disjoint_required: bool, trace: list[dict],
         "block_n": block.trigraph.n,
         "marker_kind": block.kind,
     })
-    outcome, inner = _structured(block.trigraph, True, trace, depth + 1)
+    outcome, inner = _structured(block.trigraph, True, trace)
     if outcome != "even_pair" or inner is None:
         raise TheoremContradictionError("block recursion produced no even pair")
     if set(inner) & set(block.markers):
@@ -185,7 +180,7 @@ def find_even_pair_structured(T: Trigraph) -> EngineResult:
     if not report.ok:
         return EngineResult("precondition_failed", report=report)
     trace: list[dict] = []
-    outcome, pair = _structured(T, False, trace, 0)
+    outcome, pair = _structured(T, False, trace)
     return EngineResult(outcome, pair=pair, trace=tuple(trace))
 
 

@@ -4,11 +4,11 @@ from collections import Counter
 
 import pytest
 
-from evenpairs.basic import (classify_basic, even_pair_basic,
-                             even_pair_bipartite, even_pair_co_classes,
-                             even_pair_doubled, even_pair_line, favorability,
-                             find_good_pair, good_partition_of, has_k4_minor,
-                             is_favorable, is_good_pair, line_root_of,
+from evenpairs import basic
+from evenpairs.basic import (BasicClassification, classify_basic,
+                             even_pair_basic, favorability, find_good_pair,
+                             good_partition_of, has_k4_minor, is_favorable,
+                             is_good_pair, line_root_of,
                              verify_root_properties, bipartition_of)
 from evenpairs.decomposition import build_block, find_2join, split_for
 from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
@@ -25,6 +25,17 @@ from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
                                 switchable_vertices)
 
 from conftest import count_calls, random_graph, random_trigraph
+
+
+def _forced(verdict, t):
+    """``t`` classified as ``verdict`` with its certificate, for a test of
+    a class that classify_basic would not pick first."""
+    if verdict == "line":
+        return BasicClassification(verdict, line_root=line_root_of(t))
+    if verdict == "complement_bipartite":
+        return BasicClassification(verdict, bipartition=bipartition_of(complement(t)))
+    assert verdict == "doubled"
+    return BasicClassification(verdict, good_partition=good_partition_of(t))
 
 
 # -- recognition ---------------------------------------------------------------
@@ -266,21 +277,22 @@ def test_favorability_requires_class_membership(c5):
 # -- bipartite finder -------------------------------------------------------------
 
 def test_even_pair_bipartite_c6(c6):
-    assert even_pair_bipartite(c6) == (0, 2)
+    assert even_pair_basic(c6) == (0, 2)
 
 
 def test_even_pair_bipartite_2k1():
-    assert even_pair_bipartite(empty_graph(2)) == (0, 1)
+    assert even_pair_basic(empty_graph(2)) == (0, 1)
 
 
 def test_even_pair_bipartite_complete_signal(k4):
-    assert even_pair_bipartite(complete_graph(2)) is None
+    assert even_pair_basic(complete_graph(2)) is None
 
 
 def test_even_pair_bipartite_disjoint_on_light_block():
     c10 = cycle(10)
     block = build_block(c10, split_for(c10, {0, 1, 2, 3, 4}), 1)
-    pair = even_pair_bipartite(block.trigraph, need_disjoint=True)
+    assert classify_basic(block.trigraph).verdict == "bipartite"
+    pair = even_pair_basic(block.trigraph, need_disjoint=True)
     assert pair is not None
     assert not (set(pair) & set(block.markers))
 
@@ -379,12 +391,12 @@ def test_good_pair_found_on_a_path_root_around_a_forbidden_vertex():
 
 def test_even_pair_line_on_p3():
     p3 = path_graph(3)  # line graph of the length-three path
-    assert even_pair_line(p3) == (0, 2)
+    assert even_pair_basic(p3, False, _forced("line", p3)) == (0, 2)
 
 
 def test_even_pair_line_on_line_of_c8(c8):
     lg, _ = line_graph(c8)
-    pair = even_pair_line(lg)
+    pair = even_pair_basic(lg, False, _forced("line", lg))
     assert pair is not None and is_even_pair(lg, *pair).is_even_pair
 
 
@@ -392,7 +404,7 @@ def test_even_pair_line_disjoint_on_marker_block(c8):
     block = build_block(c8, find_2join(c8), 1)
     cert = line_root_of(block.trigraph)
     assert cert is not None  # the 6-hole-with-switch is also a line trigraph
-    pair = even_pair_line(block.trigraph, need_disjoint=True, cert=cert)
+    pair = even_pair_basic(block.trigraph, True, BasicClassification("line", line_root=cert))
     assert pair is not None and not (set(pair) & set(block.markers))
 
 
@@ -400,7 +412,7 @@ def test_even_pair_line_disjoint_needs_a_pair_around_the_switchable_path():
     # a path with a small switchable pair on {0, 3}; the root path has its
     # interior vertex forbidden, and only its end edges make a good pair
     t = from_text("trigraph 5\n0 1 E\n0 3 S\n2 4 E\n3 4 E\n")
-    assert even_pair_line(t, need_disjoint=True) == (1, 2)
+    assert even_pair_basic(t, True, _forced("line", t)) == (1, 2)
     assert is_even_pair(t, 1, 2).is_even_pair
 
 
@@ -437,7 +449,7 @@ def test_even_pair_line_on_planted_line_trigraphs():
     instances = disjoint = 0
     for t, cert in _planted_line_trigraphs(1, 1000):
         need_disjoint = favorability(t).favorable
-        pair = even_pair_line(t, need_disjoint, cert)
+        pair = even_pair_basic(t, need_disjoint, BasicClassification("line", line_root=cert))
         assert pair is not None and is_even_pair(t, *pair).is_even_pair, to_text(t)
         if need_disjoint:
             disjoint += 1
@@ -454,20 +466,21 @@ def test_line_finder_makes_one_oracle_call_per_pair(monkeypatch):
         oracle.clear()
         find_good_pair(cert.root)
         assert oracle == []
-        pair = even_pair_line(t, favorability(t).favorable, cert)
+        pair = even_pair_basic(t, favorability(t).favorable,
+                               BasicClassification("line", line_root=cert))
         assert oracle == [(t, *pair)]
 
 
 # -- complement classes ---------------------------------------------------------------
 
 def test_even_pair_co_classes_c4(c4):
-    pair = even_pair_co_classes(c4)
+    pair = even_pair_basic(c4, False, _forced("complement_bipartite", c4))
     assert pair is not None and is_even_pair(c4, *pair).is_even_pair
 
 
 def test_even_pair_co_classes_co_p4(p4):
     co = complement(p4)
-    pair = even_pair_co_classes(co)
+    pair = even_pair_basic(co, False, _forced("complement_bipartite", co))
     assert pair is not None and is_even_pair(co, *pair).is_even_pair
 
 
@@ -475,7 +488,8 @@ def test_even_pair_co_classes_octahedron():
     # the prism itself is out of scope (it carries a length-six antihole);
     # the octahedron is antihole-free co-bipartite with antipodal even pairs
     t = complement(make_trigraph(6, [(0, 1, 1), (2, 3, 1), (4, 5, 1)]))
-    pair = even_pair_co_classes(t)
+    assert classify_basic(t).verdict == "complement_bipartite"
+    pair = even_pair_basic(t)
     assert pair in ((0, 1), (2, 3), (4, 5))
     assert is_even_pair(t, *pair).is_even_pair
 
@@ -553,20 +567,20 @@ def test_complement_leaves_on_real_instances():
 # -- doubled finder ---------------------------------------------------------------------
 
 def test_even_pair_doubled_c4(c4):
-    pair = even_pair_doubled(c4)
+    pair = even_pair_basic(c4, False, _forced("doubled", c4))
     assert pair is not None and is_even_pair(c4, *pair).is_even_pair
 
 
 def test_even_pair_doubled_disconnected():
     t = make_trigraph(4, [(0, 1, 1), (2, 3, 1)])
-    pair = even_pair_doubled(t)
+    pair = even_pair_basic(t, False, _forced("doubled", t))
     assert pair is not None and is_even_pair(t, *pair).is_even_pair
 
 
 def test_even_pair_doubled_stable_x_clique_y():
     # stable X completely joined to a strong clique Y
     t = graph_from_edges(5, [(3, 4)] + [(i, j) for i in range(3) for j in (3, 4)])
-    pair = even_pair_doubled(t)
+    pair = even_pair_basic(t, False, _forced("doubled", t))
     assert pair is not None and pair < (3, 3)
     assert is_even_pair(t, *pair).is_even_pair
 
@@ -574,7 +588,7 @@ def test_even_pair_doubled_stable_x_clique_y():
 def test_even_pair_doubled_p4_partition_gap(p4):
     # the ({ends}, {middle}) partition routes through the singleton
     # anticomponent branch
-    pair = even_pair_doubled(p4)
+    pair = even_pair_basic(p4, False, _forced("doubled", p4))
     assert pair is not None and is_even_pair(p4, *pair).is_even_pair
 
 
@@ -589,14 +603,14 @@ def test_even_pair_doubled_avoids_the_switchable_component():
         c = classify_basic(t)
         if c.verdict != "doubled" or is_complete(t) or not favorability(t).favorable:
             continue
-        pair = even_pair_doubled(t, need_disjoint=True, partition=c.good_partition)
+        pair = even_pair_basic(t, True, c)
         D = switchable_vertices(t)
         assert is_even_pair(t, *pair).is_even_pair and not set(pair) & D
         assert all(set(p) & D or not is_even_pair(t, *p).is_even_pair
                    for p in itertools.combinations(range(t.n), 2)
                    if p < pair and t.value(*p) == -1)
         disjoint += 1
-        moved += set(even_pair_doubled(t, partition=c.good_partition)) & D != set()
+        moved += set(even_pair_basic(t, False, c)) & D != set()
     assert disjoint == 15 and moved == 12
 
 
@@ -618,7 +632,7 @@ def test_doubled_finder_skips_switchable_pairs_before_the_oracle(monkeypatch):
         D = switchable_vertices(t)
         need_disjoint = bool(D) and favorability(t).favorable
         oracle.clear()
-        pair = even_pair_doubled(t, need_disjoint, c.good_partition)
+        pair = even_pair_basic(t, need_disjoint, c)
         avoid = D if need_disjoint else set()
         allowed = [p for p in itertools.combinations(range(t.n), 2)
                    if p <= pair and t.value(*p) == -1 and not set(p) & avoid]
@@ -636,6 +650,39 @@ def test_even_pair_basic_dispatch(c6, k4):
     block = build_block(cycle(10), split_for(cycle(10), {0, 1, 2, 3, 4}), 1)
     pair = even_pair_basic(block.trigraph, need_disjoint=True)
     assert pair is not None and not (set(pair) & set(block.markers))
+
+
+def _one_leaf_per_class():
+    members = [cycle(6), complement(path_graph(5))]
+    members.append(next(t for t in _complement_leaf_pool() if not is_complete(t)
+                        and classify_basic(t).verdict == "complement_line"))
+    members.append(next(t for t in planted_class_f_trigraphs(6) if not is_complete(t)
+                        and classify_basic(t).verdict == "doubled"))
+    members.append(next(t for t, _ in _planted_line_trigraphs(1, 1000)
+                        if classify_basic(t).verdict == "line"))
+    return members
+
+
+def test_even_pair_basic_trusts_the_classification(monkeypatch):
+    # a leaf is solved from the certificate classify_basic produced: no
+    # recognizer runs on it again; the line leaf only colors its root, once,
+    # inside find_good_pair
+    members = _one_leaf_per_class()
+    logs = [count_calls(monkeypatch, basic, name)
+            for name in ("bipartition_of", "line_root_of", "good_partition_of")]
+    verdicts = []
+    for t in members:
+        c = classify_basic(t)
+        need_disjoint = bool(switchable_vertices(t)) and favorability(t).favorable
+        for log in logs:
+            log.clear()
+        pair = even_pair_basic(t, need_disjoint, c)
+        assert pair is not None and is_even_pair(t, *pair).is_even_pair
+        expected = [(c.line_root.root,)] if c.verdict == "line" else []
+        assert logs == [expected, [], []], c.verdict
+        verdicts.append(c.verdict)
+    assert verdicts == ["bipartite", "complement_bipartite", "complement_line",
+                        "doubled", "line"]
 
 
 def test_even_pair_basic_rejects_non_basic():

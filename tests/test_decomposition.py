@@ -123,6 +123,23 @@ def test_bsp_witness_takes_the_scan_balance(monkeypatch):
     assert found > 0
 
 
+def test_skew_partition_witness_takes_one_anticomponent_pass(monkeypatch):
+    # a witness is built from one components pass over A and one
+    # anticomponents pass over B, which also give its split and star center
+    import evenpairs.trigraph as trigraph
+    from evenpairs.corpus import graphs_upto
+
+    passes = count_calls(monkeypatch, trigraph, "components")
+    witnesses = 0
+    for g in graphs_upto(6):
+        for search in (find_balanced_skew_partition, find_star_cutset):
+            passes.clear()
+            wit = search(g)
+            witnesses += wit is not None
+            assert len(passes) == (0 if wit is None else 2)
+    assert witnesses > 100
+
+
 def test_balance_checker_direct(c6):
     # ends {0, 3} in B with interior {1, 2} in A: one odd path, unbalanced
     assert not is_balanced_partition(c6, frozenset({1, 2, 4, 5}), frozenset({0, 3}))
@@ -164,6 +181,23 @@ def test_two_join_roundtrip_validation(c8):
                 inside_bundles = (u in s.a1 and v in s.a2) or (u in s.b1 and v in s.b2)
                 if not inside_bundles:
                     assert c8.value(u, v) == -1
+
+
+def test_two_join_scan_builds_no_trigraph(c8, monkeypatch):
+    # splits are derived on the masks of the input; no side is rebuilt as
+    # a trigraph of its own
+    from evenpairs.trigraph import Trigraph
+
+    built = []
+    init = Trigraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trigraph, "__init__", counting)
+    splits = list(iter_2joins(c8))
+    assert len(splits) == 8 and built == []
 
 
 def test_join_parity(c8):

@@ -159,7 +159,7 @@ def test_structured_two_join_branch_wiring(c8, monkeypatch):
 
     monkeypatch.setattr(engine, "classify_basic", forced)
     trace: list = []
-    outcome, pair = engine._structured(c8, False, trace, 0)
+    outcome, pair = engine._structured(c8, False, trace)
     assert outcome == "even_pair"
     assert trace[0]["step"] == "two_join" and trace[0]["side"] == 1
     assert trace[0]["x1"] == [0, 1, 2, 3]
@@ -192,7 +192,7 @@ def test_structured_two_join_keeps_switchable_side(monkeypatch):
 
         monkeypatch.setattr(engine, "classify_basic", forced)
         trace: list = []
-        outcome, pair = engine._structured(t, False, trace, 0)
+        outcome, pair = engine._structured(t, False, trace)
         assert outcome == "even_pair"
         join = trace[0]
         assert join["step"] == "two_join"
