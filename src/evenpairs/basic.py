@@ -48,10 +48,13 @@ class GoodPartition:
 @dataclass(frozen=True)
 class LineRootCertificate:
     """Bipartite root graph H with, for every trigraph vertex, the root
-    edge it represents (the full realization is the line graph of H)."""
+    edge it represents (the full realization is the line graph of H).
+    ``side`` is the first color class of ``bipartition_of(H)``, kept so
+    that the good-pair scan does not color H again."""
 
     root: Trigraph
     vertex_edges: tuple[tuple[int, int], ...]
+    side: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,10 @@ def _root_from_cliques(G: Trigraph, cliques: list[tuple[int, ...]]) -> LineRootC
             next_node += 1
         vertex_edges.append((nodes[0], nodes[1]))
     root = graph_from_edges(next_node, vertex_edges)
-    if bipartition_of(root) is None:
+    coloring = bipartition_of(root)
+    if coloring is None:
         return None
-    return LineRootCertificate(root, tuple(vertex_edges))
+    return LineRootCertificate(root, tuple(vertex_edges), coloring[0])
 
 
 def line_root_of(T: Trigraph) -> LineRootCertificate | None:
@@ -361,11 +365,17 @@ def find_good_pair(H: Trigraph, forbidden_interior=frozenset()) -> GoodPairWitne
     coloring = bipartition_of(H)
     if coloring is None:
         raise InputError("good pairs live in bipartite graphs")
-    forb = frozenset(forbidden_interior)
+    return _good_pair_scan(H, coloring[0], frozenset(forbidden_interior))
+
+
+def _good_pair_scan(H: Trigraph, side: frozenset[int],
+                    forb: frozenset[int]) -> GoodPairWitness | None:
+    """``find_good_pair`` on a bipartite graph H already 2-colored, with
+    ``side`` one color class."""
     allowed = [e for e in H.strong_edges() if not set(e) & forb]
     for e1, e2 in itertools.combinations(allowed, 2):
         if not set(e1) & set(e2):
-            witness = _good_witness(H, coloring[0], e1, e2)
+            witness = _good_witness(H, side, e1, e2)
             if witness is not None:
                 return witness
     return None
@@ -386,7 +396,7 @@ def _lifted_good_pair(cert: LineRootCertificate, D: frozenset[int]) -> tuple[int
             raise TheoremContradictionError(
                 "switchable component does not map to a short root path")
         forb = frozenset(w for w, deg in degree.items() if deg == 2)
-    witness = find_good_pair(cert.root, forb)
+    witness = _good_pair_scan(cert.root, cert.side, forb)
     if witness is None:
         raise TheoremContradictionError(
             "no good pair in the root of a non-complete line trigraph")

@@ -1,10 +1,11 @@
 """Detectors for odd holes, antiholes, prisms, Bergeness, and even pairs.
 
 Everything here is an exhaustive search with deterministic tie-breaking:
-hole searches run through lengths in increasing order and build cycles by
-DFS in ascending vertex order, so the returned witness is the minimum-length
-lexicographically-least one.  Witnesses are always checkable objects, never
-bare booleans.
+a hole search is one DFS over chordless paths in ascending vertex order,
+bounded by the shortest hole found so far, so the returned witness is the
+minimum-length lexicographically-least one, the same one a scan of the
+lengths one at a time in increasing order would return.  Witnesses are
+always checkable objects, never bare booleans.
 """
 
 from __future__ import annotations
@@ -21,48 +22,85 @@ from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, bits_of,
 MAX_PATHS = 1_000_000
 
 
-def _iter_holes_of_length(T: Trigraph, k: int,
-                          first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Chordless cycles of exactly k vertices, produced in canonical form:
-    the smallest vertex first and the second vertex smaller than the last.
-    With ``first``, only the cycles whose smallest vertex is ``first``."""
+def _shortest_hole(T: Trigraph, lengths,
+                   first: int | None = None) -> tuple[int, ...] | None:
+    """The shortest hole of T whose length lies in ``lengths``, in canonical
+    form (smallest vertex first, second vertex smaller than the last), and
+    among those the first one met; None if there is none.  With ``first``,
+    only the holes whose smallest vertex is ``first``.
+
+    One DFS grows chordless paths from each smallest vertex h1 in ascending
+    order, taking candidates in ascending order.  A candidate adjacent to h1
+    closes a hole when that length is wanted; one antiadjacent to h1 extends
+    the path (a vertex semiadjacent to h1 does both).  A path is dropped as
+    soon as no wanted length shorter than the best hole so far can close on
+    it, and the search ends at a hole of the smallest wanted length.  The
+    tree of a search for one length is a pruned subtree of this one, met in
+    the same order, so the answer is what scanning the lengths one by one in
+    increasing order would return.
+    """
     n = T.n
-    if k > n:
-        return
-    adj, anti = T.adj, T.anti
-
-    for h1 in range(n) if first is None else (first,):
-        above = ~((1 << (h1 + 1)) - 1) & ((1 << n) - 1)
-        h1_bit = 1 << h1
-
-        def rec(path: tuple[int, ...], used: int, tail_anti: int) -> Iterator[tuple[int, ...]]:
-            last = path[-1]
-            depth = len(path)
-            if depth == k - 1:
-                cand = adj[last] & tail_anti & adj[h1] & above & ~used
-                for x in bits_of(cand):
-                    if path[1] < x:
-                        yield path + (x,)
-                return
-            cand = adj[last] & tail_anti & anti[h1] & above & ~used
-            next_tail = tail_anti & anti[last]
-            for x in bits_of(cand):
-                yield from rec(path + (x,), used | (1 << x), next_tail)
-
-        full = (1 << n) - 1
-        for h2 in bits_of(adj[h1] & above):
-            yield from rec((h1, h2), h1_bit | (1 << h2), full)
-
-
-def find_hole(T: Trigraph, lengths) -> HoleWitness | None:
-    """First hole whose length lies in ``lengths`` (scanned in the given
-    order, so pass increasing lengths for minimum-length witnesses)."""
+    wanted = 0
     for k in lengths:
         if k < 5:
             raise InputError("holes have at least five vertices")
-        for cycle in _iter_holes_of_length(T, k):
-            return HoleWitness(cycle, "hole")
-    return None
+        if k <= n:
+            wanted |= 1 << k
+    if not wanted:
+        return None
+    adj, anti = T.adj, T.anti
+    shortest = (wanted & -wanted).bit_length() - 1
+    # the longest wanted length still shorter than every hole found so far
+    limit = wanted.bit_length() - 1
+    best = None
+
+    def grow(path: tuple[int, ...], used: int, tail_anti: int,
+             closers: int, extenders: int) -> None:
+        # tail_anti: the vertices antiadjacent to every interior path vertex
+        nonlocal best, limit
+        depth = len(path)
+        step = adj[path[-1]] & tail_anti & ~used
+        if depth < limit and wanted >> (depth + 1) & 1:
+            # canonical form: the closing vertex is larger than the second
+            close = step & closers & -(2 << path[1])
+            if close:
+                best = path + ((close & -close).bit_length() - 1,)
+                # only shorter wanted lengths are still worth a search
+                limit = (wanted & ((1 << depth + 1) - 1)).bit_length() - 1
+                return
+        if depth + 2 > limit:
+            return
+        extend = step & extenders
+        next_tail = tail_anti & anti[path[-1]]
+        while extend:
+            low = extend & -extend
+            grow(path + (low.bit_length() - 1,), used | low, next_tail,
+                 closers, extenders)
+            if depth + 2 > limit:
+                return
+            extend ^= low
+
+    full = (1 << n) - 1
+    for h1 in range(n - shortest + 1) if first is None else (first,):
+        if limit < shortest:
+            break
+        above = full & ~((2 << h1) - 1)
+        seconds = adj[h1] & above
+        while seconds and limit >= shortest:
+            low = seconds & -seconds
+            grow((h1, low.bit_length() - 1), 1 << h1 | low, full,
+                 adj[h1] & above, anti[h1] & above)
+            seconds ^= low
+    return best
+
+
+def find_hole(T: Trigraph, lengths) -> HoleWitness | None:
+    """Shortest hole whose length lies in ``lengths``, the first in
+    canonical DFS order among those (one bounded search, see
+    ``_shortest_hole``); every length is checked to be at least five
+    before the search starts."""
+    cycle = _shortest_hole(T, lengths)
+    return None if cycle is None else HoleWitness(cycle, "hole")
 
 
 def find_odd_hole(T: Trigraph) -> HoleWitness | None:
@@ -240,8 +278,7 @@ def _gadget_sees_odd_path(G: Trigraph, u: int, v: int) -> bool:
     ends = 1 << u | 1 << v
     strong = [ends << 1] + [m << 1 | (ends >> i & 1) for i, m in enumerate(G.strong)]
     gadget = Trigraph(strong, [0] * (G.n + 1))
-    return any(next(_iter_holes_of_length(gadget, k, first=0), None)
-               for k in range(5, G.n + 2, 2))
+    return _shortest_hole(gadget, range(5, G.n + 2, 2), first=0) is not None
 
 
 def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:

@@ -665,8 +665,8 @@ def _one_leaf_per_class():
 
 def test_even_pair_basic_trusts_the_classification(monkeypatch):
     # a leaf is solved from the certificate classify_basic produced: no
-    # recognizer runs on it again; the line leaf only colors its root, once,
-    # inside find_good_pair
+    # recognizer runs on it again, and the line leaf takes its root's
+    # coloring from the certificate instead of coloring the root again
     members = _one_leaf_per_class()
     logs = [count_calls(monkeypatch, basic, name)
             for name in ("bipartition_of", "line_root_of", "good_partition_of")]
@@ -678,8 +678,7 @@ def test_even_pair_basic_trusts_the_classification(monkeypatch):
             log.clear()
         pair = even_pair_basic(t, need_disjoint, c)
         assert pair is not None and is_even_pair(t, *pair).is_even_pair
-        expected = [(c.line_root.root,)] if c.verdict == "line" else []
-        assert logs == [expected, [], []], c.verdict
+        assert logs == [[], [], []], c.verdict
         verdicts.append(c.verdict)
     assert verdicts == ["bipartite", "complement_bipartite", "complement_line",
                         "doubled", "line"]

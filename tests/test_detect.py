@@ -3,17 +3,20 @@ import random
 
 import pytest
 
-from evenpairs.detect import (find_antihole_of_length_at_least,
-                              find_even_pair_oracle, find_odd_antihole,
-                              find_odd_hole, find_prism, is_berge,
-                              is_even_pair, validate_prism)
+from evenpairs import detect
+from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
+from evenpairs.detect import (_shortest_hole, find_antihole_of_length_at_least,
+                              find_even_pair_oracle, find_hole,
+                              find_odd_antihole, find_odd_hole, find_prism,
+                              is_berge, is_even_pair, validate_prism)
+from evenpairs.engine import check_preconditions
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, cycle, line_graph,
                                 prism3)
-from evenpairs.trigraph import (complement, graph_from_edges, make_trigraph,
-                                realization, validate_hole)
+from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
+                                make_trigraph, realization, validate_hole)
 
-from conftest import random_graph, random_trigraph
+from conftest import count_calls, random_graph, random_trigraph
 
 
 # -- odd holes ---------------------------------------------------------------
@@ -54,6 +57,82 @@ def test_odd_hole_in_trigraph_uses_adjacency():
     t = make_trigraph(5, [(0, 1, 0)] + [(i, (i + 1) % 5, 1) for i in range(1, 5)])
     wit = find_odd_hole(t)
     assert wit is not None and wit.length == 5
+
+
+# -- the bounded hole search ------------------------------------------------
+
+def _holes_of_length(T, k, first=None):
+    """Reference: the chordless k-cycles of T in canonical form, one DFS
+    per length, in ascending vertex order."""
+    n, adj, anti = T.n, T.adj, T.anti
+    if k > n:
+        return
+    for h1 in range(n) if first is None else (first,):
+        above = ~((1 << (h1 + 1)) - 1) & ((1 << n) - 1)
+
+        def rec(path, used, tail_anti):
+            last = path[-1]
+            if len(path) == k - 1:
+                cand = adj[last] & tail_anti & adj[h1] & above & ~used
+                yield from (path + (x,) for x in bits_of(cand) if path[1] < x)
+                return
+            cand = adj[last] & tail_anti & anti[h1] & above & ~used
+            for x in bits_of(cand):
+                yield from rec(path + (x,), used | 1 << x, tail_anti & anti[last])
+
+        for h2 in bits_of(adj[h1] & above):
+            yield from rec((h1, h2), 1 << h1 | 1 << h2, (1 << n) - 1)
+
+
+def _first_hole_by_length(T, lengths, first=None):
+    """Reference: the first hole of the lengths scanned in increasing order."""
+    for k in lengths:
+        for cycle_ in _holes_of_length(T, k, first):
+            return cycle_
+    return None
+
+
+def test_shortest_hole_matches_the_per_length_scans():
+    rng = random.Random(15)
+    pool = []
+    for t in list(graphs_upto(7)) + list(planted_class_f_trigraphs(6)):
+        pool += [t, complement(t)]
+    pool += [random_trigraph(rng, rng.randint(5, 12), switch_prob=0.3)
+             for _ in range(3000)]
+    queries = 0
+    for t in pool:
+        n = t.n
+        for lengths in (range(5, n + 1, 2), range(5, n + 1), range(6, n + 1),
+                        range(7, n + 1)):
+            assert _shortest_hole(t, lengths) == _first_hole_by_length(t, lengths)
+            queries += 1
+        odd = range(5, n + 1, 2)
+        for v in range(n):
+            assert (_shortest_hole(t, odd, first=v)
+                    == _first_hole_by_length(t, odd, first=v))
+            queries += 1
+    assert queries > 70_000
+
+
+def test_find_hole_rejects_short_lengths_up_front():
+    # a length below five is refused even when a longer wanted hole exists
+    with pytest.raises(InputError):
+        find_hole(cycle(5), [5, 4])
+    with pytest.raises(InputError):
+        find_hole(cycle(6), [5, 4])
+
+
+def test_precondition_pass_runs_three_hole_searches(monkeypatch):
+    # odd hole in T, odd hole in co-T, long antihole in co-T: one search each
+    searches = count_calls(monkeypatch, detect, "_shortest_hole")
+    check_preconditions(cycle(16), fast=True)
+    assert len(searches) == 3
+
+
+def test_even_pair_gadget_runs_one_hole_search(monkeypatch):
+    searches = count_calls(monkeypatch, detect, "_shortest_hole")
+    assert is_even_pair(cycle(16), 0, 2).is_even_pair
+    assert len(searches) == 1
 
 
 # -- odd antiholes -----------------------------------------------------------
