@@ -6,6 +6,11 @@ arbitrary neighborhood, so extending the level-(n-1) representatives with
 all 2^(n-1) neighborhoods and deduplicating by canonical form yields exactly
 one representative per isomorphism class.
 
+Random samples on n vertices keep the first draw of each isomorphism class.
+A draw needs a canonical form only when an earlier draw shares its degree
+invariant (``_degree_invariant``); graphs whose invariants differ are not
+isomorphic, so most draws of a small sample are kept without one.
+
 Trigraph instances come from planting a legal switchable component into a
 graph: either one pair turned semiadjacent ("small") or a fresh degree-two
 vertex attached by two switchable pairs ("light").
@@ -48,26 +53,53 @@ def graphs_upto(n_max: int) -> list[Trigraph]:
     return out
 
 
+def _degree_invariant(G: Trigraph) -> tuple:
+    """The sorted multiset of (degree, sorted neighbor degrees) over the
+    vertices of G; isomorphic graphs share it."""
+    degree = [m.bit_count() for m in G.adj]
+    return tuple(sorted(
+        (degree[v], tuple(sorted(degree[u] for u in bits_of(G.adj[v]))))
+        for v in range(G.n)))
+
+
 def random_canonical_graphs(n: int, count: int, seed: int = 0) -> list[Trigraph]:
     """``count`` distinct (up to isomorphism) random graphs on n vertices.
 
-    Sampling draws uniform labeled graphs and keeps new isomorphism classes,
-    so the classes are whatever the labeled distribution hits first.
+    Sampling draws uniform labeled graphs and keeps the first draw of each
+    new isomorphism class, in draw order, so the classes are whatever the
+    labeled distribution hits first.  Draws are bucketed by
+    ``_degree_invariant``: the first draw of a bucket is kept without a
+    canonical form, and the bucket computes forms (each graph's at most
+    once) only when a second draw lands in it.  The result is the one that
+    keeping a draw exactly when its canonical form is new gives.
     """
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
-    seen: dict[bytes, Trigraph] = {}
+    # invariant -> its only draw so far (form not yet needed) or the forms
+    buckets: dict[tuple, Trigraph | set[bytes]] = {}
+    kept: list[Trigraph] = []
     attempts = 0
     limit = 400 * count
-    while len(seen) < count:
+    while len(kept) < count:
         attempts += 1
         if attempts > limit:
             raise RuntimeError(
                 f"could not collect {count} distinct graphs on {n} vertices")
         edges = [(u, v) for u, v in pairs if rng.random() < 0.5]
         G = graph_from_edges(n, edges)
-        seen.setdefault(canonical_form(G), G)
-    return list(seen.values())
+        key = _degree_invariant(G)
+        forms = buckets.get(key)
+        if forms is None:
+            buckets[key] = G
+            kept.append(G)
+            continue
+        if isinstance(forms, Trigraph):
+            forms = buckets[key] = {canonical_form(forms)}
+        form = canonical_form(G)
+        if form not in forms:
+            forms.add(form)
+            kept.append(G)
+    return kept
 
 
 def plant_small(G: Trigraph, u: int, v: int) -> Trigraph:

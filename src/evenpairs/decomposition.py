@@ -20,14 +20,13 @@ worst case; near-complete inputs prune least.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .detect import is_berge
 from .errors import InputError, NonBergeError
 from .trigraph import (Trigraph, _mask_components, _mask_connected,
                        _pruned_masks, bits_of, complement, components,
-                       iter_paths, mask_of, renumber)
+                       mask_of, renumber)
 
 
 @dataclass(frozen=True)
@@ -96,20 +95,67 @@ class Block:
     parent_map: tuple[int | None, ...]
 
 
+def _path_parities(T: Trigraph, u: int, targets: int, inner: int,
+                   wanted: set[int]) -> set[int]:
+    """The parities (1 odd, 0 even) of the paths of length > 1 from u to a
+    vertex of the mask ``targets`` whose interior vertices all lie in the
+    mask ``inner``; the search stops once every parity in ``wanted`` is seen.
+
+    One DFS grows the chordless paths from u, taking interior vertices in
+    ascending order.  At each path it checks for a closing target (adjacent
+    to the last vertex, antiadjacent to the others), and it drops the branch
+    once no target is antiadjacent to the whole path, since no longer path
+    could close then.
+    """
+    adj, anti = T.adj, T.anti
+    seen: set[int] = set()
+
+    def grow(last: int, tail_anti: int, odd: bool) -> bool:
+        # tail_anti: the vertices antiadjacent to every path vertex before
+        # last; odd: the path so far has an odd number of edges
+        step = adj[last] & tail_anti
+        if step & targets:
+            seen.add(0 if odd else 1)
+            if wanted <= seen:
+                return True
+        whole = tail_anti & anti[last]
+        if not whole & targets:
+            return False
+        extend = step & inner
+        while extend:
+            low = extend & -extend
+            if grow(low.bit_length() - 1, whole, not odd):
+                return True
+            extend ^= low
+        return False
+
+    extend = adj[u] & inner if anti[u] & targets else 0
+    while extend:
+        low = extend & -extend
+        if grow(low.bit_length() - 1, anti[u], True):
+            break
+        extend ^= low
+    return seen
+
+
 def _odd_path_exists(T: Trigraph, ends: frozenset[int], interior: frozenset[int]) -> bool:
     """Any odd path of length > 1 with both ends in ``ends`` and every
-    interior vertex in ``interior``?"""
-    for u, v in itertools.combinations(sorted(ends), 2):
-        for seq in iter_paths(T, u, v, interior=interior):
-            if len(seq) > 2 and len(seq) % 2 == 0:
-                return True
+    interior vertex in ``interior``?  One path DFS from each end u in
+    ascending order, closing only at ends above u; it returns at the first
+    odd path."""
+    end_mask, inner = mask_of(ends), mask_of(interior)
+    for u in sorted(ends):
+        above = end_mask & ~((2 << u) - 1)
+        if 1 in _path_parities(T, u, above, inner, {1}):
+            return True
     return False
 
 
 def is_balanced_partition(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> bool:
     """Balance for a skew-partition: no odd path of length > 1 with ends in
     B and interior in A, and no odd antipath of length > 1 with ends in A
-    and interior in B."""
+    and interior in B.  Each side is one parity-tracking path DFS per end
+    (``_odd_path_exists``)."""
     if _odd_path_exists(T, b, a):
         return False
     return not _odd_path_exists(complement(T), a, b)
@@ -256,13 +302,18 @@ def _is_proper(T: Trigraph, masks: tuple[int, ...]) -> bool:
 
 def _side_path_parities(T: Trigraph, a: frozenset[int], b: frozenset[int],
                         c: frozenset[int]) -> set[int]:
+    """The parities of the paths from A to B through C (an edge from A to B
+    is an odd path): one path DFS per vertex of A, in ascending order,
+    stopping once both parities are seen."""
+    b_mask, c_mask = mask_of(b), mask_of(c)
     parities: set[int] = set()
     for u in sorted(a):
-        for v in sorted(b):
-            for seq in iter_paths(T, u, v, interior=c):
-                parities.add((len(seq) - 1) % 2)
-                if len(parities) == 2:
-                    return parities
+        if T.adj[u] & b_mask:
+            parities.add(1)
+        missing = {0, 1} - parities
+        if not missing:
+            break
+        parities |= _path_parities(T, u, b_mask, c_mask, missing)
     return parities
 
 

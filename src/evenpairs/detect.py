@@ -22,12 +22,14 @@ from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, bits_of,
 MAX_PATHS = 1_000_000
 
 
-def _shortest_hole(T: Trigraph, lengths,
+def _shortest_hole(n: int, adj, anti, lengths,
                    first: int | None = None) -> tuple[int, ...] | None:
-    """The shortest hole of T whose length lies in ``lengths``, in canonical
+    """The shortest hole whose length lies in ``lengths``, in canonical
     form (smallest vertex first, second vertex smaller than the last), and
     among those the first one met; None if there is none.  With ``first``,
-    only the holes whose smallest vertex is ``first``.
+    only the holes whose smallest vertex is ``first``.  The trigraph is
+    given by its vertex count and its ``adj`` and ``anti`` masks, so callers
+    can search one they never build.
 
     One DFS grows chordless paths from each smallest vertex h1 in ascending
     order, taking candidates in ascending order.  A candidate adjacent to h1
@@ -39,7 +41,6 @@ def _shortest_hole(T: Trigraph, lengths,
     the same order, so the answer is what scanning the lengths one by one in
     increasing order would return.
     """
-    n = T.n
     wanted = 0
     for k in lengths:
         if k < 5:
@@ -48,7 +49,6 @@ def _shortest_hole(T: Trigraph, lengths,
             wanted |= 1 << k
     if not wanted:
         return None
-    adj, anti = T.adj, T.anti
     shortest = (wanted & -wanted).bit_length() - 1
     # the longest wanted length still shorter than every hole found so far
     limit = wanted.bit_length() - 1
@@ -99,7 +99,7 @@ def find_hole(T: Trigraph, lengths) -> HoleWitness | None:
     canonical DFS order among those (one bounded search, see
     ``_shortest_hole``); every length is checked to be at least five
     before the search starts."""
-    cycle = _shortest_hole(T, lengths)
+    cycle = _shortest_hole(T.n, T.adj, T.anti, lengths)
     return None if cycle is None else HoleWitness(cycle, "hole")
 
 
@@ -274,11 +274,15 @@ def _gadget_sees_odd_path(G: Trigraph, u: int, v: int) -> bool:
     look for an odd hole through it.  Independent of the path enumerator.
 
     The new vertex is numbered 0 (graph vertex i becomes i + 1), so the holes
-    through it are exactly those whose smallest vertex is 0."""
+    through it are exactly those whose smallest vertex is 0.  The gadget is
+    searched through its masks and never built as a ``Trigraph``, so a graph
+    at the vertex cap gets one too."""
     ends = 1 << u | 1 << v
-    strong = [ends << 1] + [m << 1 | (ends >> i & 1) for i, m in enumerate(G.strong)]
-    gadget = Trigraph(strong, [0] * (G.n + 1))
-    return _shortest_hole(gadget, range(5, G.n + 2, 2), first=0) is not None
+    adj = [ends << 1] + [m << 1 | (ends >> i & 1) for i, m in enumerate(G.adj)]
+    full = (2 << G.n) - 1
+    anti = [full ^ 1 << w ^ m for w, m in enumerate(adj)]
+    return _shortest_hole(G.n + 1, adj, anti, range(5, G.n + 2, 2),
+                          first=0) is not None
 
 
 def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:

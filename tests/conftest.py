@@ -1,10 +1,12 @@
+import itertools
 import random
 import sys
 
 import pytest
 
+from evenpairs.canonical import canonical_form
 from evenpairs.families import complete_graph, cycle, path_graph
-from evenpairs.trigraph import make_trigraph
+from evenpairs.trigraph import graph_from_edges, iter_paths, make_trigraph
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +75,49 @@ def count_calls(monkeypatch, module, name):
                 and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# -- reference oracles: the per-pair and form-per-draw versions the library
+# -- replaced, kept here so they stay independent of the code they check
+
+def odd_path_exists_by_pairs(T, ends, interior):
+    """Any odd path of length > 1 with both ends in ``ends`` and every
+    interior vertex in ``interior``, by enumerating the paths of every pair
+    of ends."""
+    for u, v in itertools.combinations(sorted(ends), 2):
+        for seq in iter_paths(T, u, v, interior=interior):
+            if len(seq) > 2 and len(seq) % 2 == 0:
+                return True
+    return False
+
+
+def side_path_parities_by_pairs(T, a, b, c):
+    """The parities of the A-B paths through C, by enumerating the paths
+    of every pair in A x B."""
+    parities = set()
+    for u in sorted(a):
+        for v in sorted(b):
+            for seq in iter_paths(T, u, v, interior=c):
+                parities.add((len(seq) - 1) % 2)
+                if len(parities) == 2:
+                    return parities
+    return parities
+
+
+def random_canonical_graphs_by_forms(n, count, seed=0):
+    """The sampler with one canonical form per draw: keep a draw exactly
+    when its form is new."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = {}
+    attempts = 0
+    limit = 400 * count
+    while len(seen) < count:
+        attempts += 1
+        if attempts > limit:
+            raise RuntimeError(
+                f"could not collect {count} distinct graphs on {n} vertices")
+        edges = [(u, v) for u, v in pairs if rng.random() < 0.5]
+        G = graph_from_edges(n, edges)
+        seen.setdefault(canonical_form(G), G)
+    return list(seen.values())

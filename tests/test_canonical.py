@@ -1,14 +1,19 @@
+import itertools
 import random
 
 import networkx as nx
+import pytest
 
+from evenpairs import canonical
 from evenpairs.canonical import canonical_form, canonical_labeling, relabel
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs,
                               random_canonical_graphs)
+from evenpairs import trigraph
 from evenpairs.trigraph import in_class_F
 
-from conftest import random_graph, random_trigraph
+from conftest import (count_calls, random_canonical_graphs_by_forms,
+                      random_graph, random_trigraph)
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -60,6 +65,42 @@ def test_random_canonical_graphs_distinct():
     forms = {canonical_form(g) for g in sample}
     assert len(forms) == 120
     assert all(g.n == 7 for g in sample)
+
+
+def _same_graphs(xs, ys):
+    return [(g.strong, g.switch) for g in xs] == [(g.strong, g.switch) for g in ys]
+
+
+def test_random_canonical_graphs_match_the_form_per_draw_sampler():
+    for n, count, seed in itertools.product((1, 4, 6, 8), (1, 5, 30),
+                                            (0, 7)):
+        try:
+            expected = random_canonical_graphs_by_forms(n, count, seed)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                random_canonical_graphs(n, count, seed)
+            continue
+        assert _same_graphs(random_canonical_graphs(n, count, seed), expected)
+
+
+def test_random_canonical_graphs_raise_at_the_same_draw_limit():
+    # 4 classes on 3 vertices: a fifth is never found
+    with pytest.raises(RuntimeError, match="could not collect 5 distinct"):
+        random_canonical_graphs_by_forms(3, 5, 1)
+    with pytest.raises(RuntimeError, match="could not collect 5 distinct"):
+        random_canonical_graphs(3, 5, 1)
+
+
+def test_census_sampling_computes_few_canonical_forms(monkeypatch):
+    # the census jobs draw 20 classes on 8 vertices; a draw needs a form
+    # only when an earlier draw shares its degree invariant
+    forms = count_calls(monkeypatch, canonical, "canonical_form")
+    draws = count_calls(monkeypatch, trigraph, "graph_from_edges")
+    for seed in range(100):
+        random_canonical_graphs(8, 20, seed)
+        assert len(forms) <= len(draws)
+    assert len(draws) == 2001
+    assert len(forms) == 10
 
 
 def test_planted_corpus_members_are_class_members():

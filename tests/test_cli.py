@@ -41,6 +41,20 @@ def test_even_pair_command(capsys, c6):
     assert doc["result"]["pair"] == [0, 2]
 
 
+def test_even_pair_command_at_the_vertex_cap(capsys):
+    # the even-pair gadget adds a vertex; it must not push C32 over the cap
+    from evenpairs.detect import _gadget_sees_odd_path, is_even_pair
+
+    c32 = cycle(32)
+    code, doc, err = run_cli(capsys, "even-pair", to_graph6(c32))
+    assert code == 0, err
+    assert doc["result"]["outcome"] == "even_pair"
+    u, v = doc["result"]["pair"]
+    assert is_even_pair(c32, u, v).is_even_pair
+    assert _gadget_sees_odd_path(c32, u, v) is False
+    assert _gadget_sees_odd_path(c32, 0, 3) is True
+
+
 def test_even_pair_precondition_exit(capsys, p4):
     code, doc, _ = run_cli(capsys, "even-pair", to_graph6(p4))
     assert code == 1

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from evenpairs.corpus import graphs_of_order
-from evenpairs.decomposition import (TwoJoinSplit, build_block,
+from evenpairs.corpus import (graphs_of_order, graphs_upto,
+                              planted_class_f_trigraphs)
+from evenpairs.decomposition import (TwoJoinSplit, _odd_path_exists,
+                                     _side_path_parities, _skew_masks,
+                                     build_block,
                                      check_nobsp_2join_shape,
                                      find_2join, find_balanced_skew_partition,
                                      find_complement_2join, find_star_cutset,
@@ -17,7 +20,8 @@ from evenpairs.trigraph import (complement, full_realization, in_class_F,
                                 is_anticonnected, is_connected, make_trigraph,
                                 mask_of, switchable_components)
 
-from conftest import count_calls, random_graph
+from conftest import (count_calls, odd_path_exists_by_pairs, random_graph,
+                      side_path_parities_by_pairs)
 
 
 # -- star cutsets ------------------------------------------------------------
@@ -143,6 +147,47 @@ def test_skew_partition_witness_takes_one_anticomponent_pass(monkeypatch):
 def test_balance_checker_direct(c6):
     # ends {0, 3} in B with interior {1, 2} in A: one odd path, unbalanced
     assert not is_balanced_partition(c6, frozenset({1, 2, 4, 5}), frozenset({0, 3}))
+
+
+def _small_pool():
+    """Graphs on <= 7 vertices and planted trigraphs on base <= 5, each with
+    its complement."""
+    pool = []
+    for t in list(graphs_upto(7)) + list(planted_class_f_trigraphs(5)):
+        pool += [t, complement(t)]
+    return pool
+
+
+def test_odd_path_exists_matches_the_per_pair_enumeration():
+    rng = random.Random(11)
+    checks = 0
+    for t in _small_pool():
+        co, full = complement(t), (1 << t.n) - 1
+        masks = [rng.getrandbits(t.n) for _ in range(3)]
+        masks += [m for m in _skew_masks(t) if m not in masks]
+        for a_mask in masks:
+            a = frozenset(v for v in range(t.n) if a_mask >> v & 1)
+            b = frozenset(v for v in range(t.n) if (full ^ a_mask) >> v & 1)
+            # the two calls of the balance test, and T with the roles swapped
+            for g, ends, interior in ((t, b, a), (co, a, b), (t, a, b)):
+                assert (_odd_path_exists(g, ends, interior)
+                        == odd_path_exists_by_pairs(g, ends, interior))
+                checks += 1
+    assert checks > 160_000
+
+
+def test_side_path_parities_match_the_per_pair_enumeration():
+    rng = random.Random(12)
+    checks = 0
+    for t in _small_pool():
+        for _ in range(3):
+            sides = [rng.randrange(3) for _ in range(t.n)]
+            a, b, c = (frozenset(v for v in range(t.n) if sides[v] == i)
+                       for i in range(3))
+            assert (_side_path_parities(t, a, b, c)
+                    == side_path_parities_by_pairs(t, a, b, c))
+            checks += 1
+    assert checks > 7_000
 
 
 # -- 2-joins -------------------------------------------------------------------

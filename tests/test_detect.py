@@ -104,11 +104,12 @@ def test_shortest_hole_matches_the_per_length_scans():
         n = t.n
         for lengths in (range(5, n + 1, 2), range(5, n + 1), range(6, n + 1),
                         range(7, n + 1)):
-            assert _shortest_hole(t, lengths) == _first_hole_by_length(t, lengths)
+            assert (_shortest_hole(t.n, t.adj, t.anti, lengths)
+                    == _first_hole_by_length(t, lengths))
             queries += 1
         odd = range(5, n + 1, 2)
         for v in range(n):
-            assert (_shortest_hole(t, odd, first=v)
+            assert (_shortest_hole(t.n, t.adj, t.anti, odd, first=v)
                     == _first_hole_by_length(t, odd, first=v))
             queries += 1
     assert queries > 70_000
