@@ -9,12 +9,14 @@ fixed, so no split search is needed.
 
 The bipartitions come from ``trigraph._pruned_masks``, a depth-first search
 that leaves a subtree once its fixed vertices rule out every completion.
-Each search supplies a necessary condition for that and runs its full
-mask test on every bipartition that remains, so it returns exactly what a
-scan of all 2^n bipartitions would.  Sets are built only for a candidate
-that passes the mask tests.  On one core of a 2-vCPU machine the full
+Each search supplies a necessary condition for that.  A bipartition that
+remains is judged once, by the exact test: for skew partitions the
+condition itself, which is exact once no vertex is free, and for 2-joins
+``_derive_split``.  So each search returns exactly what a scan of all 2^n
+bipartitions would.  Sets are built only for a candidate that passes the
+mask tests.  On one core of a 2-vCPU machine the full
 balanced-skew-partition search of C16 and the full 2-join search of its
-complement take about 2 ms each.  The searches stay exponential in the
+complement take 1 to 2 ms each.  The searches stay exponential in the
 worst case; near-complete inputs prune least.
 """
 
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from .detect import is_berge
 from .errors import InputError, NonBergeError
 from .trigraph import (Trigraph, _mask_components, _mask_connected,
-                       _pruned_masks, bits_of, complement, components,
-                       mask_of, renumber)
+                       _pruned_masks, _vertex_mask, bits_of, complement,
+                       components, mask_of, renumber)
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,9 @@ def is_balanced_partition(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> 
     """Balance for a skew-partition: no odd path of length > 1 with ends in
     B and interior in A, and no odd antipath of length > 1 with ends in A
     and interior in B.  Each side is one parity-tracking path DFS per end
-    (``_odd_path_exists``)."""
+    (``_odd_path_exists``).  A vertex outside 0..n-1 raises InputError."""
+    for side in (a, b):
+        _vertex_mask(T, side)
     if _odd_path_exists(T, b, a):
         return False
     return not _odd_path_exists(complement(T), a, b)
@@ -196,10 +200,9 @@ def _skew_masks(T: Trigraph):
     no A-mask in it can be skew.  A fixed part of B that is anticonnected
     lies inside one anticomponent of B, so some free vertex must be strongly
     adjacent to all of it; a fixed part of A that is connected lies inside
-    one component of A, so some free vertex must see none of it.  Both skew
-    conditions are then tested on each remaining mask.
+    one component of A, so some free vertex must see none of it.  At a leaf,
+    where no vertex is free, that is exactly the skew condition.
     """
-    full = (1 << T.n) - 1
     adj, anti = T.adj, T.anti
 
     def feasible(a_fixed: int, b_fixed: int, free: int) -> bool:
@@ -211,9 +214,8 @@ def _skew_masks(T: Trigraph):
                 return False
         return True
 
-    for a_mask in _pruned_masks(T.n, feasible):
-        if not (_mask_connected(anti, full ^ a_mask) or _mask_connected(adj, a_mask)):
-            yield a_mask
+    # a leaf has no free vertex, so feasible there is the skew test itself
+    return _pruned_masks(T.n, feasible)
 
 
 def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
@@ -242,37 +244,14 @@ def _derive_split(T: Trigraph, x1_mask: int) -> TwoJoinSplit | None:
     forced, so each bipartition yields at most one split (up to swapping the
     A and B names, fixed here by putting the smallest bundle vertex in A).
     """
-    n = T.n
-    full = (1 << n) - 1
-    x2_mask = full & ~x1_mask
+    x2_mask = ((1 << T.n) - 1) & ~x1_mask
     if x1_mask.bit_count() < 3 or x2_mask.bit_count() < 3:
         return None
-    strong, switch = T.strong, T.switch
-    # X1 side: each vertex crosses to nothing (C1) or to one of at most two
-    # bundle targets, the first met (holding the smallest vertex) named A
-    a2_mask = b2_mask = a1_mask = b1_mask = c1_mask = 0
-    rest = x1_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        if switch[v] & x2_mask:
-            return None  # no switchable pair may cross
-        cross = strong[v] & x2_mask
-        if not cross:
-            c1_mask |= low
-        elif cross == a2_mask:
-            a1_mask |= low
-        elif cross == b2_mask:
-            b1_mask |= low
-        elif not a2_mask:
-            a2_mask, a1_mask = cross, low
-        elif not b2_mask:
-            b2_mask, b1_mask = cross, low
-        else:
-            return None  # a third bundle
-    if not b2_mask or a2_mask & b2_mask:
+    bundles = _bundles(T, x1_mask, x2_mask)
+    if bundles is None or not bundles[3]:
         return None  # two bundles with disjoint targets are needed
+    a1_mask, a2_mask, b1_mask, b2_mask = bundles
+    c1_mask = x1_mask & ~a1_mask & ~b1_mask
     # the X2 side needs no pass of its own: the masks are symmetric, so each
     # vertex of A2 (B2) sees exactly A1 (B1) across, C2 nothing, and no
     # switchable pair crosses
@@ -329,29 +308,35 @@ def observed_parity(T: Trigraph, sets) -> str | None:
     return None
 
 
-def _bundles_fit(T: Trigraph, side: int, other: int) -> bool:
-    """Whether no switchable pair joins ``side`` to ``other`` and the strong
-    crossings of ``side`` into ``other`` are pairwise equal or disjoint with
-    at most two distinct nonempty values, as the restriction of a 2-join's
-    A1-A2 and B1-B2 bundles to ``other`` must be."""
+def _bundles(T: Trigraph, side: int, other: int) -> tuple[int, int, int, int] | None:
+    """The bundles (A, A', B, B') of ``side`` into ``other``: the vertices
+    of A cross strongly to exactly A', those of B to exactly B', the rest of
+    ``side`` to nothing.  A holds the smallest bundle vertex; a bundle not
+    met is 0.  None when a switchable pair crosses or the crossings do not
+    fit two disjoint bundles, which rules out every 2-join whose sides
+    contain ``side`` and ``other``."""
     strong, switch = T.strong, T.switch
-    first = second = 0
+    a = a_cross = b = b_cross = 0
     while side:
         low = side & -side
         side ^= low
         v = low.bit_length() - 1
         if switch[v] & other:
-            return False
+            return None
         cross = strong[v] & other
-        if not cross or cross == first or cross == second:
+        if not cross:
             continue
-        if second or cross & first:
-            return False
-        if first:
-            second = cross
+        if cross == a_cross:
+            a |= low
+        elif cross == b_cross:
+            b |= low
+        elif b_cross or cross & a_cross:
+            return None
+        elif a_cross:
+            b, b_cross = low, cross
         else:
-            first = cross
-    return True
+            a, a_cross = low, cross
+    return a, a_cross, b, b_cross
 
 
 def iter_2joins(T: Trigraph):
@@ -359,23 +344,26 @@ def iter_2joins(T: Trigraph):
 
     Each unordered bipartition appears twice, once per choice of X1; that is
     deliberate since fragments are one-sided.  The X1-masks come from
-    ``_pruned_masks``, which leaves a subtree once a switchable pair crosses
-    between the fixed parts or the strong crossings of either fixed part
-    into the other no longer fit two disjoint bundles; no mask it skips has
-    a split, so the sequence is the one a scan of every bipartition gives.
-    The search stays exponential in the worst case.
+    ``_pruned_masks``, which leaves a subtree once ``_bundles`` rejects the
+    crossings of either fixed part into the other: a switchable pair
+    crosses, or the strong crossings no longer fit two disjoint bundles.  No
+    mask it skips has a split.  A leaf is judged once, by ``_derive_split``,
+    so the sequence is the one a scan of every bipartition gives.  The
+    search stays exponential in the worst case.
     """
     adj = T.adj
 
     def feasible(x1_fixed: int, x2_fixed: int, free: int) -> bool:
+        if not free:
+            return True
         # v is the vertex fixed last (n at the root).  When it sees nothing
         # on the other side, the crossings are those of the parent node,
         # which passed already.
         v = free.bit_length()
         if v < T.n and not adj[v] & (x2_fixed if x1_fixed >> v & 1 else x1_fixed):
             return True
-        return (_bundles_fit(T, x1_fixed, x2_fixed)
-                and _bundles_fit(T, x2_fixed, x1_fixed))
+        return (_bundles(T, x1_fixed, x2_fixed) is not None
+                and _bundles(T, x2_fixed, x1_fixed) is not None)
 
     for x1_mask in _pruned_masks(T.n, feasible):
         split = _derive_split(T, x1_mask)
@@ -413,10 +401,11 @@ def split_for(T: Trigraph, X) -> TwoJoinSplit | None:
     """The split of the bipartition (X, V - X), if it is a 2-join.
 
     The classification is forced by the cross edges, so this is the only
-    split the bipartition can have (up to the A/B naming convention).
+    split the bipartition can have (up to the A/B naming convention).  A
+    vertex of X outside 0..n-1 raises InputError.
     """
-    x_mask = mask_of(X)
-    if x_mask >= (1 << T.n) or x_mask == 0 or x_mask == (1 << T.n) - 1:
+    x_mask = _vertex_mask(T, X)
+    if x_mask == 0 or x_mask == (1 << T.n) - 1:
         return None
     return _derive_split(T, x_mask)
 

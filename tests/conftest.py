@@ -1,12 +1,25 @@
 import itertools
+import os
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from evenpairs.canonical import canonical_form
 from evenpairs.families import complete_graph, cycle, path_graph
 from evenpairs.trigraph import graph_from_edges, iter_paths, make_trigraph
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_pythonpath():
+    # pyproject's pythonpath covers this process; the CLI tests' child
+    # processes import the package from this checkout too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join([src] + ([inherited] if inherited else [])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -206,6 +206,19 @@ def test_verify_sampled_via_cli(capsys):
     assert doc["summary"]["failures"] == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--nmax", "11"], "outside 1..10"),
+    (["--nmax", "-2"], "outside 1..10"),
+    (["--nmax", "4", "--scope", "trigraphs_in_F", "--sample", "2"], "scope 'graphs'"),
+    (["--nmax", "3", "--sample", "10"], "could not collect 10"),
+    (["--nmax", "3", "--sample", "0"], "positive count"),
+])
+def test_verify_input_errors_exit_two(capsys, args, message):
+    code, doc, err = run_cli(capsys, "verify", *args)
+    assert code == 2 and doc is None
+    assert message in json.loads(err)["error"]
+
+
 def test_cli_import_leaves_numpy_out():
     # the library has no runtime dependency
     proc = subprocess.run(

@@ -149,6 +149,13 @@ def test_balance_checker_direct(c6):
     assert not is_balanced_partition(c6, frozenset({1, 2, 4, 5}), frozenset({0, 3}))
 
 
+@pytest.mark.parametrize("a, b, bad", [
+    ({1, 2, 4, 5, 9}, {0, 3}, 9), ({1, 2, 4, 5}, {0, 3, -1}, -1)])
+def test_balance_checker_rejects_out_of_range_vertices(c6, a, b, bad):
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        is_balanced_partition(c6, frozenset(a), frozenset(b))
+
+
 def _small_pool():
     """Graphs on <= 7 vertices and planted trigraphs on base <= 5, each with
     its complement."""
@@ -279,6 +286,13 @@ def test_is_fragment(c8, c6):
     assert not any(is_fragment(c6, set(c))
                    for k in range(1, 6)
                    for c in itertools.combinations(range(6), k))
+
+
+@pytest.mark.parametrize("check", [split_for, is_fragment])
+@pytest.mark.parametrize("X, bad", [({0, 1, 2, 3, 9}, 9), ({0, 1, -2}, -2)])
+def test_split_for_rejects_out_of_range_vertices(c8, check, X, bad):
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        check(c8, X)
 
 
 # -- blocks --------------------------------------------------------------------

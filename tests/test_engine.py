@@ -3,11 +3,13 @@ import json
 
 import pytest
 
+from evenpairs.cli import main
 from evenpairs.corpus import graphs_of_order, planted_class_f_trigraphs
 from evenpairs.detect import EvenPairReport, is_even_pair
 from evenpairs.engine import (PRECONDITIONS, check_preconditions,
                               find_even_pair_structured, verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
+from evenpairs.formats import from_graph6
 from evenpairs.trigraph import make_trigraph
 
 from conftest import count_calls
@@ -204,6 +206,38 @@ def test_structured_two_join_keeps_switchable_side(monkeypatch):
         assert is_even_pair(t, *pair).is_even_pair
         sides.append(join["side"])
     assert sides == [2, 1]
+
+
+# Genuine class members that reach the line leaf and both 2-join marker
+# kinds without monkeypatching.  Routes depend on the labelling, so each
+# instance is pinned by its exact graph6 string.
+GENUINE_ROUTES = [
+    ("JEgA@@EHOE?", [{"step": "basic_leaf", "class": "line", "n": 11,
+                      "pair": [0, 1]}], (0, 1)),
+    ("JEgCBAEXOE?", [{"step": "two_join", "side": 1, "parity": "odd",
+                      "x1": [1, 2, 3, 4], "x2": [0, 5, 6, 7, 8, 9, 10],
+                      "block_n": 6, "marker_kind": "small"},
+                     {"step": "basic_leaf", "class": "bipartite", "n": 6,
+                      "pair": [0, 1]}], (1, 2)),
+    ("K?ooD@Ogqd?K", [{"step": "two_join", "side": 1, "parity": "even",
+                       "x1": [0, 1, 2, 3, 4, 5], "x2": [6, 7, 8, 9, 10, 11],
+                       "block_n": 9, "marker_kind": "light"},
+                      {"step": "basic_leaf", "class": "bipartite", "n": 9,
+                       "pair": [0, 1]}], (0, 1)),
+]
+
+
+@pytest.mark.parametrize("g6, trace, pair", GENUINE_ROUTES,
+                         ids=["line-leaf", "small-marker", "light-marker"])
+def test_structured_routes_on_genuine_instances(capsys, g6, trace, pair):
+    T = from_graph6(g6)
+    result = find_even_pair_structured(T)
+    assert result.outcome == "even_pair"
+    assert list(result.trace) == trace
+    assert result.pair == pair
+    assert is_even_pair(T, *pair).is_even_pair
+    assert main(["even-pair", g6]) == 0
+    capsys.readouterr()
 
 
 CORPORA = [(5, "graphs"), (4, "trigraphs_in_F")]

@@ -246,6 +246,18 @@ def test_enumerate_paths_truncation(c6):
     assert pe.truncated and len(pe.paths) == 1
 
 
+@pytest.mark.parametrize("u, v, bad", [(0, 9, 9), (-1, 3, -1)])
+def test_enumerate_paths_rejects_out_of_range_ends(c6, u, v, bad):
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        enumerate_paths(c6, u, v)
+
+
+@pytest.mark.parametrize("interior, bad", [([1, 2, 7], 7), ([-2], -2)])
+def test_iter_paths_rejects_out_of_range_interior(c6, interior, bad):
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        list(iter_paths(c6, 0, 3, interior))
+
+
 def test_enumerate_paths_rejects_zero_budget(c6):
     with pytest.raises(InputError):
         enumerate_paths(c6, 0, 3, max_count=0)
