@@ -2,80 +2,94 @@
 
 The canonical form of a trigraph is the minimum, over vertex orderings, of
 the byte encoding of its pair codes (one byte per pair of the upper
-triangle).  Orderings are pruned by iterated color refinement (vertex colors
-refined by the multiset of (pair code, neighbor color) signatures) and,
-inside a cell, by skipping vertices whose code rows are identical to an
-already-tried cell mate.  This is plenty for the n <= 10 enumeration
-workloads the harness runs.
+triangle: 0 for -1, 1 for 0 and 2 for +1).  Orderings are pruned by
+iterated color refinement and, inside a cell, by skipping vertices whose
+strong and switchable masks agree with an already-tried cell mate's outside
+the two of them.  This is plenty for the n <= 10 enumeration workloads the
+harness runs.
+
+Refinement splits each cell (the vertices of one color) by a key until no
+cell splits, the parts of a cell in key order: the order of the vertices'
+sorted tuples of (pair code, partner color) over the other vertices, found
+by counting instead of sorting.  Of two equal-size sorted
+multisets, the one with more copies of the first element whose counts
+differ is the smaller, so they compare as their negated count vectors.  In
+one cell the code-0 count into a cell is a constant minus the adjacent
+count, and the code-0 and code-1 counts fix the code-2 count.  So the key is
+the adjacent count into every cell, then, when the trigraph has a
+switchable pair, the negated switchable count into every cell.  McKay and
+Piperno, "Practical graph isomorphism II" (J. Symb. Comput. 2014), refine
+by neighbor counts the same way.
 """
 
 from __future__ import annotations
 
-from .trigraph import Trigraph, renumber
+from .trigraph import Trigraph, bits_of, renumber
 
 
-def _code_rows(T: Trigraph) -> list[list[int]]:
-    """Byte code of every ordered pair: 0 for -1, 1 for 0 and 2 for +1
-    (the diagonal entries are never read)."""
-    return [[2 if T.strong[v] >> u & 1 else T.switch[v] >> u & 1
-             for u in range(T.n)] for v in range(T.n)]
-
-
-def _refine(rows: list[list[int]], colors: list[int]) -> list[int]:
-    n = len(rows)
+def _refine(adj: list[int], switch: list[int], cells: list[int]) -> list[int]:
+    """Split the cells (vertex masks in color order) by key until no cell
+    splits; a split cell's parts go in place, ordered by key."""
+    switchable = any(switch)
     while True:
-        signatures = []
-        for v in range(n):
-            sig = sorted((rows[v][u], colors[u]) for u in range(n) if u != v)
-            signatures.append((colors[v], tuple(sig)))
-        order = sorted(set(signatures))
-        lookup = {sig: i for i, sig in enumerate(order)}
-        new_colors = [lookup[sig] for sig in signatures]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts: dict[tuple, int] = {}
+            for v in bits_of(cell):
+                key = [(adj[v] & d).bit_count() for d in cells]
+                if switchable:
+                    key += [-(switch[v] & d).bit_count() for d in cells]
+                key = tuple(key)
+                parts[key] = parts.get(key, 0) | 1 << v
+            split.extend(parts[key] for key in sorted(parts))
+        if len(split) == len(cells):
+            return cells
+        cells = split
 
 
-def _cells(colors: list[int]) -> list[list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
-
-
-def _encode(rows: list[list[int]], perm: tuple[int, ...]) -> bytes:
-    n = len(rows)
-    out = bytearray([n])
-    for i in range(n):
-        row = rows[perm[i]]
-        out.extend(row[perm[j]] for j in range(i + 1, n))
+def _encode(strong: list[int], switch: list[int], perm: tuple[int, ...]) -> bytes:
+    out = bytearray([len(perm)])
+    for i, v in enumerate(perm):
+        s, w = strong[v], switch[v]
+        out.extend(2 if s >> u & 1 else w >> u & 1 for u in perm[i + 1:])
     return bytes(out)
 
 
-def _row_key(rows: list[list[int]], v: int, exclude: int) -> tuple:
-    return tuple(c for u, c in enumerate(rows[v]) if u not in (v, exclude))
-
-
-def _search(rows: list[list[int]], colors: list[int], best: list) -> None:
-    colors = _refine(rows, colors)
-    cells = _cells(colors)
-    target = next((cell for cell in cells if len(cell) > 1), None)
+def _search(strong: list[int], switch: list[int], adj: list[int],
+            cells: list[int], best: list) -> None:
+    cells = _refine(adj, switch, cells)
+    target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
     if target is None:
-        perm = tuple(v for cell in cells for v in cell)
-        enc = _encode(rows, perm)
+        perm = tuple(cell.bit_length() - 1 for cell in cells)
+        enc = _encode(strong, switch, perm)
         if best[0] is None or enc < best[0]:
             best[0], best[1] = enc, perm
         return
     tried: list[int] = []
-    for v in target:
-        # skip v when some tried cell mate u has an identical code row
-        # outside {u, v}: the transposition (u v) is then an automorphism
-        if any(_row_key(rows, v, u) == _row_key(rows, u, v) for u in tried):
+    for v in bits_of(cells[target]):
+        # skip v when some tried cell mate u has the same codes outside
+        # {u, v}: the transposition (u v) is then an automorphism
+        if any(not ((strong[v] ^ strong[u]) | (switch[v] ^ switch[u]))
+               & ~(1 << u | 1 << v) for u in tried):
             continue
         tried.append(v)
-        new_colors = [c + 1 if c >= colors[v] else c for c in colors]
-        new_colors[v] = colors[v]
-        _search(rows, new_colors, best)
+        bit = 1 << v
+        _search(strong, switch, adj, cells[:target] + [bit, cells[target] ^ bit]
+                + cells[target + 1:], best)
+
+
+def mask_labeling(strong: list[int], switch: list[int]) -> tuple[bytes, tuple[int, ...]]:
+    """``canonical_labeling`` of the trigraph with these strong and
+    switchable masks, without building it."""
+    if not strong:
+        return b"\x00", ()
+    best: list = [None, None]
+    adj = [s | w for s, w in zip(strong, switch)]
+    _search(strong, switch, adj, [(1 << len(strong)) - 1], best)
+    return best[0], best[1]
 
 
 def canonical_labeling(T: Trigraph) -> tuple[bytes, tuple[int, ...]]:
@@ -84,11 +98,7 @@ def canonical_labeling(T: Trigraph) -> tuple[bytes, tuple[int, ...]]:
     ``perm[i]`` is the original vertex placed at canonical position i; two
     trigraphs are isomorphic exactly when their forms agree.
     """
-    if T.n == 0:
-        return b"\x00", ()
-    best: list = [None, None]
-    _search(_code_rows(T), [0] * T.n, best)
-    return best[0], best[1]
+    return mask_labeling(T.strong, T.switch)
 
 
 def canonical_form(T: Trigraph) -> bytes:

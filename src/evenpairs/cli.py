@@ -15,7 +15,8 @@ document with sorted keys; --emit-cert writes the involved witnesses as
 JSON lines.  Exit codes: 0 success, 1 precondition failure, 2 input error,
 3 internal contradiction of a proved statement.
 
-Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable.
+Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable, an
+integer >= 1 (default 1; any other value is an input error).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Graphs are enumerated up to isomorphism by augmentation: every graph on n
 vertices arises from one on n-1 vertices by attaching a new vertex with an
 arbitrary neighborhood, so extending the level-(n-1) representatives with
 all 2^(n-1) neighborhoods and deduplicating by canonical form yields exactly
-one representative per isomorphism class.
+one representative per isomorphism class.  A child's form is computed from
+its masks, and a Trigraph is built only for a child whose form is new.
 
 Random samples on n vertices keep the first draw of each isomorphism class.
 A draw needs a canonical form only when an earlier draw shares its degree
@@ -22,7 +23,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .canonical import canonical_form
+from .canonical import canonical_form, mask_labeling
 from .trigraph import (ANTI, Trigraph, bits_of, graph_from_edges, in_class_F,
                        make_trigraph)
 
@@ -35,13 +36,15 @@ def graphs_of_order(n: int) -> tuple[Trigraph, ...]:
     if n == 1:
         return (make_trigraph(1),)
     out: dict[bytes, Trigraph] = {}
+    switch = [0] * n
     for base in graphs_of_order(n - 1):
         for nbhd in range(1 << (n - 1)):
             strong = list(base.strong) + [nbhd]
             for v in bits_of(nbhd):
                 strong[v] |= 1 << (n - 1)
-            G = Trigraph(strong, [0] * n)
-            out.setdefault(canonical_form(G), G)
+            form = mask_labeling(strong, switch)[0]
+            if form not in out:
+                out[form] = Trigraph(strong, switch)
     return tuple(out.values())
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .basic import classify_basic, even_pair_basic, favorability
@@ -240,16 +239,26 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     complete or with an oracle-verified even pair; failures are collected,
     not raised.  A JSON-lines log gets one record per instance.  An n_max
     outside 1..ENUMERATION_CAP, a sample with another scope, and a sample
-    the sampler cannot fill raise InputError.
+    the sampler cannot fill raise InputError, and so does an
+    EVENPAIRS_WORKERS value that is not an integer >= 1.
     """
     if not 1 <= n_max <= ENUMERATION_CAP:
         raise InputError(f"n_max {n_max} is outside 1..{ENUMERATION_CAP}")
     if sample is not None and (scope != "graphs" or sample < 1):
         raise InputError(f"sample {sample} needs scope 'graphs' and a positive count")
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        value = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise InputError(f"{WORKERS_ENV}={value!r} is not an integer >= 1")
     instances = _instances_for(scope, n_max, sample, seed)
     if workers > 1:
+        # deferred, so that a cold start does not import it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_instance, instances, chunksize=64))
     else:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from evenpairs.canonical import canonical_form
+from evenpairs.corpus import plant_light, plant_small
 from evenpairs.families import complete_graph, cycle, path_graph
-from evenpairs.trigraph import graph_from_edges, iter_paths, make_trigraph
+from evenpairs.trigraph import (Trigraph, bits_of, graph_from_edges, in_class_F,
+                                iter_paths, make_trigraph)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -90,8 +93,9 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-# -- reference oracles: the per-pair and form-per-draw versions the library
-# -- replaced, kept here so they stay independent of the code they check
+# -- reference oracles: the per-pair, form-per-draw and sorted-signature
+# -- versions the library replaced, kept here so they stay independent of
+# -- the code they check
 
 def odd_path_exists_by_pairs(T, ends, interior):
     """Any odd path of length > 1 with both ends in ``ends`` and every
@@ -134,3 +138,113 @@ def random_canonical_graphs_by_forms(n, count, seed=0):
         G = graph_from_edges(n, edges)
         seen.setdefault(canonical_form(G), G)
     return list(seen.values())
+
+
+def _code_rows(T):
+    """Byte code of every ordered pair: 0 for -1, 1 for 0 and 2 for +1."""
+    return [[2 if T.strong[v] >> u & 1 else T.switch[v] >> u & 1
+             for u in range(T.n)] for v in range(T.n)]
+
+
+def _refine_by_sorting(rows, colors):
+    n = len(rows)
+    while True:
+        signatures = []
+        for v in range(n):
+            sig = sorted((rows[v][u], colors[u]) for u in range(n) if u != v)
+            signatures.append((colors[v], tuple(sig)))
+        order = sorted(set(signatures))
+        lookup = {sig: i for i, sig in enumerate(order)}
+        new_colors = [lookup[sig] for sig in signatures]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _search_by_sorting(rows, colors, best):
+    n = len(rows)
+    colors = _refine_by_sorting(rows, colors)
+    cells = [[v for v in range(n) if colors[v] == c]
+             for c in sorted(set(colors))]
+    target = next((cell for cell in cells if len(cell) > 1), None)
+    if target is None:
+        perm = tuple(v for cell in cells for v in cell)
+        enc = bytes([n] + [rows[perm[i]][perm[j]]
+                           for i in range(n) for j in range(i + 1, n)])
+        if best[0] is None or enc < best[0]:
+            best[0], best[1] = enc, perm
+        return
+    tried = []
+    for v in target:
+        # skip v when a tried cell mate u has the same code row outside {u, v}
+        if any(all(rows[v][w] == rows[u][w] for w in range(n) if w not in (u, v))
+               for u in tried):
+            continue
+        tried.append(v)
+        new_colors = [c + 1 if c >= colors[v] else c for c in colors]
+        new_colors[v] = colors[v]
+        _search_by_sorting(rows, new_colors, best)
+
+
+def canonical_labeling_by_sorting(T):
+    """(form, perm) by refinement on sorted (pair code, color) signatures,
+    one tuple sorted per vertex per round."""
+    if T.n == 0:
+        return b"\x00", ()
+    best = [None, None]
+    _search_by_sorting(_code_rows(T), [0] * T.n, best)
+    return best[0], best[1]
+
+
+@functools.lru_cache(maxsize=None)
+def labeled_children_by_sorting(n):
+    """``(child, reference labeling)`` for every augmentation child of the
+    reference classes on n - 1 vertices (a base plus a last vertex with any
+    neighborhood), in the order the enumeration meets them."""
+    out = []
+    for base in graphs_of_order_by_sorting(n - 1):
+        for nbhd in range(1 << (n - 1)):
+            strong = list(base.strong) + [nbhd]
+            for v in bits_of(nbhd):
+                strong[v] |= 1 << (n - 1)
+            T = Trigraph(strong, [0] * n)
+            out.append((T, canonical_labeling_by_sorting(T)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def graphs_of_order_by_sorting(n):
+    """The augmentation enumeration with a Trigraph per child, deduplicated
+    by the reference form."""
+    if n <= 1:
+        return (make_trigraph(n),)
+    out = {}
+    for T, (form, _) in labeled_children_by_sorting(n):
+        out.setdefault(form, T)
+    return tuple(out.values())
+
+
+@functools.lru_cache(maxsize=None)
+def labeled_plants_by_sorting(max_base_n):
+    """``(candidate, reference labeling)`` for every ``plant_small`` and
+    ``plant_light`` candidate on the reference graphs with up to
+    ``max_base_n`` vertices, in the order the planted corpus meets them."""
+    out = []
+    for n in range(1, max_base_n + 1):
+        for G in graphs_of_order_by_sorting(n):
+            pairs = list(itertools.combinations(range(n), 2))
+            candidates = [plant_small(G, u, v) for u, v in pairs]
+            candidates += [plant_light(G, u, v) for u, v in pairs
+                           if not (G.adj[u] >> v & 1 or G.adj[u] & G.adj[v])]
+            out.extend((T, canonical_labeling_by_sorting(T)) for T in candidates)
+    return tuple(out)
+
+
+def planted_class_f_trigraphs_by_sorting(max_base_n):
+    """The planted corpus with class members deduplicated by the reference
+    form."""
+    out = {}
+    for T, (form, _) in labeled_plants_by_sorting(max_base_n):
+        if in_class_F(T).ok:
+            out.setdefault(form, T)
+    return tuple(out.values())

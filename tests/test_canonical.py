@@ -12,8 +12,12 @@ from evenpairs.corpus import (graphs_of_order, graphs_upto,
 from evenpairs import trigraph
 from evenpairs.trigraph import in_class_F
 
-from conftest import (count_calls, random_canonical_graphs_by_forms,
-                      random_graph, random_trigraph)
+from conftest import (canonical_labeling_by_sorting, count_calls,
+                      graphs_of_order_by_sorting, labeled_children_by_sorting,
+                      labeled_plants_by_sorting,
+                      planted_class_f_trigraphs_by_sorting,
+                      random_canonical_graphs_by_forms, random_graph,
+                      random_trigraph)
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -48,6 +52,46 @@ def test_canonical_form_agrees_with_networkx_isomorphism():
         a, b = random_graph(rng, n), random_graph(rng, n)
         assert (canonical_form(a) == canonical_form(b)) == \
             nx.is_isomorphic(to_nx(a), to_nx(b))
+
+
+def test_labeling_matches_the_sorted_signature_reference():
+    # every augmentation child on <= 7 vertices, every planting candidate on
+    # a base of <= 6, and seeded random graphs and trigraphs on 8-10
+    cases = [case for n in range(2, 8) for case in labeled_children_by_sorting(n)]
+    cases += labeled_plants_by_sorting(6)
+    rng = random.Random(54)
+    for i in range(240):
+        n = 8 + i % 3
+        t = (random_graph(rng, n, rng.random()) if i % 2
+             else random_trigraph(rng, n, rng.choice((0.05, 0.15, 0.4))))
+        cases.append((t, canonical_labeling_by_sorting(t)))
+    assert len(cases) == 11290 + 3343 + 240
+    for t, expected in cases:
+        assert canonical_labeling(t) == expected
+
+
+def test_enumeration_matches_the_reference_enumeration():
+    for n in range(1, 8):
+        assert _same_graphs(graphs_of_order(n), graphs_of_order_by_sorting(n))
+    assert _same_graphs(planted_class_f_trigraphs(6),
+                        planted_class_f_trigraphs_by_sorting(6))
+
+
+def test_enumeration_builds_a_trigraph_per_class_only(monkeypatch):
+    # a child's form comes from its masks, so only a new class builds a
+    # Trigraph, not each of the 11,290 children
+    built = []
+    init = trigraph.Trigraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(trigraph.Trigraph, "__init__", counting)
+    graphs_of_order.cache_clear()
+    classes = graphs_upto(7)
+    assert len(classes) == 1252
+    assert len(built) <= len(classes)
 
 
 def test_graph_counts_per_order():

@@ -219,6 +219,26 @@ def test_verify_input_errors_exit_two(capsys, args, message):
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "2.5"])
+def test_verify_rejects_a_bad_worker_count(capsys, monkeypatch, value):
+    monkeypatch.setenv("EVENPAIRS_WORKERS", value)
+    code, doc, err = run_cli(capsys, "verify", "--nmax", "3")
+    assert code == 2 and doc is None
+    assert "EVENPAIRS_WORKERS" in json.loads(err)["error"]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # verify imports the pool only when it runs more than one worker
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, evenpairs.cli; "
+         "print([m for m in ('concurrent.futures', 'multiprocessing') "
+         "if m in sys.modules])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_numpy_out():
     # the library has no runtime dependency
     proc = subprocess.run(
