@@ -12,8 +12,9 @@ Commands::
 INPUT is a file path or an inline literal, in graph6 or the trigraph text
 format (sniffed, or forced with --format).  All commands print one JSON
 document with sorted keys; --emit-cert writes the involved witnesses as
-JSON lines.  Exit codes: 0 success, 1 precondition failure, 2 input error,
-3 internal contradiction of a proved statement.
+JSON lines.  Exit codes: 0 success, 1 precondition failure, 2 input error
+(an unreadable input or unwritable certificate path included), 3 internal
+contradiction of a proved statement.
 
 Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable, an
 integer >= 1 (default 1; any other value is an input error).
@@ -42,12 +43,13 @@ EXIT_CONTRADICTION = 3
 
 
 def _emit(document: dict, cert_objects: list, cert_path: str | None) -> None:
-    print(json.dumps(certs.to_jsonable(document), sort_keys=True, indent=2))
+    # certificates first, so an unwritable path prints no document
     if cert_path:
         with open(cert_path, "w", encoding="ascii") as fh:
             for obj in cert_objects:
                 if obj is not None:
                     fh.write(json.dumps(certs.to_jsonable(obj), sort_keys=True) + "\n")
+    print(json.dumps(certs.to_jsonable(document), sort_keys=True, indent=2))
 
 
 def _load_input(args) -> Trigraph:
@@ -171,7 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonBergeError as exc:
         print(json.dumps({"precondition_failure": str(exc)}), file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError: an input or certificate path that
+        # cannot be read or written, or input that is not ASCII text
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except (TheoremContradictionError, AssertionError) as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .detect import is_berge
 from .errors import InputError, NonBergeError
-from .trigraph import (Trigraph, _mask_components, _mask_connected,
+from .trigraph import (Trigraph, _mask_components, _mask_connected, _paths,
                        _pruned_masks, _vertex_mask, bits_of, complement,
                        components, mask_of, renumber)
 
@@ -97,58 +97,16 @@ class Block:
     parent_map: tuple[int | None, ...]
 
 
-def _path_parities(T: Trigraph, u: int, targets: int, inner: int,
-                   wanted: set[int]) -> set[int]:
-    """The parities (1 odd, 0 even) of the paths of length > 1 from u to a
-    vertex of the mask ``targets`` whose interior vertices all lie in the
-    mask ``inner``; the search stops once every parity in ``wanted`` is seen.
-
-    One DFS grows the chordless paths from u, taking interior vertices in
-    ascending order.  At each path it checks for a closing target (adjacent
-    to the last vertex, antiadjacent to the others), and it drops the branch
-    once no target is antiadjacent to the whole path, since no longer path
-    could close then.
-    """
+def _odd_path_exists(T: Trigraph, ends: int, inner: int) -> bool:
+    """Any odd path of length > 1 with both ends in the mask ``ends`` and
+    every interior vertex in the mask ``inner``?  One chordless-path search
+    (``_paths``) from each end u in ascending order, closing only at ends
+    above u; it returns at the first odd path."""
     adj, anti = T.adj, T.anti
-    seen: set[int] = set()
-
-    def grow(last: int, tail_anti: int, odd: bool) -> bool:
-        # tail_anti: the vertices antiadjacent to every path vertex before
-        # last; odd: the path so far has an odd number of edges
-        step = adj[last] & tail_anti
-        if step & targets:
-            seen.add(0 if odd else 1)
-            if wanted <= seen:
-                return True
-        whole = tail_anti & anti[last]
-        if not whole & targets:
-            return False
-        extend = step & inner
-        while extend:
-            low = extend & -extend
-            if grow(low.bit_length() - 1, whole, not odd):
-                return True
-            extend ^= low
-        return False
-
-    extend = adj[u] & inner if anti[u] & targets else 0
-    while extend:
-        low = extend & -extend
-        if grow(low.bit_length() - 1, anti[u], True):
-            break
-        extend ^= low
-    return seen
-
-
-def _odd_path_exists(T: Trigraph, ends: frozenset[int], interior: frozenset[int]) -> bool:
-    """Any odd path of length > 1 with both ends in ``ends`` and every
-    interior vertex in ``interior``?  One path DFS from each end u in
-    ascending order, closing only at ends above u; it returns at the first
-    odd path."""
-    end_mask, inner = mask_of(ends), mask_of(interior)
-    for u in sorted(ends):
-        above = end_mask & ~((2 << u) - 1)
-        if 1 in _path_parities(T, u, above, inner, {1}):
+    for u in bits_of(ends):
+        above = ends & -(2 << u)
+        if any(len(path) > 2 and len(path) % 2 == 0
+               for path in _paths(adj, anti, u, above, inner)):
             return True
     return False
 
@@ -156,13 +114,21 @@ def _odd_path_exists(T: Trigraph, ends: frozenset[int], interior: frozenset[int]
 def is_balanced_partition(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> bool:
     """Balance for a skew-partition: no odd path of length > 1 with ends in
     B and interior in A, and no odd antipath of length > 1 with ends in A
-    and interior in B.  Each side is one parity-tracking path DFS per end
-    (``_odd_path_exists``).  A vertex outside 0..n-1 raises InputError."""
-    for side in (a, b):
-        _vertex_mask(T, side)
-    if _odd_path_exists(T, b, a):
-        return False
-    return not _odd_path_exists(complement(T), a, b)
+    and interior in B.  Each side is one chordless-path search per end
+    (``_odd_path_exists``).  A vertex outside 0..n-1, or an (A, B) that is
+    not a partition of the vertices, raises InputError."""
+    a_mask, b_mask = _vertex_mask(T, a), _vertex_mask(T, b)
+    if a_mask & b_mask:
+        raise InputError("A and B overlap")
+    if a_mask | b_mask != (1 << T.n) - 1:
+        raise InputError("A and B do not cover the vertices")
+    return _is_balanced(T, a_mask, b_mask)
+
+
+def _is_balanced(T: Trigraph, a_mask: int, b_mask: int) -> bool:
+    """``is_balanced_partition`` on the masks of a partition (A, B)."""
+    return not (_odd_path_exists(T, b_mask, a_mask)
+                or _odd_path_exists(complement(T), a_mask, b_mask))
 
 
 def _witness_for(T: Trigraph, a: frozenset[int], b: frozenset[int],
@@ -187,9 +153,8 @@ def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
     for a_mask in _skew_masks(T):
         b_mask = full ^ a_mask
         if any(not T.anti[v] & b_mask for v in bits_of(b_mask)):
-            a = frozenset(bits_of(a_mask))
-            b = frozenset(bits_of(b_mask))
-            return _witness_for(T, a, b, is_balanced_partition(T, a, b))
+            a, b = frozenset(bits_of(a_mask)), frozenset(bits_of(b_mask))
+            return _witness_for(T, a, b, _is_balanced(T, a_mask, b_mask))
     return None
 
 
@@ -223,15 +188,15 @@ def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
 
     Only the skew-partitions from ``_skew_masks`` are tested for balance,
     and they come in the order a scan of every bipartition meets them, so
-    the witness is the one that scan would return.  Sets are built only for
-    a skew-partition.  The pruned search stays exponential in the worst
+    the witness is the one that scan would return.  Balance is tested on
+    masks, and sets are built only for the witness.  The pruned search stays exponential in the worst
     case.
     """
     full = (1 << T.n) - 1
     for a_mask in _skew_masks(T):
-        a = frozenset(bits_of(a_mask))
-        b = frozenset(bits_of(full ^ a_mask))
-        if is_balanced_partition(T, a, b):
+        b_mask = full ^ a_mask
+        if _is_balanced(T, a_mask, b_mask):
+            a, b = frozenset(bits_of(a_mask)), frozenset(bits_of(b_mask))
             return _witness_for(T, a, b, True)
     return None
 
@@ -281,18 +246,16 @@ def _is_proper(T: Trigraph, masks: tuple[int, ...]) -> bool:
 
 def _side_path_parities(T: Trigraph, a: frozenset[int], b: frozenset[int],
                         c: frozenset[int]) -> set[int]:
-    """The parities of the paths from A to B through C (an edge from A to B
-    is an odd path): one path DFS per vertex of A, in ascending order,
-    stopping once both parities are seen."""
+    """The parities (1 odd, 0 even) of the paths from A to B through C, an
+    edge from A to B included: one chordless-path search (``_paths``) per
+    vertex of A, in ascending order, stopping once both parities are seen."""
     b_mask, c_mask = mask_of(b), mask_of(c)
     parities: set[int] = set()
     for u in sorted(a):
-        if T.adj[u] & b_mask:
-            parities.add(1)
-        missing = {0, 1} - parities
-        if not missing:
-            break
-        parities |= _path_parities(T, u, b_mask, c_mask, missing)
+        for path in _paths(T.adj, T.anti, u, b_mask, c_mask):
+            parities.add((len(path) - 1) % 2)
+            if len(parities) == 2:
+                return parities
     return parities
 
 

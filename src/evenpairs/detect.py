@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
-from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, bits_of,
+from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths,
                        complement, iter_paths, mask_of, switchable_vertices)
 
 # is_even_pair gives up with a RuntimeError past this many u-v paths
@@ -191,6 +191,10 @@ def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
     triangles = [((a, b, c), mask_of((a, b, c)))
                  for a, b, c in itertools.combinations(range(n), 3)
                  if adj[a] >> b & 1 and adj[c] >> a & 1 and adj[c] >> b & 1]
+    # strict_anti[v]: the strong antineighbors of v, the only partners a
+    # rung vertex may have among the rung's non-consecutive vertices
+    full = (1 << n) - 1
+    strict_anti = [full ^ 1 << v ^ adj[v] for v in range(n)]
 
     for ia, (tri_a, mask_a) in enumerate(triangles):
         # each vertex of the second triangle lies outside the first and may
@@ -206,39 +210,30 @@ def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
                          for i in range(3) for j in range(3) if i != j)
                 if not ok:
                     continue
-                yield from _extend_rungs(T, tri_a, perm, 0, mask_a | mask_b, ())
+                yield from _extend_rungs(T, strict_anti, tri_a, perm, 0,
+                                         mask_a | mask_b, ())
 
 
-def _extend_rungs(T: Trigraph, tri_a, tri_b, i: int, used: int,
+def _extend_rungs(T: Trigraph, strict_anti, tri_a, tri_b, i: int, used: int,
                   rungs: tuple) -> Iterator[PrismWitness]:
+    """The prisms that complete ``rungs`` with rungs i..2, rung i running
+    from tri_a[i] to tri_b[i] through the vertices outside ``used``.
+
+    Each rung is a chordless path of ``_paths`` under ``strict_anti``, so
+    its non-consecutive pairs are strongly antiadjacent.  Its interior
+    vertices see nothing already chosen except the rung's ends; a vertex
+    adjacent to b can only be followed by b.
+    """
     if i == 3:
         yield PrismWitness((tri_a, tri_b), rungs)
         return
     a, b = tri_a[i], tri_b[i]
     adj = T.adj
-    if adj[a] >> b & 1:
-        # direct edge: the rung must be exactly a-b, otherwise a chord appears
-        yield from _extend_rungs(T, tri_a, tri_b, i + 1, used,
-                                 rungs + (PathWitness((a, b)),))
-        return
-
-    def grow(path: tuple[int, ...], used_now: int) -> Iterator[PrismWitness]:
-        last = path[-1]
-        others = used_now & ~(1 << last) & ~(1 << b)
-        cand = adj[last] & ~used_now & ~(1 << b)
-        for w in bits_of(cand):
-            # interior vertices touch nothing already chosen except the
-            # predecessor; adjacency to b forces the rung to close there
-            if adj[w] & others:
-                continue
-            if adj[w] >> b & 1:
-                yield from _extend_rungs(
-                    T, tri_a, tri_b, i + 1, used_now | (1 << w),
-                    rungs + (PathWitness(path + (w, b)),))
-            else:
-                yield from grow(path + (w,), used_now | (1 << w))
-
-    yield from grow((a,), used)
+    chosen = used & ~(1 << a | 1 << b)
+    inner = mask_of(w for w in range(T.n) if not (used >> w & 1 or adj[w] & chosen))
+    for rung in _paths(adj, strict_anti, a, 1 << b, inner):
+        yield from _extend_rungs(T, strict_anti, tri_a, tri_b, i + 1,
+                                 used | mask_of(rung), rungs + (PathWitness(rung),))
 
 
 def find_prism(T: Trigraph, parity_filter: str = "any") -> PrismWitness | None:

@@ -373,32 +373,47 @@ def validate_path(T: Trigraph, vertices: Sequence[int]) -> None:
                 f"non-consecutive pair ({vertices[i]}, {vertices[j]}) not antiadjacent")
 
 
+def _paths(adj: Sequence[int], anti: Sequence[int], u: int, targets: int,
+           inner: int) -> Iterator[tuple[int, ...]]:
+    """The chordless paths from u to a vertex of the mask ``targets`` whose
+    interior lies in the mask ``inner``, in lexicographic order of their
+    vertex sequences.  Consecutive vertices are adjacent under the masks
+    ``adj`` and the others antiadjacent under ``anti``, which must not hold
+    a vertex itself.  A target ends a path and never extends one.
+
+    One DFS takes candidates in ascending order.  ``tail``, the vertices
+    antiadjacent to every path vertex before the last, already excludes
+    those vertices, so no mask of used vertices is kept.  A branch stops
+    extending once no target is antiadjacent to the whole path, since no
+    longer path could close then.
+    """
+    def grow(path: tuple[int, ...], tail: int) -> Iterator[tuple[int, ...]]:
+        last = path[-1]
+        whole = tail & anti[last]
+        step = adj[last] & tail & (targets | inner if whole & targets else targets)
+        while step:
+            low = step & -step
+            step ^= low
+            if low & targets:
+                yield path + (low.bit_length() - 1,)
+            else:
+                yield from grow(path + (low.bit_length() - 1,), whole)
+
+    return grow((u,), -1)
+
+
 def iter_paths(T: Trigraph, u: int, v: int,
                interior: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield all paths from u to v in lexicographic order of their vertex
-    sequences.  When ``interior`` is given, interior vertices are restricted
-    to that set (the endpoints are not constrained)."""
+    """All paths from u to v in lexicographic order of their vertex
+    sequences, from the chordless-path search ``_paths``.  When ``interior``
+    is given, interior vertices are restricted to that set (the endpoints
+    are not constrained)."""
     if u == v:
         raise InputError("path endpoints must differ")
     for end in (u, v):
         if not 0 <= end < T.n:
             raise InputError(f"vertex {end} out of range for n={T.n}")
-    full = (1 << T.n) - 1
-    interior_mask = _vertex_mask(T, interior)
-    target = 1 << v
-    adj, anti = T.adj, T.anti
-
-    def rec(path: tuple[int, ...], used: int, pref_anti: int) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        cand = adj[last] & pref_anti & ~used & (interior_mask | target)
-        next_pref = pref_anti & anti[last]
-        for x in bits_of(cand):
-            if x == v:
-                yield path + (v,)
-            else:
-                yield from rec(path + (x,), used | (1 << x), next_pref)
-
-    yield from rec((u,), 1 << u, full)
+    return _paths(T.adj, T.anti, u, 1 << v, _vertex_mask(T, interior))
 
 
 def enumerate_paths(T: Trigraph, u: int, v: int,

@@ -10,8 +10,9 @@ import pytest
 from evenpairs.canonical import canonical_form
 from evenpairs.corpus import plant_light, plant_small
 from evenpairs.families import complete_graph, cycle, path_graph
-from evenpairs.trigraph import (Trigraph, bits_of, graph_from_edges, in_class_F,
-                                iter_paths, make_trigraph)
+from evenpairs.detect import PrismWitness
+from evenpairs.trigraph import (PathWitness, Trigraph, bits_of, graph_from_edges,
+                                in_class_F, make_trigraph)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -93,16 +94,66 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-# -- reference oracles: the per-pair, form-per-draw and sorted-signature
-# -- versions the library replaced, kept here so they stay independent of
-# -- the code they check
+# -- reference oracles: the per-pair, form-per-draw, sorted-signature and
+# -- separate path-search versions the library replaced, kept here so they
+# -- stay independent of the code they check
+
+def iter_paths_with_used(T, u, v, interior=None):
+    """All u-v paths in lexicographic order of their vertex sequences, by a
+    DFS that keeps a mask of the used vertices and never prunes."""
+    interior_mask = (1 << T.n) - 1 if interior is None else sum(1 << w for w in interior)
+    adj, anti = T.adj, T.anti
+
+    def rec(path, used, pref_anti):
+        last = path[-1]
+        cand = adj[last] & pref_anti & ~used & (interior_mask | 1 << v)
+        next_pref = pref_anti & anti[last]
+        for x in bits_of(cand):
+            if x == v:
+                yield path + (v,)
+            else:
+                yield from rec(path + (x,), used | (1 << x), next_pref)
+
+    yield from rec((u,), 1 << u, (1 << T.n) - 1)
+
+
+def extend_rungs_by_grow(T, tri_a, tri_b, i, used, rungs):
+    """The prisms completing ``rungs`` with rungs i..2, each rung grown by
+    its own DFS: an interior vertex sees nothing already chosen except its
+    predecessor, and one adjacent to b closes the rung there."""
+    if i == 3:
+        yield PrismWitness((tri_a, tri_b), rungs)
+        return
+    a, b = tri_a[i], tri_b[i]
+    adj = T.adj
+    if adj[a] >> b & 1:
+        # direct edge: the rung must be exactly a-b, otherwise a chord appears
+        yield from extend_rungs_by_grow(T, tri_a, tri_b, i + 1, used,
+                                        rungs + (PathWitness((a, b)),))
+        return
+
+    def grow(path, used_now):
+        last = path[-1]
+        others = used_now & ~(1 << last) & ~(1 << b)
+        for w in bits_of(adj[last] & ~used_now & ~(1 << b)):
+            if adj[w] & others:
+                continue
+            if adj[w] >> b & 1:
+                yield from extend_rungs_by_grow(
+                    T, tri_a, tri_b, i + 1, used_now | (1 << w),
+                    rungs + (PathWitness(path + (w, b)),))
+            else:
+                yield from grow(path + (w,), used_now | (1 << w))
+
+    yield from grow((a,), used)
+
 
 def odd_path_exists_by_pairs(T, ends, interior):
     """Any odd path of length > 1 with both ends in ``ends`` and every
     interior vertex in ``interior``, by enumerating the paths of every pair
     of ends."""
     for u, v in itertools.combinations(sorted(ends), 2):
-        for seq in iter_paths(T, u, v, interior=interior):
+        for seq in iter_paths_with_used(T, u, v, interior=interior):
             if len(seq) > 2 and len(seq) % 2 == 0:
                 return True
     return False
@@ -114,7 +165,7 @@ def side_path_parities_by_pairs(T, a, b, c):
     parities = set()
     for u in sorted(a):
         for v in sorted(b):
-            for seq in iter_paths(T, u, v, interior=c):
+            for seq in iter_paths_with_used(T, u, v, interior=c):
                 parities.add((len(seq) - 1) % 2)
                 if len(parities) == 2:
                     return parities

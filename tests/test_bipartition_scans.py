@@ -15,12 +15,12 @@ from evenpairs.basic import GoodPartition, good_partition_of
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs.decomposition import (TwoJoinSplit, _derive_split, _witness_for,
                                      find_balanced_skew_partition,
-                                     is_balanced_partition, observed_parity)
+                                     is_balanced_partition)
 from evenpairs.families import cycle
 from evenpairs.trigraph import (_mask_connected, bits_of, complement, components,
                                 full_realization, induced)
 
-from conftest import random_trigraph
+from conftest import random_trigraph, side_path_parities_by_pairs
 
 
 def _connected(T, X, mode):
@@ -70,7 +70,8 @@ def reference_good_partition(T):
 def reference_split(T, x1):
     """The 2-join split of (X1, V - X1) from the definition: every X1
     vertex's strong cross neighborhood is empty (C1) or one of exactly two
-    disjoint targets, with A1 holding the smallest bundle vertex."""
+    disjoint targets, with A1 holding the smallest bundle vertex.  The
+    parity comes from the per-pair path enumeration."""
     x2 = frozenset(range(T.n)) - x1
     if len(x1) < 3 or len(x2) < 3:
         return None
@@ -98,8 +99,10 @@ def reference_split(T, x1):
     proper = all(comp & a and comp & b
                  for a, b, c in ((a1, b1, c1), (a2, b2, c2))
                  for comp in components(T, a | b | c, "connected"))
-    sets = (a1, b1, c1, a2, b2, c2)
-    return TwoJoinSplit(*sets, parity=observed_parity(T, sets), proper=proper)
+    parities = (side_path_parities_by_pairs(T, a1, b1, c1)
+                | side_path_parities_by_pairs(T, a2, b2, c2))
+    parity = {frozenset({1}): "odd", frozenset({0}): "even"}.get(frozenset(parities))
+    return TwoJoinSplit(a1, b1, c1, a2, b2, c2, parity=parity, proper=proper)
 
 
 def _instances():

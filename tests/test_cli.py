@@ -115,6 +115,19 @@ def test_input_error_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["input-directory", "non-ascii-input",
+                                  "cert-directory"])
+def test_unreadable_and_unwritable_paths_exit_two(capsys, tmp_path, case):
+    non_ascii = tmp_path / "c6.txt"
+    non_ascii.write_bytes("trigraph 2\n# caf\u00e9\n0 1 S\n".encode("utf-8"))
+    args = {"input-directory": ["analyze", str(tmp_path)],
+            "non-ascii-input": ["analyze", str(non_ascii)],
+            "cert-directory": ["classify", "C~", "--emit-cert", str(tmp_path)]}[case]
+    code, doc, err = run_cli(capsys, *args)
+    assert code == 2 and doc is None
+    assert json.loads(err)["error"]
+
+
 def test_emit_cert_jsonl(capsys, tmp_path, c8):
     cert = tmp_path / "certs.jsonl"
     code, _, _ = run_cli(capsys, "even-pair", to_graph6(c8),

@@ -115,7 +115,7 @@ def test_bsp_witness_takes_the_scan_balance(monkeypatch):
     # is tested twice
     import evenpairs.decomposition as decomposition
 
-    tested = count_calls(monkeypatch, decomposition, "is_balanced_partition")
+    tested = count_calls(monkeypatch, decomposition, "_is_balanced")
     found = 0
     for g in graphs_of_order(5):
         tested.clear()
@@ -123,7 +123,7 @@ def test_bsp_witness_takes_the_scan_balance(monkeypatch):
         assert len(set(tested)) == len(tested)
         if wit is not None:
             found += 1
-            assert wit.balanced and tested[-1] == (g, wit.a, wit.b)
+            assert wit.balanced and tested[-1] == (g, mask_of(wit.a), mask_of(wit.b))
     assert found > 0
 
 
@@ -156,6 +156,14 @@ def test_balance_checker_rejects_out_of_range_vertices(c6, a, b, bad):
         is_balanced_partition(c6, frozenset(a), frozenset(b))
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ({0, 1, 2, 3}, {2, 3, 4, 5}, "A and B overlap"),
+    ({0}, {3}, "A and B do not cover the vertices")])
+def test_balance_checker_rejects_non_partitions(c6, a, b, message):
+    with pytest.raises(InputError, match=message):
+        is_balanced_partition(c6, frozenset(a), frozenset(b))
+
+
 def _small_pool():
     """Graphs on <= 7 vertices and planted trigraphs on base <= 5, each with
     its complement."""
@@ -177,7 +185,7 @@ def test_odd_path_exists_matches_the_per_pair_enumeration():
             b = frozenset(v for v in range(t.n) if (full ^ a_mask) >> v & 1)
             # the two calls of the balance test, and T with the roles swapped
             for g, ends, interior in ((t, b, a), (co, a, b), (t, a, b)):
-                assert (_odd_path_exists(g, ends, interior)
+                assert (_odd_path_exists(g, mask_of(ends), mask_of(interior))
                         == odd_path_exists_by_pairs(g, ends, interior))
                 checks += 1
     assert checks > 160_000

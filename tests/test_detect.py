@@ -5,7 +5,8 @@ import pytest
 
 from evenpairs import detect
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
-from evenpairs.detect import (_shortest_hole, find_antihole_of_length_at_least,
+from evenpairs.detect import (_iter_prisms, _shortest_hole,
+                              find_antihole_of_length_at_least,
                               find_even_pair_oracle, find_hole,
                               find_odd_antihole, find_odd_hole, find_prism,
                               is_berge, is_even_pair, validate_prism)
@@ -218,6 +219,29 @@ def test_prism_same_parity_in_berge_inputs():
             seen += 1
             assert wit.parity in ("odd", "even")
     assert seen  # the sample really did contain prisms
+
+
+def test_prism_rungs_are_strongly_antiadjacent_off_their_edges():
+    # rung 2-6-7-5 would pass under plain antiadjacency, but 2 and 7 are a
+    # switchable pair, a stray edge; the only prism has rung 2-7-5
+    strong = "01 12 02 34 45 35 03 14 26 67 75".split()
+    T = make_trigraph(8, [(int(e[0]), int(e[1]), 1) for e in strong] + [(2, 7, 0)])
+    assert find_prism(T, "odd") is None
+    wit = find_prism(T, "any")
+    assert wit.parity == "mixed"
+    validate_prism(T, wit)
+
+
+def test_every_prism_witness_validates():
+    # few class members hold a prism; the fixed instance above is the one
+    # that tells strict rungs from plain antiadjacency
+    witnesses = 0
+    for t in planted_class_f_trigraphs(6):
+        for g in (t, complement(t)):
+            for wit in _iter_prisms(g):
+                validate_prism(g, wit)
+                witnesses += 1
+    assert witnesses > 0
 
 
 def test_prism_parity_filter_rejects_bad_value(c6):

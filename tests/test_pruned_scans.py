@@ -15,16 +15,17 @@ import pytest
 
 from evenpairs import basic, decomposition
 from evenpairs.basic import GoodPartition, _good_partition_masks, good_partition_of
-from evenpairs.corpus import random_bipartite_graph
+from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
+                              random_bipartite_graph)
 from evenpairs.decomposition import (_derive_split, _mask_connected, _witness_for,
                                      find_balanced_skew_partition,
                                      is_balanced_partition, iter_2joins)
-from evenpairs.detect import _extend_rungs, _iter_prisms
+from evenpairs.detect import _iter_prisms
 from evenpairs.engine import check_preconditions
 from evenpairs.families import cycle, line_graph
 from evenpairs.trigraph import _pruned_masks, bits_of, complement, mask_of
 
-from conftest import count_calls, random_graph, random_trigraph
+from conftest import count_calls, extend_rungs_by_grow, random_graph, random_trigraph
 
 
 def _instances():
@@ -74,7 +75,8 @@ def flat_good_partition(T):
 
 
 def flat_prisms(T):
-    """Every pair of disjoint triangles, every matching of their vertices."""
+    """Every pair of disjoint triangles, every matching of their vertices,
+    each rung grown by the reference DFS."""
     adj = T.adj
     triangles = [(a, b, c) for a, b, c in itertools.combinations(range(T.n), 3)
                  if adj[a] >> b & 1 and adj[c] >> a & 1 and adj[c] >> b & 1]
@@ -85,8 +87,8 @@ def flat_prisms(T):
             for perm in itertools.permutations(tri_b):
                 if all(not adj[tri_a[i]] >> perm[j] & 1
                        for i in range(3) for j in range(3) if i != j):
-                    yield from _extend_rungs(T, tri_a, perm, 0,
-                                             mask_of(tri_a) | mask_of(tri_b), ())
+                    yield from extend_rungs_by_grow(T, tri_a, perm, 0,
+                                                    mask_of(tri_a) | mask_of(tri_b), ())
 
 
 def test_instances_cover_the_structures():
@@ -105,6 +107,17 @@ def test_pruned_searches_match_flat_scans(index):
     assert find_balanced_skew_partition(T) == flat_bsp(T)
     assert good_partition_of(T) == flat_good_partition(T)
     assert list(_iter_prisms(T)) == list(flat_prisms(T))
+
+
+def test_prisms_match_the_reference_rungs_on_small_classes():
+    # graphs <= 7, planted trigraphs on base <= 6 and their complements
+    prisms = 0
+    for t in list(graphs_upto(7)) + list(planted_class_f_trigraphs(6)):
+        for g in (t, complement(t)):
+            got = list(_iter_prisms(g))
+            assert got == list(flat_prisms(g)), g
+            prisms += len(got)
+    assert prisms > 30
 
 
 @pytest.mark.parametrize("n", range(0, 11))

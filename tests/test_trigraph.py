@@ -15,7 +15,7 @@ from evenpairs.trigraph import (ANTI, STRONG, clique_number, complement,
                                 switchable_components, validate_hole,
                                 validate_path)
 
-from conftest import random_trigraph
+from conftest import iter_paths_with_used, random_trigraph
 
 
 # -- construction ----------------------------------------------------------
@@ -268,6 +268,24 @@ def test_enumerate_paths_rejects_zero_budget(c6):
 def test_interior_restriction(c6):
     seqs = list(iter_paths(c6, 0, 2, interior=[1]))
     assert seqs == [(0, 1, 2)]
+
+
+def test_iter_paths_matches_the_used_mask_reference():
+    # every ordered pair, with no interior and with a seeded random one, on
+    # graphs <= 6, planted trigraphs on base <= 5 and their complements
+    from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
+
+    rng = random.Random(14)
+    paths = 0
+    for t in list(graphs_upto(6)) + list(planted_class_f_trigraphs(5)):
+        for g in (t, complement(t)):
+            for u, v in itertools.permutations(range(g.n), 2):
+                interior = [w for w in range(g.n) if rng.random() < 0.6]
+                for inner in (None, interior):
+                    got = list(iter_paths(g, u, v, inner))
+                    assert got == list(iter_paths_with_used(g, u, v, inner)), (g, u, v, inner)
+                    paths += len(got)
+    assert paths > 20_000
 
 
 # -- switchable components and class membership ----------------------------
