@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 from .detect import find_even_pair_oracle, is_even_pair
 from .errors import InputError, TheoremContradictionError
-from .trigraph import (Trigraph, _mask_components, _pruned_masks, bits_of,
-                       complement, full_realization, graph_from_edges,
-                       in_class_F, is_complete, mask_of, switchable_vertices)
+from .trigraph import (Trigraph, _is_clique, _mask_components, _pruned_masks,
+                       _reach, bits_of, complement, full_realization,
+                       graph_from_edges, in_class_F, is_complete, mask_of,
+                       switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -72,23 +73,28 @@ class BasicClassification:
 
 def bipartition_of(T: Trigraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Two strongly stable sets covering V, or None.  Each component's
-    smallest vertex lands on the first side, so the answer is canonical."""
-    side = [-1] * T.n
-    for start in range(T.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in bits_of(T.adj[v]):
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-    x = frozenset(v for v in range(T.n) if side[v] == 0)
-    return x, frozenset(range(T.n)) - x
+    smallest vertex s lands on the first side, so the answer is canonical:
+    a connected bipartite component has no other 2-coloring.
+
+    One ``_reach`` from s on the bipartite double cover, where vertex v + n
+    stands for v reached by a walk of odd length, gives the even and the
+    odd breadth-first layers of the component.  An odd cycle puts some
+    vertex in both, and otherwise the two are the sides; that one
+    stability check decides the component.
+    """
+    n = T.n
+    cover = [m << n for m in T.adj] + list(T.adj)
+    x = 0
+    rest = (1 << n) - 1
+    while rest:
+        reached = _reach(cover, rest | rest << n, rest & -rest)
+        even, odd = reached & rest, reached >> n
+        if even & odd:
+            return None
+        x |= even
+        rest ^= even | odd
+    x_set = frozenset(bits_of(x))
+    return x_set, frozenset(range(n)) - x_set
 
 
 def _strong_triangles_only(T: Trigraph) -> bool:
@@ -258,11 +264,6 @@ class FavorabilityVerdict:
         return self.favorable
 
 
-def _is_clique(T: Trigraph, vertices) -> bool:
-    vs = sorted(vertices)
-    return all(T.adj[u] >> v & 1 for u, v in itertools.combinations(vs, 2))
-
-
 def is_favorable(T: Trigraph) -> FavorabilityVerdict:
     """Favorability for class members: at least five vertices, a strongly
     antiadjacent pair avoiding the switchable component, and for a small
@@ -287,12 +288,8 @@ def favorability(T: Trigraph) -> FavorabilityVerdict:
         return FavorabilityVerdict(
             False, "no strongly antiadjacent pair avoiding the switchable component")
     if len(D) == 2:
-        x, y = sorted(D)
-        leftovers = []
-        for z in (x, y):
-            rest = [v for v in range(T.n) if v not in D and not (T.adj[z] >> v) & 1]
-            leftovers.append(rest)
-        if all(_is_clique(T, rest) for rest in leftovers):
+        rest = (1 << T.n) - 1 & ~d_mask
+        if all(_is_clique(T.adj, rest & ~T.adj[z]) for z in D):
             return FavorabilityVerdict(
                 False, "both leftover sets of the small component are cliques")
     return FavorabilityVerdict(True)
@@ -312,25 +309,17 @@ class GoodPairWitness:
     edge2: tuple[int, int]
 
 
-def _reachable_avoiding(H: Trigraph, source: int, target: int, avoid: frozenset[int]) -> bool:
-    if source in avoid or target in avoid:
-        raise InputError("avoid set may not contain the endpoints")
-    blocked = mask_of(avoid)
-    seen = 1 << source
-    frontier = [source]
-    while frontier:
-        v = frontier.pop()
-        for w in bits_of(H.adj[v] & ~blocked & ~seen):
-            if w == target:
-                return True
-            seen |= 1 << w
-            frontier.append(w)
-    return False
-
-
 def is_good_pair(H: Trigraph, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """Goodness reduces to two disconnection checks: removing {b1, b2} must
-    separate a1 from a2, and removing {a1, a2} must separate b1 from b2."""
+    """Whether the edges e1 and e2 of the bipartite graph H form a good
+    pair.  Goodness reduces to two disconnection checks: removing {b1, b2}
+    must separate a1 from a2, and removing {a1, a2} must separate b1 from
+    b2.  Edges that share an end are no good pair; a pair that is not an
+    edge of H, and an H that is not a bipartite graph, raise InputError."""
+    if not H.is_graph:
+        raise InputError("good pairs live in graphs")
+    for u, v in (e1, e2):
+        if not (0 <= u < H.n and 0 <= v < H.n and H.adj[u] >> v & 1):
+            raise InputError(f"pair ({u}, {v}) is not an edge of the graph")
     if set(e1) & set(e2):
         return False
     coloring = bipartition_of(H)
@@ -345,8 +334,9 @@ def _good_witness(H: Trigraph, side: frozenset[int], e1: tuple[int, int],
     form a good pair."""
     a1, b1 = e1 if e1[0] in side else (e1[1], e1[0])
     a2, b2 = e2 if e2[0] in side else (e2[1], e2[0])
-    if (_reachable_avoiding(H, a1, a2, frozenset((b1, b2)))
-            or _reachable_avoiding(H, b1, b2, frozenset((a1, a2)))):
+    full = (1 << H.n) - 1
+    if (_reach(H.adj, full ^ (1 << b1 | 1 << b2), 1 << a1) >> a2 & 1
+            or _reach(H.adj, full ^ (1 << a1 | 1 << a2), 1 << b1) >> b2 & 1):
         return None
     return GoodPairWitness((a1, b1), (a2, b2))
 
@@ -501,41 +491,31 @@ def _find_even_theta(H: Trigraph) -> tuple | None:
 
 
 def has_k4_minor(H: Trigraph) -> bool:
-    """Series-parallel test by reduction: delete loops and low-degree
-    vertices, merge parallel edges, contract degree-two vertices; a stuck
-    nonempty remainder has minimum degree three and therefore a K4 minor."""
-    adj: dict[int, Counter] = {v: Counter() for v in range(H.n)}
-    for u, v in H.strong_edges():
-        adj[u][v] += 1
-        adj[v][u] += 1
+    """Whether the strong edges of H have a K4 minor, by series-parallel
+    reduction on a copy of the strong masks: delete a vertex of degree at
+    most one, or one of degree two after joining its two neighbors.  Each
+    step takes a minor, and K4 is simple, so a join that meets an existing
+    edge loses nothing.  A stuck nonempty remainder has minimum degree
+    three and therefore a K4 minor (Dirac 1952)."""
+    adj = list(H.strong)
+    alive = (1 << H.n) - 1
     changed = True
     while changed:
         changed = False
-        for v in list(adj):
+        for v in bits_of(alive):
             nbrs = adj[v]
-            if v in nbrs:
-                del nbrs[v]
-                changed = True
-            for w in list(nbrs):
-                if nbrs[w] > 1:
-                    nbrs[w] = 1
-                    adj[w][v] = 1
-                    changed = True
-            degree = sum(nbrs.values())
-            if degree <= 1:
-                for w in list(nbrs):
-                    del adj[w][v]
-                del adj[v]
-                changed = True
-            elif degree == 2:
-                w1, w2 = list(nbrs)
-                del adj[w1][v]
-                del adj[w2][v]
-                adj[w1][w2] += 1
-                adj[w2][w1] += 1
-                del adj[v]
-                changed = True
-    return bool(adj)
+            degree = nbrs.bit_count()
+            if degree > 2:
+                continue
+            if degree == 2:
+                w1, w2 = bits_of(nbrs)
+                adj[w1] |= 1 << w2
+                adj[w2] |= 1 << w1
+            for w in bits_of(nbrs):
+                adj[w] ^= 1 << v
+            alive ^= 1 << v
+            changed = True
+    return bool(alive)
 
 
 def verify_root_properties(H: Trigraph) -> RootPropertyReport:

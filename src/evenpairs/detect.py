@@ -40,6 +40,12 @@ def _shortest_hole(n: int, adj, anti, lengths,
     tree of a search for one length is a pruned subtree of this one, met in
     the same order, so the answer is what scanning the lengths one by one in
     increasing order would return.
+
+    No mask of used vertices is kept, since every path vertex is already
+    excluded from the candidates: h1 by ``closers`` and ``extenders``,
+    which hold only vertices above h1, the interior vertices by
+    ``tail_anti``, since no vertex is antiadjacent to itself, and the last
+    vertex by its own adjacency mask.
     """
     wanted = 0
     for k in lengths:
@@ -54,12 +60,12 @@ def _shortest_hole(n: int, adj, anti, lengths,
     limit = wanted.bit_length() - 1
     best = None
 
-    def grow(path: tuple[int, ...], used: int, tail_anti: int,
-             closers: int, extenders: int) -> None:
+    def grow(path: tuple[int, ...], tail_anti: int, closers: int,
+             extenders: int) -> None:
         # tail_anti: the vertices antiadjacent to every interior path vertex
         nonlocal best, limit
         depth = len(path)
-        step = adj[path[-1]] & tail_anti & ~used
+        step = adj[path[-1]] & tail_anti
         if depth < limit and wanted >> (depth + 1) & 1:
             # canonical form: the closing vertex is larger than the second
             close = step & closers & -(2 << path[1])
@@ -74,8 +80,7 @@ def _shortest_hole(n: int, adj, anti, lengths,
         next_tail = tail_anti & anti[path[-1]]
         while extend:
             low = extend & -extend
-            grow(path + (low.bit_length() - 1,), used | low, next_tail,
-                 closers, extenders)
+            grow(path + (low.bit_length() - 1,), next_tail, closers, extenders)
             if depth + 2 > limit:
                 return
             extend ^= low
@@ -88,8 +93,8 @@ def _shortest_hole(n: int, adj, anti, lengths,
         seconds = adj[h1] & above
         while seconds and limit >= shortest:
             low = seconds & -seconds
-            grow((h1, low.bit_length() - 1), 1 << h1 | low, full,
-                 adj[h1] & above, anti[h1] & above)
+            grow((h1, low.bit_length() - 1), full, adj[h1] & above,
+                 anti[h1] & above)
             seconds ^= low
     return best
 

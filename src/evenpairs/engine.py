@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .basic import classify_basic, even_pair_basic, favorability
@@ -237,10 +238,11 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     legal switchable components into graphs on up to n_max base vertices.
     Instances failing a precondition are filtered, everything else must end
     complete or with an oracle-verified even pair; failures are collected,
-    not raised.  A JSON-lines log gets one record per instance.  An n_max
-    outside 1..ENUMERATION_CAP, a sample with another scope, and a sample
-    the sampler cannot fill raise InputError, and so does an
-    EVENPAIRS_WORKERS value that is not an integer >= 1.
+    not raised.  A JSON-lines log gets one record per instance; its path is
+    opened before the first instance runs, so an unwritable one raises
+    OSError at once.  An n_max outside 1..ENUMERATION_CAP, a sample with
+    another scope, and a sample the sampler cannot fill raise InputError,
+    and so does an EVENPAIRS_WORKERS value that is not an integer >= 1.
     """
     if not 1 <= n_max <= ENUMERATION_CAP:
         raise InputError(f"n_max {n_max} is outside 1..{ENUMERATION_CAP}")
@@ -255,15 +257,19 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
         if workers < 1:
             raise InputError(f"{WORKERS_ENV}={value!r} is not an integer >= 1")
     instances = _instances_for(scope, n_max, sample, seed)
-    if workers > 1:
-        # deferred, so that a cold start does not import it
-        from concurrent.futures import ProcessPoolExecutor
+    with (open(log_path, "w", encoding="ascii") if log_path else nullcontext()) as log:
+        if workers > 1:
+            # deferred, so that a cold start does not import it
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_instance, instances, chunksize=64))
-    else:
-        records = [_run_instance(T) for T in instances]
-    records.sort(key=lambda r: (r["n"], r["instance"]))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_run_instance, instances, chunksize=64))
+        else:
+            records = [_run_instance(T) for T in instances]
+        records.sort(key=lambda r: (r["n"], r["instance"]))
+        if log:
+            for record in records:
+                log.write(json.dumps(record, sort_keys=True) + "\n")
     filtered_in = complete = even = 0
     failures: list[FailureRecord] = []
     for record in records:
@@ -279,9 +285,5 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
             failures.append(FailureRecord(record["instance"],
                                           record.get("stage", "?"),
                                           record.get("detail", "?")))
-    if log_path:
-        with open(log_path, "w", encoding="ascii") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
     return VerifySummary(scope, n_max, len(records), filtered_in, complete,
                          even, tuple(failures))

@@ -235,37 +235,43 @@ def is_semirealization(candidate: Trigraph, base: Trigraph) -> bool:
                    candidate.strong, candidate.anti, candidate.switch))
 
 
-def _mask_components(neigh: Sequence[int], mask: int) -> list[int]:
-    comps = []
-    remaining = mask
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits_of(frontier):
-                grow |= neigh[v]
-            grow &= mask & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
-def _mask_connected(neigh: Sequence[int], mask: int) -> bool:
-    """Whether ``mask`` is one component (or empty) under ``neigh``: a
-    single search grown from the lowest bit must reach all of it."""
-    comp = frontier = mask & -mask
+def _reach(neigh: Sequence[int], mask: int, seed: int) -> int:
+    """The vertices of ``mask`` reachable under ``neigh`` from the vertices
+    of the mask ``seed``, the seed included.  One frontier grows until it
+    stops; every component, connectivity, 2-coloring and reachability
+    question of the package is answered by this search."""
+    reached = frontier = seed
     while frontier:
         grow = 0
         while frontier:
             low = frontier & -frontier
             grow |= neigh[low.bit_length() - 1]
             frontier ^= low
-        frontier = grow & mask & ~comp
-        comp |= frontier
-    return comp == mask
+        frontier = grow & mask & ~reached
+        reached |= frontier
+    return reached
+
+
+def _mask_components(neigh: Sequence[int], mask: int) -> list[int]:
+    """The components of ``mask`` under ``neigh`` as masks, ordered by
+    lowest bit: ``_reach`` from the lowest vertex not yet covered."""
+    comps = []
+    while mask:
+        comp = _reach(neigh, mask, mask & -mask)
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
+def _mask_connected(neigh: Sequence[int], mask: int) -> bool:
+    """Whether ``mask`` is one component (or empty) under ``neigh``: the
+    vertices ``_reach`` finds from the lowest bit must be all of it."""
+    return _reach(neigh, mask, mask & -mask) == mask
+
+
+def _is_clique(adj: Sequence[int], mask: int) -> bool:
+    """Whether every two vertices of ``mask`` are adjacent under ``adj``."""
+    return all(mask & ~adj[v] == 1 << v for v in bits_of(mask))
 
 
 def _pruned_masks(n: int, feasible: Callable[[int, int, int], bool]) -> Iterator[int]:
@@ -560,8 +566,7 @@ def in_class_F(T: Trigraph) -> ClassFVerdict:
 
 def is_complete(T: Trigraph) -> bool:
     """True iff every pair is adjacent (semiadjacent counts as adjacent)."""
-    full = (1 << T.n) - 1
-    return all(T.adj[v] == full & ~(1 << v) for v in range(T.n))
+    return _is_clique(T.adj, (1 << T.n) - 1)
 
 
 def clique_number(G: Trigraph) -> int:

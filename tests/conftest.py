@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,9 +95,70 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-# -- reference oracles: the per-pair, form-per-draw, sorted-signature and
-# -- separate path-search versions the library replaced, kept here so they
-# -- stay independent of the code they check
+# -- reference oracles: the per-pair, form-per-draw, sorted-signature,
+# -- separate path-search, side-array and multigraph versions the library
+# -- replaced, kept here so they stay independent of the code they check
+
+def bipartition_by_side_array(T):
+    """Two strongly stable sets covering V, or None, by a DFS that keeps a
+    side per vertex and compares the sides of each edge; each component's
+    smallest vertex lands on the first side."""
+    side = [-1] * T.n
+    for start in range(T.n):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for w in bits_of(T.adj[v]):
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return None
+    x = frozenset(v for v in range(T.n) if side[v] == 0)
+    return x, frozenset(range(T.n)) - x
+
+
+def has_k4_minor_by_counters(H):
+    """Series-parallel reduction of the strong edges on a multigraph kept
+    as a dict of Counters: delete loops and low-degree vertices, merge
+    parallel edges, contract degree-two vertices; a stuck nonempty
+    remainder has minimum degree three and therefore a K4 minor."""
+    adj = {v: Counter() for v in range(H.n)}
+    for u, v in H.strong_edges():
+        adj[u][v] += 1
+        adj[v][u] += 1
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            nbrs = adj[v]
+            if v in nbrs:
+                del nbrs[v]
+                changed = True
+            for w in list(nbrs):
+                if nbrs[w] > 1:
+                    nbrs[w] = 1
+                    adj[w][v] = 1
+                    changed = True
+            degree = sum(nbrs.values())
+            if degree <= 1:
+                for w in list(nbrs):
+                    del adj[w][v]
+                del adj[v]
+                changed = True
+            elif degree == 2:
+                w1, w2 = list(nbrs)
+                del adj[w1][v]
+                del adj[w2][v]
+                adj[w1][w2] += 1
+                adj[w2][w1] += 1
+                del adj[v]
+                changed = True
+    return bool(adj)
+
 
 def iter_paths_with_used(T, u, v, interior=None):
     """All u-v paths in lexicographic order of their vertex sequences, by a

@@ -12,7 +12,7 @@ from evenpairs.basic import (BasicClassification, classify_basic,
                              verify_root_properties, bipartition_of)
 from evenpairs.decomposition import build_block, find_2join, split_for
 from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
-                              planted_class_f_trigraphs)
+                              planted_class_f_trigraphs, random_bipartite_graph)
 from evenpairs.detect import (find_antihole_of_length_at_least, find_odd_hole,
                               find_prism, is_berge, is_even_pair)
 from evenpairs.errors import InputError
@@ -24,7 +24,8 @@ from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
                                 make_trigraph, mask_of, realization,
                                 switchable_vertices)
 
-from conftest import count_calls, random_graph, random_trigraph
+from conftest import (bipartition_by_side_array, count_calls,
+                      has_k4_minor_by_counters, random_graph, random_trigraph)
 
 
 def _forced(verdict, t):
@@ -345,6 +346,17 @@ def test_good_pair_oracle_definition():
                 continue
             brute = _good_by_definition(h, bipartition_of(h)[0], e1, e2)
             assert is_good_pair(h, e1, e2) == brute
+
+
+@pytest.mark.parametrize("h, e1, e2", [
+    (cycle(8), (0, 2), (4, 6)),   # neither pair is an edge
+    (cycle(8), (0, 1), (9, 3)),   # a vertex out of range
+    (cycle(8), (0, 0), (4, 5)),   # a self-pair
+    (make_trigraph(4, [(0, 1, 1), (2, 3, 0)]), (0, 1), (2, 3)),  # not a graph
+])
+def test_good_pair_rejects_pairs_that_are_not_edges_of_a_graph(h, e1, e2):
+    with pytest.raises(InputError):
+        is_good_pair(h, e1, e2)
 
 
 def test_good_pair_avoids_forbidden_interior():
@@ -726,6 +738,28 @@ def test_root_properties_k23_even_theta():
 def test_root_properties_clean(c8):
     assert verify_root_properties(c8).ok
     assert verify_root_properties(path_graph(6)).ok
+
+
+def _reference_corpus():
+    """Graphs on <= 7 vertices, planted trigraphs on base <= 6, the
+    complements of both, and 1,000 random bipartite roots."""
+    base = graphs_upto(7) + list(planted_class_f_trigraphs(6))
+    rng = random.Random(61)
+    return (base + [complement(t) for t in base]
+            + [random_bipartite_graph(rng) for _ in range(1000)])
+
+
+def test_bipartition_and_k4_minor_match_the_references():
+    colorable = minors = 0
+    for t in _reference_corpus():
+        got = bipartition_of(t)
+        assert got == bipartition_by_side_array(t), t
+        colorable += got is not None
+        got = has_k4_minor(t)
+        assert got == has_k4_minor_by_counters(t), t
+        minors += got
+    # both answers occur often
+    assert colorable > 1000 and minors > 1000
 
 
 def test_k4_minor_detection(k4, c8):

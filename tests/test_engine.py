@@ -95,6 +95,19 @@ def test_verify_trigraphs_small():
     assert summary.ok and summary.instances > 0
 
 
+def test_verify_opens_its_log_before_the_run(monkeypatch, capsys, tmp_path):
+    # a directory is no writable log: the run fails before any instance
+    from evenpairs import engine
+
+    monkeypatch.delenv("EVENPAIRS_WORKERS", raising=False)
+    runs = count_calls(monkeypatch, engine, "_run_instance")
+    with pytest.raises(OSError):
+        verify_main_theorem(4, "graphs", log_path=str(tmp_path))
+    assert main(["verify", "--nmax", "7", "--emit-cert", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+    assert len(runs) == 0
+
+
 def test_verify_log_records(tmp_path):
     log = tmp_path / "log.jsonl"
     summary = verify_main_theorem(4, "graphs", log_path=str(log))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from evenpairs.errors import InputError
 from evenpairs.families import complete_graph, cycle, empty_graph, prism3
-from evenpairs.trigraph import (ANTI, STRONG, clique_number, complement,
-                                components, enumerate_paths,
+from evenpairs.trigraph import (ANTI, STRONG, _reach, bits_of, clique_number,
+                                complement, components, enumerate_paths,
                                 full_realization, in_class_F, induced,
                                 is_complete, is_semirealization, iter_paths,
                                 make_trigraph, realization,
@@ -194,6 +194,23 @@ def test_components_partition_and_maximality():
             neigh = t.adj if mode == "connected" else t.anti
             for a, b in itertools.combinations(comps, 2):
                 assert not any((neigh[u] >> v) & 1 for u in a for v in b)
+
+
+def test_reach_matches_networkx_has_path():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    for _ in range(300):
+        t = random_trigraph(rng, rng.randint(1, 9))
+        for neigh in (t.adj, t.anti):
+            mask = rng.randrange(1 << t.n)
+            seed = mask & rng.randrange(1 << t.n)
+            g = nx.Graph()
+            g.add_nodes_from(bits_of(mask))
+            g.add_edges_from((v, w) for v in bits_of(mask)
+                             for w in bits_of(neigh[v] & mask))
+            expected = sum(1 << w for w in bits_of(mask)
+                           if any(nx.has_path(g, s, w) for s in bits_of(seed)))
+            assert _reach(neigh, mask, seed) == expected, (t, mask, seed)
 
 
 # -- paths -----------------------------------------------------------------
