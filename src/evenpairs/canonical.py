@@ -20,6 +20,11 @@ the adjacent count into every cell, then, when the trigraph has a
 switchable pair, the negated switchable count into every cell.  McKay and
 Piperno, "Practical graph isomorphism II" (J. Symb. Comput. 2014), refine
 by neighbor counts the same way.
+
+The search proves automorphisms as it goes: the transposition of each
+skipped cell mate, and the map between two leaves with equal encodings.
+``mask_automorphisms`` returns them as generators of the automorphism
+group; the enumeration uses them to label one child per orbit.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def _encode(strong: list[int], switch: list[int], perm: tuple[int, ...]) -> byte
 
 
 def _search(strong: list[int], switch: list[int], adj: list[int],
-            cells: list[int], best: list) -> None:
+            cells: list[int], best: list, autos: list) -> None:
     cells = _refine(adj, switch, cells)
     target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
     if target is None:
@@ -67,29 +72,64 @@ def _search(strong: list[int], switch: list[int], adj: list[int],
         enc = _encode(strong, switch, perm)
         if best[0] is None or enc < best[0]:
             best[0], best[1] = enc, perm
+        elif enc == best[0]:
+            # both orderings give the same trigraph
+            autos.append((perm, best[1]))
         return
     tried: list[int] = []
     for v in bits_of(cells[target]):
         # skip v when some tried cell mate u has the same codes outside
         # {u, v}: the transposition (u v) is then an automorphism
-        if any(not ((strong[v] ^ strong[u]) | (switch[v] ^ switch[u]))
-               & ~(1 << u | 1 << v) for u in tried):
+        twin = next((u for u in tried
+                     if not ((strong[v] ^ strong[u]) | (switch[v] ^ switch[u]))
+                     & ~(1 << u | 1 << v)), None)
+        if twin is not None:
+            autos.append(((twin, v), (v, twin)))
             continue
         tried.append(v)
         bit = 1 << v
         _search(strong, switch, adj, cells[:target] + [bit, cells[target] ^ bit]
-                + cells[target + 1:], best)
+                + cells[target + 1:], best, autos)
+
+
+def _run(strong: list[int], switch: list[int],
+         autos: list) -> tuple[bytes, tuple[int, ...]]:
+    """The search's form and perm; the automorphisms it proves are added to
+    ``autos`` as (sources, images) pairs."""
+    if not strong:
+        return b"\x00", ()
+    best: list = [None, None]
+    adj = [s | w for s, w in zip(strong, switch)]
+    _search(strong, switch, adj, [(1 << len(strong)) - 1], best, autos)
+    return best[0], best[1]
 
 
 def mask_labeling(strong: list[int], switch: list[int]) -> tuple[bytes, tuple[int, ...]]:
     """``canonical_labeling`` of the trigraph with these strong and
     switchable masks, without building it."""
-    if not strong:
-        return b"\x00", ()
-    best: list = [None, None]
-    adj = [s | w for s, w in zip(strong, switch)]
-    _search(strong, switch, adj, [(1 << len(strong)) - 1], best)
-    return best[0], best[1]
+    return _run(strong, switch, [])
+
+
+def mask_automorphisms(strong: list[int], switch: list[int]) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of the trigraph with these
+    masks, each as the tuple whose entry v is the image of vertex v.
+
+    They are the automorphisms the labeling search proves on its way: a
+    transposition for each skipped cell mate, and for each leaf whose
+    encoding equals the best one so far, the map from that leaf's ordering
+    to the best one's.  The search is invariant under the group and prunes
+    only images of explored subtrees, so they generate the whole group
+    (McKay and Piperno 2014).
+    """
+    autos: list = []
+    _run(strong, switch, autos)
+    gens = []
+    for sources, images in autos:
+        g = list(range(len(strong)))
+        for v, w in zip(sources, images):
+            g[v] = w
+        gens.append(tuple(g))
+    return gens
 
 
 def canonical_labeling(T: Trigraph) -> tuple[bytes, tuple[int, ...]]:

@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="exhaustive theorem harness")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=int, required=True,
+                   help="largest order: 1..9, or 10 with --sample")
     p.add_argument("--scope", choices=["graphs", "trigraphs_in_F"],
                    default="graphs")
     p.add_argument("--sample", type=int, default=None,

@@ -7,6 +7,15 @@ all 2^(n-1) neighborhoods and deduplicating by canonical form yields exactly
 one representative per isomorphism class.  A child's form is computed from
 its masks, and a Trigraph is built only for a child whose form is new.
 
+Two neighborhoods in one orbit of the base's automorphism group give
+isomorphic children, so only the first of each orbit, in integer order, is
+labeled (the orbit pruning of McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  The first child of each class is always the first of
+its orbit, so the output is the one that labeling every child gives,
+element by element; this holds for any subgroup of the group, so the
+generators need not span it.  Planting likewise tries one pair per orbit,
+in ``itertools.combinations`` order.
+
 Random samples on n vertices keep the first draw of each isomorphism class.
 A draw needs a canonical form only when an earlier draw shares its degree
 invariant (``_degree_invariant``); graphs whose invariants differ are not
@@ -23,9 +32,44 @@ import itertools
 import random
 from functools import lru_cache
 
-from .canonical import canonical_form, mask_labeling
+from .canonical import canonical_form, mask_automorphisms, mask_labeling
 from .trigraph import (ANTI, Trigraph, bits_of, graph_from_edges, in_class_F,
                        make_trigraph)
+
+
+def _orbit_firsts(items, gens: list[tuple[int, ...]], image):
+    """The items, in order, that come first in their orbit under the group
+    generated by ``gens``; ``image(g, item)`` is the item g maps it to.
+
+    Each item yielded marks its whole orbit, the closure of the item under
+    the generators, so a later orbit mate is skipped.
+    """
+    seen = set()
+    for item in items:
+        if item in seen:
+            continue
+        yield item
+        seen.add(item)
+        stack = [item]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = image(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+
+
+def _mask_image(g: tuple[int, ...], mask: int) -> int:
+    out = 0
+    for v in bits_of(mask):
+        out |= 1 << g[v]
+    return out
+
+
+def _pair_image(g: tuple[int, ...], pair: tuple[int, int]) -> tuple[int, int]:
+    u, v = g[pair[0]], g[pair[1]]
+    return (u, v) if u < v else (v, u)
 
 
 @lru_cache(maxsize=None)
@@ -38,7 +82,8 @@ def graphs_of_order(n: int) -> tuple[Trigraph, ...]:
     out: dict[bytes, Trigraph] = {}
     switch = [0] * n
     for base in graphs_of_order(n - 1):
-        for nbhd in range(1 << (n - 1)):
+        gens = mask_automorphisms(base.strong, base.switch)
+        for nbhd in _orbit_firsts(range(1 << (n - 1)), gens, _mask_image):
             strong = list(base.strong) + [nbhd]
             for v in bits_of(nbhd):
                 strong[v] |= 1 << (n - 1)
@@ -129,11 +174,14 @@ def planted_class_f_trigraphs(max_base_n: int) -> tuple[Trigraph, ...]:
     isomorphism class, planted into every graph on <= max_base_n vertices."""
     out: dict[bytes, Trigraph] = {}
     for G in graphs_upto(max_base_n):
-        for u, v in itertools.combinations(range(G.n), 2):
+        pairs = list(_orbit_firsts(itertools.combinations(range(G.n), 2),
+                                   mask_automorphisms(G.strong, G.switch),
+                                   _pair_image))
+        for u, v in pairs:
             T = plant_small(G, u, v)
             if in_class_F(T).ok:
                 out.setdefault(canonical_form(T), T)
-        for u, v in itertools.combinations(range(G.n), 2):
+        for u, v in pairs:
             if G.value(u, v) != ANTI or (G.adj[u] & G.adj[v]):
                 continue
             T = plant_light(G, u, v)

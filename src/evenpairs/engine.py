@@ -31,6 +31,9 @@ from .trigraph import (Trigraph, in_class_F, is_complete, switchable_structure,
                        switchable_vertices, with_bergeness)
 
 ENUMERATION_CAP = 10
+# every graph on 10 vertices, 12,005,168 classes, does not fit in memory: the
+# cap runs only sampled
+EXHAUSTIVE_CAP = 9
 WORKERS_ENV = "EVENPAIRS_WORKERS"
 
 # the checks of check_preconditions, in the order it runs them
@@ -240,14 +243,18 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     complete or with an oracle-verified even pair; failures are collected,
     not raised.  A JSON-lines log gets one record per instance; its path is
     opened before the first instance runs, so an unwritable one raises
-    OSError at once.  An n_max outside 1..ENUMERATION_CAP, a sample with
-    another scope, and a sample the sampler cannot fill raise InputError,
-    and so does an EVENPAIRS_WORKERS value that is not an integer >= 1.
+    OSError at once.  An n_max outside 1..ENUMERATION_CAP, an unsampled
+    n_max above EXHAUSTIVE_CAP, a sample with another scope, and a sample
+    the sampler cannot fill raise InputError, and so does an
+    EVENPAIRS_WORKERS value that is not an integer >= 1.
     """
     if not 1 <= n_max <= ENUMERATION_CAP:
         raise InputError(f"n_max {n_max} is outside 1..{ENUMERATION_CAP}")
     if sample is not None and (scope != "graphs" or sample < 1):
         raise InputError(f"sample {sample} needs scope 'graphs' and a positive count")
+    if sample is None and n_max > EXHAUSTIVE_CAP:
+        raise InputError(f"an exhaustive run at n_max {n_max} would hold all "
+                         "12,005,168 graphs on 10 vertices; sample graphs with --sample")
     if workers is None:
         value = os.environ.get(WORKERS_ENV, "1")
         try:

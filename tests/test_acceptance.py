@@ -42,13 +42,15 @@ def test_criterion_1_main_theorem_graphs_exhaustive():
            f"0 failures")
 
 
-def test_criterion_1_main_theorem_graphs_sampled_n8():
-    summary = verify_main_theorem(8, "graphs", sample=10_000, seed=2024)
+def test_criterion_1_main_theorem_graphs_exhaustive_n8():
+    summary = verify_main_theorem(8, "graphs")
     assert summary.failures == (), summary.failures[:3]
-    assert summary.instances >= 10_000
-    report("criterion 1 (sampled n=8)",
-           f"{summary.instances} sampled classes, {summary.filtered_in} past "
-           f"the filter, 0 failures")
+    assert (summary.instances, summary.filtered_in, summary.complete,
+            summary.even_pair) == (13598, 23, 8, 15)
+    report("criterion 1 (exhaustive n<=8)",
+           f"{summary.instances} graphs, {summary.filtered_in} past the filter, "
+           f"{summary.complete} complete, {summary.even_pair} with even pairs, "
+           f"0 failures")
 
 
 # -- criterion 2: trigraph generalization ------------------------------------

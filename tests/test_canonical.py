@@ -5,12 +5,14 @@ import networkx as nx
 import pytest
 
 from evenpairs import canonical
-from evenpairs.canonical import canonical_form, canonical_labeling, relabel
-from evenpairs.corpus import (graphs_of_order, graphs_upto,
+from evenpairs.canonical import (canonical_form, canonical_labeling,
+                                 mask_automorphisms, relabel)
+from evenpairs.corpus import (_mask_image, _orbit_firsts, _pair_image,
+                              graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs,
                               random_canonical_graphs)
 from evenpairs import trigraph
-from evenpairs.trigraph import in_class_F
+from evenpairs.trigraph import bits_of, in_class_F
 
 from conftest import (canonical_labeling_by_sorting, count_calls,
                       graphs_of_order_by_sorting, labeled_children_by_sorting,
@@ -79,7 +81,7 @@ def test_enumeration_matches_the_reference_enumeration():
 
 def test_enumeration_builds_a_trigraph_per_class_only(monkeypatch):
     # a child's form comes from its masks, so only a new class builds a
-    # Trigraph, not each of the 11,290 children
+    # Trigraph, not each of the 5,758 children it labels
     built = []
     init = trigraph.Trigraph.__init__
 
@@ -92,6 +94,57 @@ def test_enumeration_builds_a_trigraph_per_class_only(monkeypatch):
     classes = graphs_upto(7)
     assert len(classes) == 1252
     assert len(built) <= len(classes)
+
+
+def test_automorphisms_fix_the_trigraph():
+    # every graph on <= 7 vertices, every planted member on a base of <= 6,
+    # and seeded random graphs and trigraphs on 8-10, switchable pairs
+    # included
+    cases = graphs_upto(7) + list(planted_class_f_trigraphs(6))
+    rng = random.Random(55)
+    for i in range(240):
+        n = 8 + i % 3
+        cases.append(random_graph(rng, n, rng.random()) if i % 2
+                     else random_trigraph(rng, n, rng.choice((0.05, 0.15, 0.4))))
+    generators = 0
+    for t in cases:
+        for g in mask_automorphisms(t.strong, t.switch):
+            assert sorted(g) == list(range(t.n)) and g != tuple(range(t.n))
+            assert _same_graphs([relabel(t, g)], [t])
+            generators += 1
+    assert generators > len(cases)
+
+
+def test_orbit_firsts_are_the_orbit_minima_under_the_full_group():
+    for G in graphs_upto(6):
+        n = G.n
+        group = [p for p in itertools.permutations(range(n))
+                 if all(sum(1 << p[u] for u in bits_of(G.strong[v]))
+                        == G.strong[p[v]] for v in range(n))]
+        gens = mask_automorphisms(G.strong, G.switch)
+        masks = range(1 << n)
+        assert list(_orbit_firsts(masks, gens, _mask_image)) == [
+            m for m in masks
+            if m == min(sum(1 << p[v] for v in range(n) if m >> v & 1)
+                        for p in group)]
+        pairs = list(itertools.combinations(range(n), 2))
+        assert list(_orbit_firsts(pairs, gens, _pair_image)) == [
+            (u, v) for u, v in pairs
+            if (u, v) == min(tuple(sorted((p[u], p[v]))) for p in group)]
+
+
+def test_enumeration_labels_one_child_per_orbit(monkeypatch):
+    # orbit mates under the base's automorphisms are isomorphic, so only the
+    # first of each orbit is labeled: of the 11,290 augmentation children and
+    # of the 1,397 plants that are class members
+    labelings = count_calls(monkeypatch, canonical, "mask_labeling")
+    graphs_of_order.cache_clear()
+    planted_class_f_trigraphs.cache_clear()
+    assert len(graphs_upto(7)) == 1252
+    assert len(labelings) <= 5758
+    labelings.clear()
+    assert len(planted_class_f_trigraphs(6)) == 379
+    assert len(labelings) <= 602
 
 
 def test_graph_counts_per_order():

@@ -225,6 +225,8 @@ def test_verify_sampled_via_cli(capsys):
     (["--nmax", "4", "--scope", "trigraphs_in_F", "--sample", "2"], "scope 'graphs'"),
     (["--nmax", "3", "--sample", "10"], "could not collect 10"),
     (["--nmax", "3", "--sample", "0"], "positive count"),
+    (["--nmax", "10"], "12,005,168 graphs on 10 vertices"),
+    (["--nmax", "10", "--scope", "trigraphs_in_F"], "12,005,168"),
 ])
 def test_verify_input_errors_exit_two(capsys, args, message):
     code, doc, err = run_cli(capsys, "verify", *args)
