@@ -27,8 +27,7 @@ from .detect import find_even_pair_oracle, is_even_pair
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (Trigraph, _is_clique, _mask_components, _pruned_masks,
                        _reach, bits_of, complement, full_realization,
-                       graph_from_edges, in_class_F, is_complete, mask_of,
-                       switchable_vertices)
+                       in_class_F, is_complete, mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,11 @@ def _root_from_cliques(G: Trigraph, cliques: list[tuple[int, ...]]) -> LineRootC
             nodes = nodes + [next_node]
             next_node += 1
         vertex_edges.append((nodes[0], nodes[1]))
-    root = graph_from_edges(next_node, vertex_edges)
+    adj = [0] * next_node
+    for a, b in vertex_edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    root = Trigraph(adj, [0] * next_node)
     coloring = bipartition_of(root)
     if coloring is None:
         return None
@@ -463,31 +466,46 @@ class RootPropertyReport:
         return self.even_theta is None and not self.has_k4_minor
 
 
-def _simple_paths(H: Trigraph, u: int, v: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(path, used):
-        last = path[-1]
-        for w in bits_of(H.adj[last]):
-            if w == v:
-                out.append(tuple(path) + (v,))
-            elif not (used >> w) & 1:
-                rec(path + [w], used | 1 << w)
-
-    rec([u], 1 << u | 1 << v)
-    return out
-
-
-def _find_even_theta(H: Trigraph) -> tuple | None:
-    for u, v in itertools.combinations(range(H.n), 2):
-        evens = [p for p in _simple_paths(H, u, v) if (len(p) - 1) % 2 == 0]
-        for trio in itertools.combinations(evens, 3):
-            interiors = [set(p[1:-1]) for p in trio]
-            if (not interiors[0] & interiors[1]
-                    and not interiors[0] & interiors[2]
-                    and not interiors[1] & interiors[2]):
-                return (u, v, trio)
-    return None
+def _three_paths(adj: tuple[int, ...], u: int, v: int) -> tuple | None:
+    """Three internally disjoint u-v paths between nonadjacent u and v, in
+    order of their second vertex, or None when at most two exist (Menger's
+    theorem).  Each round is a breadth-first augmenting search on the
+    vertex-split graph, with states (x, 0) entering x and (x, 1) leaving
+    it; bit y of ``nxt[x]`` marks a path stepping from x to y, and a used
+    vertex is entered only to walk its path backwards."""
+    nxt = [0] * len(adj)
+    for _ in range(3):
+        came = {(u, 1): None}
+        queue = [(u, 1)]
+        for x, left in queue:
+            if left:
+                steps = [(y, 0) for y in bits_of(adj[x] & ~nxt[x] & ~(1 << u))
+                         if not nxt[y] >> x & 1]
+                if nxt[x] and x != u:
+                    steps.append((x, 0))
+            else:
+                steps = [(p, 1) for p in range(len(adj)) if nxt[p] >> x & 1] or [(x, 1)]
+            for step in steps:
+                if step not in came:
+                    came[step] = (x, left)
+                    queue.append(step)
+            if (v, 0) in came:
+                break
+        else:
+            return None
+        state = (v, 0)
+        while came[state]:
+            (x, left), y = came[state], state[0]
+            if x != y:  # a new step x -> y, or an old step y -> x undone
+                nxt[x if left else y] ^= 1 << (y if left else x)
+            state = came[state]
+    paths = []
+    for w in bits_of(nxt[u]):
+        path = [u, w]
+        while path[-1] != v:
+            path.append(nxt[path[-1]].bit_length() - 1)
+        paths.append(tuple(path))
+    return tuple(paths)
 
 
 def has_k4_minor(H: Trigraph) -> bool:
@@ -519,6 +537,16 @@ def has_k4_minor(H: Trigraph) -> bool:
 
 
 def verify_root_properties(H: Trigraph) -> RootPropertyReport:
-    """Roots of odd-prism-free line trigraphs must have no even-theta
-    subgraph and no K4 minor; the report lists what was found."""
-    return RootPropertyReport(_find_even_theta(H), has_k4_minor(H))
+    """Roots of odd-prism-free line trigraphs must have no even theta and
+    no K4 minor; the report lists what was found.  The even theta is the
+    first pair, in ``itertools.combinations`` order, of same-side vertices
+    of degree at least three that ``_three_paths`` joins, with its paths,
+    which are even in a bipartite H.  A non-bipartite H raises InputError."""
+    coloring = bipartition_of(H)
+    if coloring is None:
+        raise InputError("root checks need a bipartite graph")
+    side = mask_of(coloring[0])
+    branch = [x for x in range(H.n) if H.adj[x].bit_count() >= 3]
+    thetas = ((u, v, _three_paths(H.adj, u, v)) for u, v in itertools.combinations(branch, 2)
+              if not (side >> u ^ side >> v) & 1)
+    return RootPropertyReport(next((t for t in thetas if t[2]), None), has_k4_minor(H))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -264,33 +265,28 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
         if workers < 1:
             raise InputError(f"{WORKERS_ENV}={value!r} is not an integer >= 1")
     instances = _instances_for(scope, n_max, sample, seed)
+    tally, failures, lines = Counter(), [], []
     with (open(log_path, "w", encoding="ascii") if log_path else nullcontext()) as log:
+        pool = None
         if workers > 1:
             # deferred, so that a cold start does not import it
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_instance, instances, chunksize=64))
-        else:
-            records = [_run_instance(T) for T in instances]
-        records.sort(key=lambda r: (r["n"], r["instance"]))
-        if log:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        with pool or nullcontext():
+            records = (pool.map(_run_instance, instances, chunksize=64) if pool
+                       else map(_run_instance, instances))
+            # tallied as they arrive; only a log keeps a line per instance
             for record in records:
-                log.write(json.dumps(record, sort_keys=True) + "\n")
-    filtered_in = complete = even = 0
-    failures: list[FailureRecord] = []
-    for record in records:
-        status = record["status"]
-        if status == "filtered":
-            continue
-        filtered_in += 1
-        if status == "complete":
-            complete += 1
-        elif status == "even_pair":
-            even += 1
-        else:
-            failures.append(FailureRecord(record["instance"],
-                                          record.get("stage", "?"),
-                                          record.get("detail", "?")))
-    return VerifySummary(scope, n_max, len(records), filtered_in, complete,
-                         even, tuple(failures))
+                key, status = (record["n"], record["instance"]), record["status"]
+                tally[status] += 1
+                if status not in ("filtered", "complete", "even_pair"):
+                    failures.append((key, FailureRecord(
+                        record["instance"], record.get("stage", "?"), record.get("detail", "?"))))
+                if log:
+                    lines.append((key, json.dumps(record, sort_keys=True)))
+        for _, line in sorted(lines, key=lambda item: item[0]):
+            log.write(line + "\n")
+    failures.sort(key=lambda item: item[0])
+    return VerifySummary(scope, n_max, len(instances), len(instances) - tally["filtered"],
+                         tally["complete"], tally["even_pair"], tuple(f for _, f in failures))

@@ -8,8 +8,10 @@ no switchable pair.  All values here are immutable after construction and
 every operation is a pure function, so everything is safe to use from
 multiple workers.
 
-Vertices are the integers 0..n-1 (n is capped at MAX_VERTICES, which is
-plenty for the exhaustive workloads this library targets).  Adjacency is
+Vertices are the integers 0..n-1.  ``make_trigraph``, which both input
+formats use, caps n at MAX_VERTICES, plenty for the exhaustive workloads
+this library targets; derived trigraphs such as the root graph of a line
+trigraph (up to 2n nodes) are built from masks past it.  Adjacency is
 stored as two per-vertex bitmasks, one for the strong partners and one for
 the switchable partners; every other pair is strongly antiadjacent.
 """
@@ -71,8 +73,6 @@ class Trigraph:
         n = len(strong)
         if len(switch) != n:
             raise InputError("strong and switch masks must cover the same vertices")
-        if n > MAX_VERTICES:
-            raise InputError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
         full = (1 << n) - 1
         adj, anti = [], []
         for v in range(n):
@@ -152,9 +152,9 @@ def renumber(masks: Sequence[int], order: Sequence[int]) -> list[int]:
 def make_trigraph(n: int, entries: Iterable[tuple[int, int, int]] = ()) -> Trigraph:
     """Build a trigraph from explicit pair codes.
 
-    Pairs not listed default to -1 (strongly antiadjacent).  Rejects
-    out-of-range vertices, duplicate pairs, and codes outside {-1, 0, +1},
-    naming the offending pair.
+    Pairs not listed default to -1 (strongly antiadjacent).  Rejects more
+    than MAX_VERTICES vertices, out-of-range vertices, duplicate pairs, and
+    codes outside {-1, 0, +1}, naming the offending pair.
     """
     if n < 0:
         raise InputError("vertex count must be nonnegative")

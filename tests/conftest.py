@@ -96,8 +96,9 @@ def count_calls(monkeypatch, module, name):
 
 
 # -- reference oracles: the per-pair, form-per-draw, sorted-signature,
-# -- separate path-search, side-array and multigraph versions the library
-# -- replaced, kept here so they stay independent of the code they check
+# -- separate path-search, path-triple, side-array and multigraph versions
+# -- the library replaced, kept here so they stay independent of the code
+# -- they check
 
 def bipartition_by_side_array(T):
     """Two strongly stable sets covering V, or None, by a DFS that keeps a
@@ -158,6 +159,38 @@ def has_k4_minor_by_counters(H):
                 del adj[v]
                 changed = True
     return bool(adj)
+
+
+def simple_paths(H, u, v):
+    """Every u-v path of H, induced or not, by a DFS over the unused
+    vertices."""
+    out = []
+
+    def rec(path, used):
+        last = path[-1]
+        for w in bits_of(H.adj[last]):
+            if w == v:
+                out.append(tuple(path) + (v,))
+            elif not (used >> w) & 1:
+                rec(path + [w], used | 1 << w)
+
+    rec([u], 1 << u | 1 << v)
+    return out
+
+
+def even_theta_by_path_triples(H):
+    """The first pair (u, v) in ``itertools.combinations`` order with three
+    even u-v paths whose interiors are pairwise disjoint, and the first
+    such triple of ``simple_paths``, or None."""
+    for u, v in itertools.combinations(range(H.n), 2):
+        evens = [p for p in simple_paths(H, u, v) if (len(p) - 1) % 2 == 0]
+        for trio in itertools.combinations(evens, 3):
+            interiors = [set(p[1:-1]) for p in trio]
+            if (not interiors[0] & interiors[1]
+                    and not interiors[0] & interiors[2]
+                    and not interiors[1] & interiors[2]):
+                return (u, v, trio)
+    return None
 
 
 def iter_paths_with_used(T, u, v, interior=None):

@@ -150,15 +150,21 @@ def test_criterion_5_block_theorems():
 
 def test_criterion_6_good_pairs_on_random_roots():
     rng = random.Random(66)
-    accepted = 0
+    accepted = skipped = 0
     complete_line_graphs = 0
     while accepted < 1000:
         h = random_bipartite_graph(rng, max_edges=12)
+        root_report = verify_root_properties(h)
+        # K4 has maximum degree 3, so a K4 minor gives a K4 subdivision;
+        # two of its branch vertices share a side and span an even theta
+        assert root_report.even_theta or not root_report.has_k4_minor, h.strong_edges()
         lg, edges = line_graph(h)
         if find_prism(lg, "odd") is not None:
+            # the odd prism of the line graph is an even theta of the root
+            assert root_report.even_theta, h.strong_edges()
+            skipped += 1
             continue
         accepted += 1
-        root_report = verify_root_properties(h)
         assert root_report.ok, h.strong_edges()
         witness = find_good_pair(h)
         if is_complete(lg):
@@ -171,6 +177,8 @@ def test_criterion_6_good_pairs_on_random_roots():
         assert is_even_pair(lg, u, v).is_even_pair, h.strong_edges()
     report("criterion 6 (good pairs)",
            f"1000 odd-prism-free roots (<=12 edges); root properties clean; "
+           f"{skipped} roots with an odd-prism line graph skipped, each with an "
+           f"even theta; every K4 minor spans an even theta; "
            f"{complete_line_graphs} complete line graphs skipped; every other "
            f"witness lifted to a verified even pair")
 

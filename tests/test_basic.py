@@ -25,7 +25,8 @@ from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
                                 switchable_vertices)
 
 from conftest import (bipartition_by_side_array, count_calls,
-                      has_k4_minor_by_counters, random_graph, random_trigraph)
+                      even_theta_by_path_triples, has_k4_minor_by_counters,
+                      random_graph, random_trigraph, simple_paths)
 
 
 def _forced(verdict, t):
@@ -325,12 +326,10 @@ def test_good_pair_rejects_non_bipartite():
 
 def _good_by_definition(h, side, e1, e2):
     # every a1-a2 path meets {b1, b2} and every b1-b2 path meets {a1, a2}
-    from evenpairs.basic import _simple_paths
-
     a1, b1 = e1 if e1[0] in side else (e1[1], e1[0])
     a2, b2 = e2 if e2[0] in side else (e2[1], e2[0])
-    return (all({b1, b2} & set(p) for p in _simple_paths(h, a1, a2))
-            and all({a1, a2} & set(p) for p in _simple_paths(h, b1, b2)))
+    return (all({b1, b2} & set(p) for p in simple_paths(h, a1, a2))
+            and all({a1, a2} & set(p) for p in simple_paths(h, b1, b2)))
 
 
 def test_good_pair_oracle_definition():
@@ -730,14 +729,93 @@ def test_finders_always_verified():
 
 # -- root properties ------------------------------------------------------------------------
 
+def _assert_even_theta(h, theta):
+    # the ends are u and v, each path is even with distinct vertices and
+    # steps along edges of h, and the interiors are pairwise disjoint
+    u, v, paths = theta
+    assert len(paths) == 3
+    for p in paths:
+        assert (p[0], p[-1]) == (u, v) and len(set(p)) == len(p), theta
+        assert len(p) % 2 == 1 and all(h.adj[a] >> b & 1 for a, b in zip(p, p[1:])), theta
+    for p, q in itertools.combinations(paths, 2):
+        assert not set(p[1:-1]) & set(q[1:-1]), theta
+
+
 def test_root_properties_k23_even_theta():
     report = verify_root_properties(complete_bipartite(2, 3))
-    assert report.even_theta is not None and not report.ok
+    assert report.even_theta == (0, 1, ((0, 2, 1), (0, 3, 1), (0, 4, 1)))
+    assert not report.ok
 
 
 def test_root_properties_clean(c8):
     assert verify_root_properties(c8).ok
     assert verify_root_properties(path_graph(6)).ok
+
+
+def test_root_properties_reject_a_non_bipartite_graph(c5):
+    with pytest.raises(InputError, match="bipartite"):
+        verify_root_properties(c5)
+
+
+def test_even_theta_matches_the_path_triple_reference():
+    # every bipartite graph on <= 7 vertices and 2,000 random roots: the
+    # same first pair as the brute force, or None with it
+    roots = [g for g in graphs_upto(7) if bipartition_of(g) is not None]
+    assert len(roots) == 149
+    rng = random.Random(5)
+    roots += [random_bipartite_graph(rng) for _ in range(2000)]
+    thetas = 0
+    for h in roots:
+        got = verify_root_properties(h).even_theta
+        want = even_theta_by_path_triples(h)
+        assert (got and got[:2]) == (want and want[:2]), h.strong_edges()
+        if got:
+            _assert_even_theta(h, got)
+            thetas += 1
+    assert thetas == 363
+
+
+def _dense_root(seed, m):
+    rng = random.Random(seed)
+    cross = [(i, 8 + j) for i in range(8) for j in range(8)]
+    rng.shuffle(cross)
+    return graph_from_edges(16, cross[:m])
+
+
+@pytest.mark.parametrize("h, pair", [
+    *[(_dense_root(seed, 24), pair)
+      for seed, pair in enumerate([(0, 3), (0, 1), (0, 1), (0, 2), (3, 4)])],
+    *[(_dense_root(seed, 32), pair)
+      for seed, pair in enumerate([(0, 1), (0, 1), (0, 1), (0, 1), (0, 2)])],
+    (complete_bipartite(5, 5), (0, 1)),
+])
+def test_even_theta_pinned_on_dense_roots(h, pair):
+    # the path-triple reference finds the same pairs on the 24-edge roots
+    # and K5,5, in up to seconds each
+    theta = verify_root_properties(h).even_theta
+    assert theta[:2] == pair
+    _assert_even_theta(h, theta)
+
+
+@pytest.mark.parametrize("n, edges, theta", [
+    # the second augmenting path 0-5-2-4-1 takes 2, the only way on from 7;
+    # the third search enters 2 from 7 and undoes the step 5 -> 2, so the
+    # path through 5 leaves through 3 instead
+    (9, [(0, 5), (0, 7), (0, 8), (1, 4), (1, 6), (1, 8), (2, 4), (2, 5),
+         (2, 7), (3, 5), (3, 6)],
+     (0, 1, ((0, 5, 3, 6, 1), (0, 7, 2, 4, 1), (0, 8, 1)))),
+    # the second path 0-5-8-7-1 takes 8 and 7; the third search enters 7
+    # from 10 and undoes both steps 8 -> 7 and 5 -> 8, so the path through
+    # 5 leaves through 9
+    (12, [(0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (1, 7), (2, 11), (3, 11),
+          (4, 9), (5, 8), (5, 9), (6, 10), (7, 8), (7, 10)],
+     (0, 1, ((0, 2, 11, 3, 1), (0, 5, 9, 4, 1), (0, 6, 10, 7, 1)))),
+])
+def test_even_theta_undoes_earlier_steps(n, edges, theta):
+    h = graph_from_edges(n, edges)
+    assert verify_root_properties(h).even_theta == theta
+    assert theta[:2] == even_theta_by_path_triples(h)[:2]
+    _assert_even_theta(h, theta)
 
 
 def _reference_corpus():

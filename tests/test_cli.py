@@ -102,6 +102,22 @@ def test_classify_trigraph_literal(capsys):
     assert code == 0 and doc["classification"]["verdict"] == "bipartite"
 
 
+def test_classify_a_line_trigraph_whose_root_passes_the_cap(capsys):
+    # ten disjoint triangles are the line graph of ten claws: 30 vertices,
+    # whose root has 40 nodes
+    from evenpairs.basic import line_root_of, verify_root_properties
+    from evenpairs.trigraph import graph_from_edges
+
+    triangles = graph_from_edges(30, [(3 * i + a, 3 * i + b) for i in range(10)
+                                      for a, b in ((0, 1), (0, 2), (1, 2))])
+    code, doc, err = run_cli(capsys, "classify", to_graph6(triangles))
+    assert code == 0, err
+    assert doc["classification"]["verdict"] == "line"
+    assert doc["classification"]["line_root"]["root"].startswith("trigraph 40\n")
+    root = line_root_of(triangles).root
+    assert root.n == 40 and verify_root_properties(root).ok
+
+
 def test_verify_command(capsys):
     code, doc, _ = run_cli(capsys, "verify", "--nmax", "4", "--scope", "graphs")
     assert code == 0

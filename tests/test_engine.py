@@ -9,7 +9,7 @@ from evenpairs.detect import EvenPairReport, is_even_pair
 from evenpairs.engine import (PRECONDITIONS, check_preconditions,
                               find_even_pair_structured, verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
-from evenpairs.formats import from_graph6
+from evenpairs.formats import from_graph6, from_text
 from evenpairs.trigraph import make_trigraph
 
 from conftest import count_calls
@@ -118,7 +118,6 @@ def test_verify_log_records(tmp_path):
     # records replay: re-running an instance gives the same status
     sample = lines[0]
     from evenpairs.engine import _run_instance
-    from evenpairs.formats import from_text
 
     assert _run_instance(from_text(sample["instance"]))["status"] == sample["status"]
 
@@ -311,3 +310,6 @@ def test_oracle_rejection_is_recorded_as_failure(monkeypatch):
     assert len(summary.failures) == 8
     assert all(f.stage == "TheoremContradictionError"
                and "fails the oracle" in f.detail for f in summary.failures)
+    # listed in (n, instance) order, which is not the enumeration order
+    keys = [(from_text(f.instance).n, f.instance) for f in summary.failures]
+    assert keys == sorted(keys)
