@@ -113,9 +113,10 @@ def _degree_invariant(G: Trigraph) -> tuple:
 def random_canonical_graphs(n: int, count: int, seed: int = 0) -> list[Trigraph]:
     """``count`` distinct (up to isomorphism) random graphs on n vertices.
 
-    Sampling draws uniform labeled graphs and keeps the first draw of each
-    new isomorphism class, in draw order, so the classes are whatever the
-    labeled distribution hits first.  Draws are bucketed by
+    Sampling draws uniform labeled graphs, one coin flip per pair in
+    lexicographic order set straight into the strong masks, and keeps the
+    first draw of each new isomorphism class, in draw order, so the classes
+    are whatever the labeled distribution hits first.  Draws are bucketed by
     ``_degree_invariant``: the first draw of a bucket is kept without a
     canonical form, and the bucket computes forms (each graph's at most
     once) only when a second draw lands in it.  The result is the one that
@@ -123,6 +124,7 @@ def random_canonical_graphs(n: int, count: int, seed: int = 0) -> list[Trigraph]
     """
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
+    switch = [0] * n
     # invariant -> its only draw so far (form not yet needed) or the forms
     buckets: dict[tuple, Trigraph | set[bytes]] = {}
     kept: list[Trigraph] = []
@@ -133,8 +135,12 @@ def random_canonical_graphs(n: int, count: int, seed: int = 0) -> list[Trigraph]
         if attempts > limit:
             raise RuntimeError(
                 f"could not collect {count} distinct graphs on {n} vertices")
-        edges = [(u, v) for u, v in pairs if rng.random() < 0.5]
-        G = graph_from_edges(n, edges)
+        strong = [0] * n
+        for u, v in pairs:
+            if rng.random() < 0.5:
+                strong[u] |= 1 << v
+                strong[v] |= 1 << u
+        G = Trigraph(strong, switch)
         key = _degree_invariant(G)
         forms = buckets.get(key)
         if forms is None:

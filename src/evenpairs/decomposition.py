@@ -28,7 +28,7 @@ from .detect import is_berge
 from .errors import InputError, NonBergeError
 from .trigraph import (Trigraph, _mask_components, _mask_connected, _paths,
                        _pruned_masks, _vertex_mask, bits_of, complement,
-                       components, mask_of, renumber)
+                       mask_of, renumber)
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,13 @@ class Block:
     parent_map: tuple[int | None, ...]
 
 
-def _odd_path_exists(T: Trigraph, ends: int, inner: int) -> bool:
+def _odd_path_exists(adj, anti, ends: int, inner: int) -> bool:
     """Any odd path of length > 1 with both ends in the mask ``ends`` and
-    every interior vertex in the mask ``inner``?  One chordless-path search
-    (``_paths``) from each end u in ascending order, closing only at ends
-    above u; it returns at the first odd path."""
-    adj, anti = T.adj, T.anti
+    every interior vertex in the mask ``inner``, in the trigraph with the
+    per-vertex masks ``adj`` and ``anti`` (the complement's are the same two
+    swapped)?  One chordless-path search (``_paths``) from each end u in
+    ascending order, closing only at ends above u; it returns at the first
+    odd path."""
     for u in bits_of(ends):
         above = ends & -(2 << u)
         if any(len(path) > 2 and len(path) % 2 == 0
@@ -126,22 +127,27 @@ def is_balanced_partition(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> 
 
 
 def _is_balanced(T: Trigraph, a_mask: int, b_mask: int) -> bool:
-    """``is_balanced_partition`` on the masks of a partition (A, B)."""
-    return not (_odd_path_exists(T, b_mask, a_mask)
-                or _odd_path_exists(complement(T), a_mask, b_mask))
+    """``is_balanced_partition`` on the masks of a partition (A, B); the
+    antipaths are the paths of the swapped masks."""
+    return not (_odd_path_exists(T.adj, T.anti, b_mask, a_mask)
+                or _odd_path_exists(T.anti, T.adj, a_mask, b_mask))
 
 
-def _witness_for(T: Trigraph, a: frozenset[int], b: frozenset[int],
+def _witness_for(T: Trigraph, a_mask: int, b_mask: int,
                  balanced: bool) -> SkewPartitionWitness:
-    """The witness of a skew-partition: the split puts the first component
-    of A and the first anticomponent of B apart from the rest, and the star
-    center is the first one-vertex anticomponent of B, if any."""
-    comps = components(T, a, "connected")
-    anticomps = components(T, b, "anticonnected")
-    split = (comps[0], frozenset().union(*comps[1:]),
-             anticomps[0], frozenset().union(*anticomps[1:]))
-    star = next((min(comp) for comp in anticomps if len(comp) == 1), None)
-    return SkewPartitionWitness(a, b, split, balanced, star)
+    """The witness of the skew-partition with masks (A, B): the split puts
+    the first component of A and the first anticomponent of B apart from
+    the rest, and the star center is the first one-vertex anticomponent of
+    B, if any.  The (anti)components come as masks from one
+    ``_mask_components`` pass each, and sets are built only for the
+    witness."""
+    comp = _mask_components(T.adj, a_mask)[0]
+    anticomps = _mask_components(T.anti, b_mask)
+    split = tuple(frozenset(bits_of(m)) for m in (
+        comp, a_mask ^ comp, anticomps[0], b_mask ^ anticomps[0]))
+    star = next((m.bit_length() - 1 for m in anticomps if m.bit_count() == 1), None)
+    return SkewPartitionWitness(frozenset(bits_of(a_mask)),
+                                frozenset(bits_of(b_mask)), split, balanced, star)
 
 
 def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
@@ -153,8 +159,7 @@ def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
     for a_mask in _skew_masks(T):
         b_mask = full ^ a_mask
         if any(not T.anti[v] & b_mask for v in bits_of(b_mask)):
-            a, b = frozenset(bits_of(a_mask)), frozenset(bits_of(b_mask))
-            return _witness_for(T, a, b, _is_balanced(T, a_mask, b_mask))
+            return _witness_for(T, a_mask, b_mask, _is_balanced(T, a_mask, b_mask))
     return None
 
 
@@ -196,8 +201,7 @@ def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
     for a_mask in _skew_masks(T):
         b_mask = full ^ a_mask
         if _is_balanced(T, a_mask, b_mask):
-            a, b = frozenset(bits_of(a_mask)), frozenset(bits_of(b_mask))
-            return _witness_for(T, a, b, True)
+            return _witness_for(T, a_mask, b_mask, True)
     return None
 
 

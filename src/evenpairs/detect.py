@@ -2,10 +2,13 @@
 
 Everything here is an exhaustive search with deterministic tie-breaking:
 a hole search is one DFS over chordless paths in ascending vertex order,
-bounded by the shortest hole found so far, so the returned witness is the
+bounded by the shortest hole found so far and cut wherever no hole can
+close below a path any more, so the returned witness is the
 minimum-length lexicographically-least one, the same one a scan of the
-lengths one at a time in increasing order would return.  Witnesses are
-always checkable objects, never bare booleans.
+lengths one at a time in increasing order would return.  An antihole
+search is the hole search on the masks with adjacency and antiadjacency
+swapped, so no complement is built.  Witnesses are always checkable
+objects, never bare booleans.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterator
 
 from .errors import InputError
 from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths,
-                       complement, iter_paths, mask_of, switchable_vertices)
+                       bits_of, iter_paths, mask_of, switchable_vertices)
 
 # is_even_pair gives up with a RuntimeError past this many u-v paths
 MAX_PATHS = 1_000_000
@@ -29,17 +32,20 @@ def _shortest_hole(n: int, adj, anti, lengths,
     among those the first one met; None if there is none.  With ``first``,
     only the holes whose smallest vertex is ``first``.  The trigraph is
     given by its vertex count and its ``adj`` and ``anti`` masks, so callers
-    can search one they never build.
+    can search one they never build, or its complement by swapping them.
 
     One DFS grows chordless paths from each smallest vertex h1 in ascending
     order, taking candidates in ascending order.  A candidate adjacent to h1
-    closes a hole when that length is wanted; one antiadjacent to h1 extends
-    the path (a vertex semiadjacent to h1 does both).  A path is dropped as
-    soon as no wanted length shorter than the best hole so far can close on
-    it, and the search ends at a hole of the smallest wanted length.  The
-    tree of a search for one length is a pruned subtree of this one, met in
-    the same order, so the answer is what scanning the lengths one by one in
-    increasing order would return.
+    and above the second vertex closes a hole when that length is wanted;
+    one antiadjacent to h1 extends the path (a vertex semiadjacent to h1
+    does both).  A path is dropped as soon as no wanted length shorter than
+    the best hole so far can close on it, or no closing vertex is
+    antiadjacent to all of its vertices but h1, since a hole closed further
+    down needs one; the search ends at a hole of the smallest wanted length.
+    Only subtrees without a hole are dropped.  The tree of a search for one
+    length is a pruned subtree of this one, met in the same order, so the
+    answer is what scanning the lengths one by one in increasing order
+    would return.
 
     No mask of used vertices is kept, since every path vertex is already
     excluded from the candidates: h1 by ``closers`` and ``extenders``,
@@ -60,15 +66,14 @@ def _shortest_hole(n: int, adj, anti, lengths,
     limit = wanted.bit_length() - 1
     best = None
 
-    def grow(path: tuple[int, ...], tail_anti: int, closers: int,
-             extenders: int) -> None:
+    def grow(path: tuple[int, ...], tail_anti: int) -> None:
         # tail_anti: the vertices antiadjacent to every interior path vertex
         nonlocal best, limit
         depth = len(path)
-        step = adj[path[-1]] & tail_anti
+        last = path[-1]
+        step = adj[last] & tail_anti
         if depth < limit and wanted >> (depth + 1) & 1:
-            # canonical form: the closing vertex is larger than the second
-            close = step & closers & -(2 << path[1])
+            close = step & closers
             if close:
                 best = path + ((close & -close).bit_length() - 1,)
                 # only shorter wanted lengths are still worth a search
@@ -76,11 +81,13 @@ def _shortest_hole(n: int, adj, anti, lengths,
                 return
         if depth + 2 > limit:
             return
+        next_tail = tail_anti & anti[last]
+        if not closers & next_tail:
+            return
         extend = step & extenders
-        next_tail = tail_anti & anti[path[-1]]
         while extend:
             low = extend & -extend
-            grow(path + (low.bit_length() - 1,), next_tail, closers, extenders)
+            grow(path + (low.bit_length() - 1,), next_tail)
             if depth + 2 > limit:
                 return
             extend ^= low
@@ -91,10 +98,12 @@ def _shortest_hole(n: int, adj, anti, lengths,
             break
         above = full & ~((2 << h1) - 1)
         seconds = adj[h1] & above
+        extenders = anti[h1] & above
         while seconds and limit >= shortest:
             low = seconds & -seconds
-            grow((h1, low.bit_length() - 1), full, adj[h1] & above,
-                 anti[h1] & above)
+            # canonical form: the closing vertex is above the second
+            closers = adj[h1] & -(low << 1)
+            grow((h1, low.bit_length() - 1), full)
             seconds ^= low
     return best
 
@@ -113,20 +122,19 @@ def find_odd_hole(T: Trigraph) -> HoleWitness | None:
 
 
 def find_odd_antihole(T: Trigraph) -> HoleWitness | None:
-    wit = find_odd_hole(complement(T))
-    if wit is None:
-        return None
-    return HoleWitness(wit.vertices, "antihole")
+    """Shortest odd antihole: a hole search with adjacency and
+    antiadjacency swapped, which is the complement's."""
+    cycle = _shortest_hole(T.n, T.anti, T.adj, range(5, T.n + 1, 2))
+    return None if cycle is None else HoleWitness(cycle, "antihole")
 
 
 def find_antihole_of_length_at_least(T: Trigraph, k: int) -> HoleWitness | None:
-    """Shortest antihole of length >= k, of any parity."""
+    """Shortest antihole of length >= k, of any parity, by the hole search
+    on the swapped masks."""
     if k < 5:
         raise InputError("antiholes have at least five vertices")
-    wit = find_hole(complement(T), range(k, T.n + 1))
-    if wit is None:
-        return None
-    return HoleWitness(wit.vertices, "antihole")
+    cycle = _shortest_hole(T.n, T.anti, T.adj, range(k, T.n + 1))
+    return None if cycle is None else HoleWitness(cycle, "antihole")
 
 
 def is_berge(T: Trigraph) -> tuple[bool, HoleWitness | None]:
@@ -193,9 +201,10 @@ def validate_prism(T: Trigraph, witness: PrismWitness) -> None:
 
 def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
     n, adj = T.n, T.adj
-    triangles = [((a, b, c), mask_of((a, b, c)))
-                 for a, b, c in itertools.combinations(range(n), 3)
-                 if adj[a] >> b & 1 and adj[c] >> a & 1 and adj[c] >> b & 1]
+    # the triangles a < b < c in lexicographic order, read off the masks
+    triangles = [((a, b, c), 1 << a | 1 << b | 1 << c)
+                 for a in range(n) for b in bits_of(adj[a] & -(2 << a))
+                 for c in bits_of(adj[a] & adj[b] & -(2 << b))]
     # strict_anti[v]: the strong antineighbors of v, the only partners a
     # rung vertex may have among the rung's non-consecutive vertices
     full = (1 << n) - 1

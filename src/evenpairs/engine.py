@@ -195,7 +195,9 @@ class VerifySummary:
 
 
 def _run_instance(T: Trigraph) -> dict:
-    record: dict = {"instance": to_text(T), "n": T.n}
+    """The verdict record of one instance; ``verify_main_theorem`` adds the
+    instance text to the records it keeps."""
+    record: dict = {"n": T.n}
     try:
         result = find_even_pair_structured(T)
         if result.outcome == "precondition_failed":
@@ -276,13 +278,19 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
         with pool or nullcontext():
             records = (pool.map(_run_instance, instances, chunksize=64) if pool
                        else map(_run_instance, instances))
-            # tallied as they arrive; only a log keeps a line per instance
-            for record in records:
-                key, status = (record["n"], record["instance"]), record["status"]
+            # tallied as they arrive, in instance order; only a failure or a
+            # log line needs the instance text
+            for T, record in zip(instances, records):
+                status = record["status"]
                 tally[status] += 1
-                if status not in ("filtered", "complete", "even_pair"):
+                failed = status not in ("filtered", "complete", "even_pair")
+                if not (failed or log):
+                    continue
+                record["instance"] = text = to_text(T)
+                key = (T.n, text)
+                if failed:
                     failures.append((key, FailureRecord(
-                        record["instance"], record.get("stage", "?"), record.get("detail", "?"))))
+                        text, record.get("stage", "?"), record.get("detail", "?"))))
                 if log:
                     lines.append((key, json.dumps(record, sort_keys=True)))
         for _, line in sorted(lines, key=lambda item: item[0]):

@@ -184,7 +184,10 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Trigraph:
 
 
 def complement(T: Trigraph) -> Trigraph:
-    """Negate every pair code (an involution).  Computed once per instance."""
+    """Negate every pair code (an involution).  Its ``adj`` and ``anti`` are
+    T's ``anti`` and ``adj``, so a search that needs only those masks takes
+    them swapped; for callers that need the complement as a ``Trigraph`` it
+    is computed once per instance."""
     if T._complement is None:
         co = Trigraph([a & ~w for a, w in zip(T.anti, T.switch)], T.switch)
         co._complement = T
@@ -476,9 +479,10 @@ def validate_hole(T: Trigraph, cycle: Sequence[int], kind: str = "hole") -> None
 
 
 def switchable_components(T: Trigraph) -> list[frozenset[int]]:
-    """Components of the graph of switchable pairs, size >= 2 only."""
-    comps = _mask_components(T.switch, (1 << T.n) - 1)
-    return [frozenset(bits_of(c)) for c in comps if c.bit_count() >= 2]
+    """Components of the graph of switchable pairs, size >= 2 only: the
+    components of the vertices that have a switchable partner."""
+    partnered = mask_of(v for v, m in enumerate(T.switch) if m)
+    return [frozenset(bits_of(c)) for c in _mask_components(T.switch, partnered)]
 
 
 @dataclass(frozen=True)

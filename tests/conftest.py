@@ -96,9 +96,9 @@ def count_calls(monkeypatch, module, name):
 
 
 # -- reference oracles: the per-pair, form-per-draw, sorted-signature,
-# -- separate path-search, path-triple, side-array and multigraph versions
-# -- the library replaced, kept here so they stay independent of the code
-# -- they check
+# -- separate path-search, path-triple, side-array, multigraph and uncut
+# -- hole-search versions the library replaced, kept here so they stay
+# -- independent of the code they check
 
 def bipartition_by_side_array(T):
     """Two strongly stable sets covering V, or None, by a DFS that keeps a
@@ -241,6 +241,56 @@ def extend_rungs_by_grow(T, tri_a, tri_b, i, used, rungs):
                 yield from grow(path + (w,), used_now | (1 << w))
 
     yield from grow((a,), used)
+
+
+def shortest_hole_without_cut(n, adj, anti, lengths, first=None):
+    """The bounded hole search without the cut on closing vertices: a path
+    is dropped only once no wanted length shorter than the best hole so far
+    can close on it.  Same contract and result as ``detect._shortest_hole``
+    (lengths below five are refused there, not here)."""
+    wanted = 0
+    for k in lengths:
+        if k <= n:
+            wanted |= 1 << k
+    if not wanted:
+        return None
+    shortest = (wanted & -wanted).bit_length() - 1
+    limit = wanted.bit_length() - 1
+    best = None
+
+    def grow(path, tail_anti, closers, extenders):
+        nonlocal best, limit
+        depth = len(path)
+        step = adj[path[-1]] & tail_anti
+        if depth < limit and wanted >> (depth + 1) & 1:
+            close = step & closers & -(2 << path[1])
+            if close:
+                best = path + ((close & -close).bit_length() - 1,)
+                limit = (wanted & ((1 << depth + 1) - 1)).bit_length() - 1
+                return
+        if depth + 2 > limit:
+            return
+        extend = step & extenders
+        next_tail = tail_anti & anti[path[-1]]
+        while extend:
+            low = extend & -extend
+            grow(path + (low.bit_length() - 1,), next_tail, closers, extenders)
+            if depth + 2 > limit:
+                return
+            extend ^= low
+
+    full = (1 << n) - 1
+    for h1 in range(n - shortest + 1) if first is None else (first,):
+        if limit < shortest:
+            break
+        above = full & ~((2 << h1) - 1)
+        seconds = adj[h1] & above
+        while seconds and limit >= shortest:
+            low = seconds & -seconds
+            grow((h1, low.bit_length() - 1), full, adj[h1] & above,
+                 anti[h1] & above)
+            seconds ^= low
+    return best
 
 
 def odd_path_exists_by_pairs(T, ends, interior):

@@ -43,10 +43,16 @@ def test_criterion_1_main_theorem_graphs_exhaustive():
 
 
 def test_criterion_1_main_theorem_graphs_exhaustive_n8():
+    # the run leaves no complement on the cached graphs; other tests
+    # complement them on purpose, so their complements are dropped first
+    cached = graphs_upto(8)
+    for g in cached:
+        g._complement = None
     summary = verify_main_theorem(8, "graphs")
     assert summary.failures == (), summary.failures[:3]
     assert (summary.instances, summary.filtered_in, summary.complete,
             summary.even_pair) == (13598, 23, 8, 15)
+    assert all(g._complement is None for g in cached)
     report("criterion 1 (exhaustive n<=8)",
            f"{summary.instances} graphs, {summary.filtered_in} past the filter, "
            f"{summary.complete} complete, {summary.even_pair} with even pairs, "

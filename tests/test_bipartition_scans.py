@@ -43,7 +43,7 @@ def reference_bsp(T):
         if _connected(T, a, "connected") or _connected(T, b, "anticonnected"):
             continue
         if is_balanced_partition(T, a, b):
-            return _witness_for(T, a, b, True)
+            return _witness_for(T, a_mask, ((1 << n) - 1) ^ a_mask, True)
     return None
 
 

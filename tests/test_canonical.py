@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from evenpairs import canonical
+from evenpairs import canonical, corpus
 from evenpairs.canonical import (canonical_form, canonical_labeling,
                                  mask_automorphisms, relabel)
 from evenpairs.corpus import (_mask_image, _orbit_firsts, _pair_image,
@@ -189,10 +189,10 @@ def test_random_canonical_graphs_raise_at_the_same_draw_limit():
 
 
 def test_census_sampling_computes_few_canonical_forms(monkeypatch):
-    # the census jobs draw 20 classes on 8 vertices; a draw needs a form
-    # only when an earlier draw shares its degree invariant
+    # the census jobs draw 20 classes on 8 vertices; each draw gets one
+    # degree invariant, and needs a form only when an earlier draw shares it
     forms = count_calls(monkeypatch, canonical, "canonical_form")
-    draws = count_calls(monkeypatch, trigraph, "graph_from_edges")
+    draws = count_calls(monkeypatch, corpus, "_degree_invariant")
     for seed in range(100):
         random_canonical_graphs(8, 20, seed)
         assert len(forms) <= len(draws)

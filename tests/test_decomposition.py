@@ -133,7 +133,7 @@ def test_skew_partition_witness_takes_one_anticomponent_pass(monkeypatch):
     import evenpairs.trigraph as trigraph
     from evenpairs.corpus import graphs_upto
 
-    passes = count_calls(monkeypatch, trigraph, "components")
+    passes = count_calls(monkeypatch, trigraph, "_mask_components")
     witnesses = 0
     for g in graphs_upto(6):
         for search in (find_balanced_skew_partition, find_star_cutset):
@@ -183,9 +183,12 @@ def test_odd_path_exists_matches_the_per_pair_enumeration():
         for a_mask in masks:
             a = frozenset(v for v in range(t.n) if a_mask >> v & 1)
             b = frozenset(v for v in range(t.n) if (full ^ a_mask) >> v & 1)
-            # the two calls of the balance test, and T with the roles swapped
-            for g, ends, interior in ((t, b, a), (co, a, b), (t, a, b)):
-                assert (_odd_path_exists(g, mask_of(ends), mask_of(interior))
+            # the two calls of the balance test, and T with the roles swapped;
+            # the complement side runs on T's masks swapped
+            for g, masks, ends, interior in ((t, (t.adj, t.anti), b, a),
+                                             (co, (t.anti, t.adj), a, b),
+                                             (t, (t.adj, t.anti), a, b)):
+                assert (_odd_path_exists(*masks, mask_of(ends), mask_of(interior))
                         == odd_path_exists_by_pairs(g, ends, interior))
                 checks += 1
     assert checks > 160_000

@@ -17,7 +17,8 @@ from evenpairs.families import (complete_bipartite, cycle, line_graph,
 from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
                                 make_trigraph, realization, validate_hole)
 
-from conftest import count_calls, random_graph, random_trigraph
+from conftest import (count_calls, random_graph, random_trigraph,
+                      shortest_hole_without_cut)
 
 
 # -- odd holes ---------------------------------------------------------------
@@ -114,6 +115,32 @@ def test_shortest_hole_matches_the_per_length_scans():
                     == _first_hole_by_length(t, odd, first=v))
             queries += 1
     assert queries > 70_000
+
+
+def test_shortest_hole_cut_matches_the_uncut_search():
+    # the cut drops only subtrees where no closing vertex is left, so the
+    # witness is the uncut search's on every input, length set and start
+    rng = random.Random(20)
+    masks = []
+    for t in graphs_upto(7):
+        masks += [(t.n, t.adj, t.anti), (t.n, t.anti, t.adj)]
+    masks += [(t.n, t.adj, t.anti) for t in planted_class_f_trigraphs(6)]
+    for _ in range(1500):
+        t = random_trigraph(rng, rng.randint(5, 14), switch_prob=0.1,
+                            p=rng.choice((0.3, 0.5, 0.7)))
+        masks.append((t.n, t.adj, t.anti) if rng.random() < 0.5
+                     else (t.n, t.anti, t.adj))
+    queries = holes = 0
+    for n, adj, anti in masks:
+        k = rng.randint(5, max(5, n))
+        for lengths in (range(5, n + 1, 2), range(6, n + 1), range(5, n + 1),
+                        (k,), range(7, n + 1, 2)):
+            for first in (None, 0, rng.randrange(n)):
+                got = _shortest_hole(n, adj, anti, lengths, first)
+                assert got == shortest_hole_without_cut(n, adj, anti, lengths, first)
+                queries += 1
+                holes += got is not None
+    assert queries > 60_000 and holes > 7_000
 
 
 def test_find_hole_rejects_short_lengths_up_front():

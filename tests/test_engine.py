@@ -4,13 +4,14 @@ import json
 import pytest
 
 from evenpairs.cli import main
-from evenpairs.corpus import graphs_of_order, planted_class_f_trigraphs
+from evenpairs.corpus import (graphs_of_order, graphs_upto,
+                              planted_class_f_trigraphs)
 from evenpairs.detect import EvenPairReport, is_even_pair
 from evenpairs.engine import (PRECONDITIONS, check_preconditions,
                               find_even_pair_structured, verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.formats import from_graph6, from_text
-from evenpairs.trigraph import make_trigraph
+from evenpairs.trigraph import Trigraph, make_trigraph
 
 from conftest import count_calls
 
@@ -146,11 +147,39 @@ def test_verify_rejects_large_n():
         verify_main_theorem(5, "everything")
 
 
-def test_verify_workers_match_sequential():
-    seq = verify_main_theorem(4, "graphs", workers=1)
-    par = verify_main_theorem(4, "graphs", workers=2)
+def test_verify_workers_match_sequential(tmp_path):
+    seq = verify_main_theorem(4, "graphs", workers=1, log_path=str(tmp_path / "1"))
+    par = verify_main_theorem(4, "graphs", workers=2, log_path=str(tmp_path / "2"))
     assert (seq.instances, seq.filtered_in, seq.complete, seq.even_pair) == \
         (par.instances, par.filtered_in, par.complete, par.even_pair)
+    # records come back in instance order, which pairs each with its text
+    assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
+
+
+def test_verify_writes_instance_text_only_for_kept_records(monkeypatch, tmp_path):
+    # a clean unlogged run serializes nothing; a logged one each instance once
+    import evenpairs.engine as engine
+    import evenpairs.formats as formats
+
+    monkeypatch.delenv("EVENPAIRS_WORKERS", raising=False)
+    engine._instances_for("graphs", 7, None, 0)  # corpora are cached
+    texts = count_calls(monkeypatch, formats, "to_text")
+    assert verify_main_theorem(7, "graphs").ok
+    assert texts == []
+    summary = verify_main_theorem(7, "graphs", log_path=str(tmp_path / "log"))
+    assert summary.ok and len(texts) == summary.instances == 1252
+
+
+def test_precondition_filter_builds_no_complement():
+    # the antihole searches and the balance test read the complement's
+    # masks off T, swapped; fresh copies, since other tests complement the
+    # cached instances on purpose
+    pool = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    for t in pool:
+        for fast in (True, False):
+            fresh = Trigraph(t.strong, t.switch)
+            check_preconditions(fresh, fast=fast)
+            assert fresh._complement is None
 
 
 def test_structured_two_join_branch_wiring(c8, monkeypatch):
@@ -310,6 +339,8 @@ def test_oracle_rejection_is_recorded_as_failure(monkeypatch):
     assert len(summary.failures) == 8
     assert all(f.stage == "TheoremContradictionError"
                and "fails the oracle" in f.detail for f in summary.failures)
-    # listed in (n, instance) order, which is not the enumeration order
+    # listed in (n, instance) order, which is not the enumeration order,
+    # each with the text of its own instance
     keys = [(from_text(f.instance).n, f.instance) for f in summary.failures]
     assert keys == sorted(keys)
+    assert {from_text(f.instance) for f in summary.failures} <= set(graphs_upto(5))

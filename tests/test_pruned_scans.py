@@ -61,7 +61,7 @@ def flat_bsp(T):
         a = frozenset(bits_of(a_mask))
         b = frozenset(bits_of(b_mask))
         if is_balanced_partition(T, a, b):
-            return _witness_for(T, a, b, True)
+            return _witness_for(T, a_mask, b_mask, True)
     return None
 
 
