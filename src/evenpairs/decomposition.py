@@ -9,15 +9,18 @@ fixed, so no split search is needed.
 
 The bipartitions come from ``trigraph._pruned_masks``, a depth-first search
 that leaves a subtree once its fixed vertices rule out every completion.
-Each search supplies a necessary condition for that.  A bipartition that
-remains is judged once, by the exact test: for skew partitions the
-condition itself, which is exact once no vertex is free, and for 2-joins
-``_derive_split``.  So each search returns exactly what a scan of all 2^n
-bipartitions would.  Sets are built only for a candidate that passes the
-mask tests.  On one core of a 2-vCPU machine the full
-balanced-skew-partition search of C16 and the full 2-join search of its
-complement take 1 to 2 ms each.  The searches stay exponential in the
-worst case; near-complete inputs prune least.
+Each search supplies a necessary condition for that, as a step that
+updates the state of the parent node with the one vertex fixed last: for
+skew partitions the masks of the free vertices that can still extend the
+fixed parts, for 2-joins the bicliques the crossing edges form.  A
+bipartition that remains is judged once, by the exact test: for skew
+partitions the condition itself, which is exact once no vertex is free,
+and for 2-joins ``_derive_split``.  So each search returns exactly what a
+scan of all 2^n bipartitions would.  Sets are built only for a candidate
+that passes the mask tests.  On one core of a 2-vCPU machine the full
+balanced-skew-partition search of C16 takes about 0.5 ms and the full
+2-join search of its complement about 0.2 ms.  The searches stay
+exponential in the worst case; near-complete inputs prune least.
 """
 
 from __future__ import annotations
@@ -101,13 +104,27 @@ def _odd_path_exists(adj, anti, ends: int, inner: int) -> bool:
     """Any odd path of length > 1 with both ends in the mask ``ends`` and
     every interior vertex in the mask ``inner``, in the trigraph with the
     per-vertex masks ``adj`` and ``anti`` (the complement's are the same two
-    swapped)?  One chordless-path search (``_paths``) from each end u in
-    ascending order, closing only at ends above u; it returns at the first
-    odd path."""
+    swapped)?
+
+    Such a path has length at least 3, so at least two interior vertices,
+    each adjacent to the next or the previous one.  The interior therefore
+    lies in the core, the vertices of ``inner`` with a neighbor in
+    ``inner``, and each end has a neighbor in the core; when ``inner`` is
+    stable the core is empty and no search runs.  Otherwise one
+    chordless-path search (``_paths``) through the core from each such end
+    u in ascending order, closing only at such ends above u; it returns at
+    the first odd path."""
+    core = 0
+    for w in bits_of(inner):
+        if adj[w] & inner:
+            core |= 1 << w
+    if not core:
+        return False
+    ends = mask_of(u for u in bits_of(ends) if adj[u] & core)
     for u in bits_of(ends):
         above = ends & -(2 << u)
         if any(len(path) > 2 and len(path) % 2 == 0
-               for path in _paths(adj, anti, u, above, inner)):
+               for path in _paths(adj, anti, u, above, core)):
             return True
     return False
 
@@ -172,20 +189,60 @@ def _skew_masks(T: Trigraph):
     adjacent to all of it; a fixed part of A that is connected lies inside
     one component of A, so some free vertex must see none of it.  At a leaf,
     where no vertex is free, that is exactly the skew condition.
+
+    The search state is two masks and two flags: the vertices strongly
+    complete to the fixed part of B, the vertices with no neighbor in the
+    fixed part of A, and whether each fixed part is anticonnected
+    (connected), or None while unknown.  A node takes its parent's state and
+    places the one vertex v it fixed.  When v joins B, its antineighbors
+    leave the first mask, and the fixed part of B is anticonnected if it
+    was and v has an antineighbor in it, is not if v has none there, and
+    is unknown otherwise (``_grown``).  In A the same holds with neighbors.  A connectivity
+    search (``_mask_connected``) runs only when no free vertex is left in a
+    mask and the flag is unknown, so the nodes entered and the masks yielded
+    are those of the predicate alone.
     """
-    adj, anti = T.adj, T.anti
+    n, adj, anti = T.n, T.adj, T.anti
 
-    def feasible(a_fixed: int, b_fixed: int, free: int) -> bool:
-        if b_fixed and _mask_connected(anti, b_fixed):
-            if all(anti[v] & b_fixed for v in bits_of(free)):
-                return False
-        if a_fixed and _mask_connected(adj, a_fixed):
-            if all(adj[v] & a_fixed for v in bits_of(free)):
-                return False
+    def step(state, a_fixed: int, b_fixed: int, free: int):
+        complete_b, lonely_a, b_whole, a_whole = state
+        v = free.bit_length()  # fixed last; n at the root
+        if v < n:
+            bit = 1 << v
+            if a_fixed & bit:
+                lonely_a &= ~adj[v]
+                a_whole = _grown(a_whole, a_fixed ^ bit, adj[v])
+            else:
+                complete_b &= ~anti[v]
+                b_whole = _grown(b_whole, b_fixed ^ bit, anti[v])
+        if b_fixed and not free & complete_b:
+            if b_whole is None:
+                b_whole = _mask_connected(anti, b_fixed)
+            if b_whole:
+                return None
+        if a_fixed and not free & lonely_a:
+            if a_whole is None:
+                a_whole = _mask_connected(adj, a_fixed)
+            if a_whole:
+                return None
+        return complete_b, lonely_a, b_whole, a_whole
+
+    # a leaf has no free vertex, so the step there is the skew test itself
+    full = (1 << n) - 1
+    return _pruned_masks(n, step, (full, full, None, None))
+
+
+def _grown(whole: bool | None, before: int, neigh: int) -> bool | None:
+    """Whether a fixed part is one component under the relation ``neigh``
+    after a vertex with the mask ``neigh`` joins it, given ``whole`` for
+    the part ``before`` (None when unknown): it is if the part was empty, or
+    was one component the vertex reaches; it is not if the vertex reaches
+    none of a nonempty part; otherwise unknown."""
+    if not before:
         return True
-
-    # a leaf has no free vertex, so feasible there is the skew test itself
-    return _pruned_masks(T.n, feasible)
+    if not neigh & before:
+        return False
+    return True if whole else None
 
 
 def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
@@ -311,28 +368,60 @@ def iter_2joins(T: Trigraph):
 
     Each unordered bipartition appears twice, once per choice of X1; that is
     deliberate since fragments are one-sided.  The X1-masks come from
-    ``_pruned_masks``, which leaves a subtree once ``_bundles`` rejects the
-    crossings of either fixed part into the other: a switchable pair
-    crosses, or the strong crossings no longer fit two disjoint bundles.  No
-    mask it skips has a split.  A leaf is judged once, by ``_derive_split``,
+    ``_pruned_masks``, which leaves a subtree once the strong edges that
+    cross between the fixed parts no longer form at most two disjoint
+    bicliques p1 x q1 and p2 x q2 (p in X1, q in X2), or a switchable pair
+    crosses; a leaf needs both bicliques.  No mask it skips has a split.
+    The bicliques are the search state: a node takes its parent's and
+    places the one vertex it fixed, whose crossings must be empty or a whole
+    q (p) or, while a biclique is unused, disjoint from the other one.  This
+    is ``_bundles`` of X1 into X2, and the reverse check of X2 into X1 is
+    implied: each vertex of q_i crosses to exactly p_i and every other
+    vertex of X2 to nothing.  A leaf is judged once, by ``_derive_split``,
     so the sequence is the one a scan of every bipartition gives.  The
     search stays exponential in the worst case.
     """
-    adj = T.adj
+    n, strong, switch = T.n, T.strong, T.switch
 
-    def feasible(x1_fixed: int, x2_fixed: int, free: int) -> bool:
-        if not free:
-            return True
-        # v is the vertex fixed last (n at the root).  When it sees nothing
-        # on the other side, the crossings are those of the parent node,
-        # which passed already.
-        v = free.bit_length()
-        if v < T.n and not adj[v] & (x2_fixed if x1_fixed >> v & 1 else x1_fixed):
-            return True
-        return (_bundles(T, x1_fixed, x2_fixed) is not None
-                and _bundles(T, x2_fixed, x1_fixed) is not None)
+    def step(state, x1_fixed: int, x2_fixed: int, free: int):
+        v = free.bit_length()  # fixed last; n at the root
+        if v < n:
+            bit = 1 << v
+            p1, q1, p2, q2 = state
+            if x1_fixed & bit:
+                if switch[v] & x2_fixed:
+                    return None
+                cross = strong[v] & x2_fixed
+                if cross:
+                    if cross == q1:
+                        state = p1 | bit, q1, p2, q2
+                    elif cross == q2:
+                        state = p1, q1, p2 | bit, q2
+                    elif not q1:
+                        state = bit, cross, 0, 0
+                    elif not q2 and not cross & q1:
+                        state = p1, q1, bit, cross
+                    else:
+                        return None
+            else:
+                if switch[v] & x1_fixed:
+                    return None
+                cross = strong[v] & x1_fixed
+                if cross:
+                    if cross == p1:
+                        state = p1, q1 | bit, p2, q2
+                    elif cross == p2:
+                        state = p1, q1, p2, q2 | bit
+                    elif not p1:
+                        state = cross, bit, 0, 0
+                    elif not p2 and not cross & p1:
+                        state = p1, q1, cross, bit
+                    else:
+                        return None
+        # a split needs two bundles, so a leaf with fewer is dropped
+        return state if free or state[3] else None
 
-    for x1_mask in _pruned_masks(T.n, feasible):
+    for x1_mask in _pruned_masks(n, step, (0, 0, 0, 0)):
         split = _derive_split(T, x1_mask)
         if split is not None:
             yield split

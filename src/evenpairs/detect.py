@@ -199,25 +199,39 @@ def validate_prism(T: Trigraph, witness: PrismWitness) -> None:
             raise InputError(f"stray edge ({u}, {v}) inside the prism")
 
 
+def _triangles(adj, avail: int, low: int) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """The triangles a < b < c inside the mask ``avail`` with a >= ``low``,
+    in lexicographic order, each with its mask, read off the masks."""
+    for a in bits_of(avail & -(1 << low)):
+        above_a = adj[a] & avail & -(2 << a)
+        for b in bits_of(above_a):
+            for c in bits_of(above_a & adj[b] & -(2 << b)):
+                yield (a, b, c), 1 << a | 1 << b | 1 << c
+
+
 def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
+    """Every prism of T: triangle pairs in lexicographic order, every
+    matching of the second triangle's vertices to the first's, then the
+    rungs from ``_extend_rungs``.
+
+    Each vertex of the second triangle lies outside the first and may see
+    only its own partner there, so it must miss ``blocked``: the first
+    triangle and the common neighbors of two of its vertices.  A triangle
+    after the first one in lexicographic order that misses it has its
+    smallest vertex above the first's smallest, so the second triangles are
+    enumerated inside the unblocked vertices above that vertex, which is
+    the sequence a scan of the later triangles keeps, in the same order.
+    """
     n, adj = T.n, T.adj
-    # the triangles a < b < c in lexicographic order, read off the masks
-    triangles = [((a, b, c), 1 << a | 1 << b | 1 << c)
-                 for a in range(n) for b in bits_of(adj[a] & -(2 << a))
-                 for c in bits_of(adj[a] & adj[b] & -(2 << b))]
+    full = (1 << n) - 1
     # strict_anti[v]: the strong antineighbors of v, the only partners a
     # rung vertex may have among the rung's non-consecutive vertices
-    full = (1 << n) - 1
     strict_anti = [full ^ 1 << v ^ adj[v] for v in range(n)]
 
-    for ia, (tri_a, mask_a) in enumerate(triangles):
-        # each vertex of the second triangle lies outside the first and may
-        # see only its own partner there, so it must miss ``blocked``
+    for tri_a, mask_a in _triangles(adj, full, 0):
         sa, sb, sc = (adj[v] for v in tri_a)
         blocked = mask_a | sa & sb | sa & sc | sb & sc
-        for tri_b, mask_b in triangles[ia + 1:]:
-            if mask_b & blocked:
-                continue
+        for tri_b, mask_b in _triangles(adj, full & ~blocked, tri_a[0] + 1):
             for perm in itertools.permutations(tri_b):
                 # between the triangles only matched pairs may be adjacent
                 ok = all(not adj[tri_a[i]] >> perm[j] & 1

@@ -19,19 +19,20 @@ from __future__ import annotations
 import os
 
 from .errors import InputError
-from .trigraph import STRONG, SWITCHABLE, Trigraph, make_trigraph
+from .trigraph import (STRONG, SWITCHABLE, Trigraph, _check_vertex_count,
+                       bits_of, make_trigraph)
 
 _G6_HEADER = ">>graph6<<"
 
 
 def to_text(T: Trigraph) -> str:
+    """The trigraph line format, pairs u < v in lexicographic order: each
+    row's adjacent partners above u, read off its masks."""
     lines = [f"trigraph {T.n}"]
-    for u, v in T.pairs():
-        code = T.value(u, v)
-        if code == STRONG:
-            lines.append(f"{u} {v} E")
-        elif code == SWITCHABLE:
-            lines.append(f"{u} {v} S")
+    for u, (partners, strong) in enumerate(zip(T.adj, T.strong)):
+        above = -(2 << u)
+        for v in bits_of(partners & above):
+            lines.append(f"{u} {v} E" if strong >> v & 1 else f"{u} {v} S")
     return "\n".join(lines) + "\n"
 
 
@@ -102,6 +103,14 @@ def to_graph6(G: Trigraph) -> str:
 
 
 def from_graph6(text: str) -> Trigraph:
+    """Decode graph6 straight into strong masks.
+
+    The payload becomes one integer whose bit k is the k-th pair of the
+    upper triangle, column by column, so column v is the mask of the
+    neighbors u < v of v; no edge list is built, and ``Trigraph`` checks
+    the masks.  Errors come in a fixed order: the string, its length,
+    nonzero padding bits, then the vertex cap (``_check_vertex_count``).
+    """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -120,23 +129,26 @@ def from_graph6(text: str) -> Trigraph:
     else:
         n = data[0]
         body = data[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) != need:
         raise InputError(
             f"graph6 length mismatch: n={n} needs {need} payload bytes, got {len(body)}")
-    bits = []
-    for d in body:
-        bits.extend((d >> (5 - i)) & 1 for i in range(6))
-    edges = []
+    bits = int("".join(format(d, "06b") for d in body)[::-1] or "0", 2)
+    if bits >> pairs:
+        raise InputError("graph6 padding bits must be zero")
+    _check_vertex_count(n)
+    strong = [0] * n
     k = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v, STRONG))
-            k += 1
-    if any(bits[k:]):
-        raise InputError("graph6 padding bits must be zero")
-    return make_trigraph(n, edges)
+        column = bits >> k & ((1 << v) - 1)
+        k += v
+        strong[v] |= column
+        while column:
+            low = column & -column
+            strong[low.bit_length() - 1] |= 1 << v
+            column ^= low
+    return Trigraph(strong, [0] * n)
 
 
 def loads(text: str, fmt: str | None = None) -> Trigraph:

@@ -8,8 +8,8 @@ no switchable pair.  All values here are immutable after construction and
 every operation is a pure function, so everything is safe to use from
 multiple workers.
 
-Vertices are the integers 0..n-1.  ``make_trigraph``, which both input
-formats use, caps n at MAX_VERTICES, plenty for the exhaustive workloads
+Vertices are the integers 0..n-1.  Both input formats cap n at
+MAX_VERTICES (``_check_vertex_count``), plenty for the exhaustive workloads
 this library targets; derived trigraphs such as the root graph of a line
 trigraph (up to 2n nodes) are built from masks past it.  Adjacency is
 stored as two per-vertex bitmasks, one for the strong partners and one for
@@ -149,6 +149,16 @@ def renumber(masks: Sequence[int], order: Sequence[int]) -> list[int]:
     return out
 
 
+def _check_vertex_count(n: int) -> None:
+    """The vertex cap of the input paths, ``make_trigraph`` and graph6
+    decoding: a negative count, or one past MAX_VERTICES, raises
+    InputError."""
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+
+
 def make_trigraph(n: int, entries: Iterable[tuple[int, int, int]] = ()) -> Trigraph:
     """Build a trigraph from explicit pair codes.
 
@@ -156,10 +166,7 @@ def make_trigraph(n: int, entries: Iterable[tuple[int, int, int]] = ()) -> Trigr
     than MAX_VERTICES vertices, out-of-range vertices, duplicate pairs, and
     codes outside {-1, 0, +1}, naming the offending pair.
     """
-    if n < 0:
-        raise InputError("vertex count must be nonnegative")
-    if n > MAX_VERTICES:
-        raise InputError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+    _check_vertex_count(n)
     strong, switch = [0] * n, [0] * n
     seen: set[tuple[int, int]] = set()
     for u, v, value in entries:
@@ -277,24 +284,31 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
     return all(mask & ~adj[v] == 1 << v for v in bits_of(mask))
 
 
-def _pruned_masks(n: int, feasible: Callable[[int, int, int], bool]) -> Iterator[int]:
+def _pruned_masks(n: int, step: Callable[[object, int, int, int], object],
+                  root: object) -> Iterator[int]:
     """Yield the masks 0 < x < 2^n - 1 in increasing order, skipping
     subtrees that cannot hold a wanted mask.
 
     A depth-first search decides vertex n - 1 first and vertex 0 last,
     putting each vertex on the Y side (bit clear) before the X side, which
-    is increasing integer order.  A node, leaves included, is entered only
-    while ``feasible(x_fixed, y_fixed, free)`` holds, where ``free`` is the
-    mask of the undecided vertices.  The predicate must be a necessary
-    condition: when it holds on every partial assignment that a wanted mask
-    completes, every wanted mask is yielded, in the order of
-    ``range(1, 2^n - 1)``.
+    is increasing integer order.  At each node, leaves included, it calls
+    ``step(state, x_fixed, y_fixed, free)``, where ``free`` is the mask of
+    the undecided vertices and ``state`` is what ``step`` returned at the
+    parent node (``root`` at the root).  The vertex fixed last is
+    ``free.bit_length()`` (n at the root), so a step can update its parent's
+    state with that one vertex.  A falsy return leaves the node and its
+    subtree; any other value is the node's state, kept on the DFS stack
+    beside the node and handed to its two children only.  Leaving must be a
+    necessary condition: when ``step`` returns a truthy state on every
+    partial assignment that a wanted mask completes, every wanted mask is
+    yielded, in the order of ``range(1, 2^n - 1)``.
     """
     full = (1 << n) - 1
-    stack = [(0, 0, full)]
+    stack = [(0, 0, full, root)]
     while stack:
-        x, y, free = stack.pop()
-        if not feasible(x, y, free):
+        x, y, free, state = stack.pop()
+        state = step(state, x, y, free)
+        if not state:
             continue
         if not free:
             if 0 < x < full:
@@ -302,8 +316,8 @@ def _pruned_masks(n: int, feasible: Callable[[int, int, int], bool]) -> Iterator
             continue
         bit = 1 << (free.bit_length() - 1)
         free ^= bit
-        stack.append((x | bit, y, free))
-        stack.append((x, y | bit, free))
+        stack.append((x | bit, y, free, state))
+        stack.append((x, y | bit, free, state))
 
 
 def _vertex_mask(T: Trigraph, X: Iterable[int] | None) -> int:

@@ -12,7 +12,9 @@ from evenpairs.canonical import canonical_form
 from evenpairs.corpus import plant_light, plant_small
 from evenpairs.families import complete_graph, cycle, path_graph
 from evenpairs.detect import PrismWitness
-from evenpairs.trigraph import (PathWitness, Trigraph, bits_of, graph_from_edges,
+from evenpairs.decomposition import _bundles
+from evenpairs.trigraph import (STRONG, SWITCHABLE, PathWitness, Trigraph,
+                                _mask_connected, bits_of, graph_from_edges,
                                 in_class_F, make_trigraph)
 
 
@@ -96,9 +98,62 @@ def count_calls(monkeypatch, module, name):
 
 
 # -- reference oracles: the per-pair, form-per-draw, sorted-signature,
-# -- separate path-search, path-triple, side-array, multigraph and uncut
-# -- hole-search versions the library replaced, kept here so they stay
-# -- independent of the code they check
+# -- separate path-search, path-triple, side-array, multigraph, uncut
+# -- hole-search, stateless predicate and pair-scan text versions the
+# -- library replaced, kept here so they stay independent of the code they
+# -- check
+
+def skew_feasible_by_connectivity(T):
+    """The skew search's predicate without search state, on (A fixed, B
+    fixed, free): a fixed part of B that is anticonnected needs a free
+    vertex strongly complete to it, and a fixed part of A that is connected
+    a free vertex that sees none of it.  Connectivity is computed at every
+    node."""
+    adj, anti = T.adj, T.anti
+
+    def feasible(a_fixed, b_fixed, free):
+        if b_fixed and _mask_connected(anti, b_fixed):
+            if all(anti[v] & b_fixed for v in bits_of(free)):
+                return False
+        if a_fixed and _mask_connected(adj, a_fixed):
+            if all(adj[v] & a_fixed for v in bits_of(free)):
+                return False
+        return True
+
+    return feasible
+
+
+def two_join_feasible_by_bundles(T):
+    """The 2-join search's predicate without search state, on (X1 fixed, X2
+    fixed, free): ``_bundles`` of each fixed part into the other, both
+    directions, at every inner node whose last vertex crosses; every leaf is
+    entered."""
+    adj = T.adj
+
+    def feasible(x1_fixed, x2_fixed, free):
+        if not free:
+            return True
+        v = free.bit_length()
+        if v < T.n and not adj[v] & (x2_fixed if x1_fixed >> v & 1 else x1_fixed):
+            return True
+        return (_bundles(T, x1_fixed, x2_fixed) is not None
+                and _bundles(T, x2_fixed, x1_fixed) is not None)
+
+    return feasible
+
+
+def to_text_by_pairs(T):
+    """The trigraph line format by one ``value`` call per pair u < v in
+    ``pairs()`` order."""
+    lines = [f"trigraph {T.n}"]
+    for u, v in T.pairs():
+        code = T.value(u, v)
+        if code == STRONG:
+            lines.append(f"{u} {v} E")
+        elif code == SWITCHABLE:
+            lines.append(f"{u} {v} S")
+    return "\n".join(lines) + "\n"
+
 
 def bipartition_by_side_array(T):
     """Two strongly stable sets covering V, or None, by a DFS that keeps a

@@ -131,6 +131,13 @@ def test_input_error_exit_two(capsys):
     assert code == 2
 
 
+def test_graph6_past_the_vertex_cap_exits_two(capsys):
+    literal = chr(33 + 63) + "?" * (33 * 32 // 2 // 6)
+    code, doc, err = run_cli(capsys, "analyze", literal)
+    assert code == 2 and doc is None
+    assert "vertex count 33 exceeds cap 32" in err
+
+
 @pytest.mark.parametrize("case", ["input-directory", "non-ascii-input",
                                   "cert-directory"])
 def test_unreadable_and_unwritable_paths_exit_two(capsys, tmp_path, case):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from evenpairs import decomposition
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs)
 from evenpairs.decomposition import (TwoJoinSplit, _odd_path_exists,
@@ -192,6 +193,17 @@ def test_odd_path_exists_matches_the_per_pair_enumeration():
                         == odd_path_exists_by_pairs(g, ends, interior))
                 checks += 1
     assert checks > 160_000
+
+
+def test_odd_path_exists_on_a_stable_inner_set_runs_no_search(monkeypatch):
+    # C6 with ends {0, 2, 4} and the stable inner set {1, 3, 5}: the only
+    # paths are of length 2, and no odd one needs a search to rule out
+    t = cycle(6)
+    ends, inner = {0, 2, 4}, {1, 3, 5}
+    paths = count_calls(monkeypatch, decomposition, "_paths")
+    assert not _odd_path_exists(t.adj, t.anti, mask_of(ends), mask_of(inner))
+    assert paths == []
+    assert not odd_path_exists_by_pairs(t, ends, inner)
 
 
 def test_side_path_parities_match_the_per_pair_enumeration():

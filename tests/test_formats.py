@@ -3,12 +3,15 @@ import random
 import networkx as nx
 import pytest
 
+from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
+from evenpairs.decomposition import build_block, iter_2joins
 from evenpairs.errors import InputError
 from evenpairs.formats import (from_graph6, from_text, load, loads, to_graph6,
                                to_text)
 from evenpairs.trigraph import make_trigraph
 
-from conftest import random_graph, random_trigraph
+from conftest import random_graph, random_trigraph, to_text_by_pairs
+from test_engine import GENUINE_ROUTES
 
 
 def test_text_roundtrip_random():
@@ -69,6 +72,34 @@ def test_graph6_rejects_trigraphs_and_garbage():
         from_graph6("E")
     with pytest.raises(InputError):
         from_graph6("")
+
+
+def test_graph6_past_the_vertex_cap_is_refused():
+    literal = chr(33 + 63) + "?" * (33 * 32 // 2 // 6)
+    with pytest.raises(InputError, match="vertex count 33 exceeds cap 32"):
+        from_graph6(literal)
+
+
+def test_graph6_padding_bits_must_be_zero():
+    # n = 2: one pair and five padding bits, the last one set
+    with pytest.raises(InputError, match="padding bits must be zero"):
+        from_graph6("A@")
+    # n = 34: 561 pairs in 94 bytes; padding is reported before the cap
+    with pytest.raises(InputError, match="padding bits must be zero"):
+        from_graph6(chr(34 + 63) + "?" * 93 + "@")
+
+
+def test_to_text_matches_the_pair_scan():
+    # graphs, planted trigraphs and the blocks of the 2-joins on the
+    # genuine-route instances, whose markers carry switchable pairs
+    instances = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    for g6, _, _ in GENUINE_ROUTES:
+        T = from_graph6(g6)
+        instances += [build_block(T, split, side).trigraph
+                      for split in iter_2joins(T) for side in (1, 2)]
+    assert len(instances) == 1252 + 379 + 2 * (6 + 4 + 2)
+    for T in instances:
+        assert to_text(T) == to_text_by_pairs(T), T
 
 
 def test_loads_sniffing():

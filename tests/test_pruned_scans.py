@@ -1,31 +1,39 @@
 """The pruned structure searches against flat scans of every candidate.
 
-``_pruned_masks`` skips only subtrees its predicate rules out, so the BSP,
+``_pruned_masks`` skips only subtrees its step rules out, so the BSP,
 2-join and good-partition searches built on it must give what a scan of
 every bipartition in increasing mask order gives; the prism search skips
 only triangle pairs no matching can join.  The flat references below are
 those scans, and the work pins keep the searches far from 2^n on the
-class members that used to force the whole scan.
+class members that used to force the whole scan.  The skew and 2-join
+steps, which carry a state down the tree, are also compared node by node
+with the stateless predicates they replaced (kept in conftest).
 """
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
-from evenpairs import basic, decomposition
+from evenpairs import basic, decomposition, detect
 from evenpairs.basic import GoodPartition, _good_partition_masks, good_partition_of
 from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
                               random_bipartite_graph)
-from evenpairs.decomposition import (_derive_split, _mask_connected, _witness_for,
+from evenpairs.decomposition import (_derive_split, _mask_connected, _skew_masks,
+                                     _witness_for, find_2join,
                                      find_balanced_skew_partition,
                                      is_balanced_partition, iter_2joins)
-from evenpairs.detect import _iter_prisms
+from evenpairs.detect import _iter_prisms, find_prism
 from evenpairs.engine import check_preconditions
 from evenpairs.families import cycle, line_graph
-from evenpairs.trigraph import _pruned_masks, bits_of, complement, mask_of
+from evenpairs.trigraph import (_pruned_masks, bits_of, complement,
+                                graph_from_edges, mask_of)
 
-from conftest import count_calls, extend_rungs_by_grow, random_graph, random_trigraph
+from conftest import (count_calls, extend_rungs_by_grow, random_graph,
+                      random_trigraph, skew_feasible_by_connectivity,
+                      two_join_feasible_by_bundles)
 
 
 def _instances():
@@ -109,6 +117,14 @@ def test_pruned_searches_match_flat_scans(index):
     assert list(_iter_prisms(T)) == list(flat_prisms(T))
 
 
+@pytest.mark.parametrize("n", range(10, 21))
+def test_prisms_match_the_flat_scan_on_complements_of_cycles(n):
+    # dense: every vertex of co-C_n is in a triangle, and most triangle
+    # pairs are blocked
+    T = complement(cycle(n))
+    assert list(_iter_prisms(T)) == list(flat_prisms(T))
+
+
 def test_prisms_match_the_reference_rungs_on_small_classes():
     # graphs <= 7, planted trigraphs on base <= 6 and their complements
     prisms = 0
@@ -122,7 +138,8 @@ def test_prisms_match_the_reference_rungs_on_small_classes():
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_pruned_masks_without_pruning_is_every_proper_mask(n):
-    assert list(_pruned_masks(n, lambda x, y, free: True)) == list(range(1, (1 << n) - 1))
+    assert (list(_pruned_masks(n, lambda state, x, y, free: True, True))
+            == list(range(1, (1 << n) - 1)))
 
 
 def test_pruned_masks_keeps_exactly_the_masks_its_predicate_allows():
@@ -133,11 +150,51 @@ def test_pruned_masks_keeps_exactly_the_masks_its_predicate_allows():
         n = rng.randint(1, 9)
         wanted = {rng.randrange(1 << n) for _ in range(rng.randint(0, 6))}
 
-        def feasible(x, y, free):
+        def feasible(state, x, y, free):
             return any(m & (x | y) == x for m in wanted)
 
-        got = list(_pruned_masks(n, feasible))
+        got = list(_pruned_masks(n, feasible, True))
         assert got == sorted(m for m in wanted if 0 < m < (1 << n) - 1)
+
+
+def test_pruned_masks_hands_each_node_its_parents_state():
+    # each state is a fresh list naming its node, so a child handed a
+    # sibling's, a grandparent's or a copy of its parent's state is caught;
+    # random nodes leave, and no node below one that left is entered
+    rng = random.Random(8)
+    for _ in range(100):
+        n = rng.randint(0, 8)
+        root = ["root"]
+        returned = {}
+
+        def step(state, x, y, free):
+            v = free.bit_length()
+            if v == n:
+                assert state is root and (x, y, free) == (0, 0, (1 << n) - 1)
+            else:
+                parent = (x & ~(1 << v), y & ~(1 << v), free | 1 << v)
+                assert state is returned[parent]
+            if rng.random() < 0.15:
+                return None
+            returned[x, y, free] = [x, y, free]
+            return returned[x, y, free]
+
+        got = list(_pruned_masks(n, step, root))
+        full = (1 << n) - 1
+        assert got == sorted(x for x, y, free in returned
+                             if not free and 0 < x < full)
+
+
+@pytest.mark.parametrize("falsy", [None, False, 0, (), []])
+def test_pruned_masks_drops_a_leaf_whose_state_is_falsy(falsy):
+    n = 6
+    dropped = {5, 18, 40, 61}
+
+    def step(state, x, y, free):
+        return falsy if not free and x in dropped else state
+
+    got = list(_pruned_masks(n, step, "root"))
+    assert got == [m for m in range(1, (1 << n) - 1) if m not in dropped]
 
 
 @pytest.mark.parametrize("T", [cycle(16), complement(cycle(16)), cycle(24)],
@@ -158,3 +215,124 @@ def test_scans_stay_polynomial_on_cycles(monkeypatch, T):
 
 def test_c24_passes_the_preconditions():
     assert check_preconditions(cycle(24)).ok
+
+
+def _queries_like(rng):
+    """Co-bipartite graphs and complements of G(n, 0.3) on 13..16 vertices,
+    drawn the way the single-graph benchmark draws its inputs."""
+    for n in range(13, 17):
+        for _ in range(2):
+            side = [rng.random() < 0.5 for _ in range(n)]
+            yield complement(graph_from_edges(n, [
+                (u, v) for u, v in itertools.combinations(range(n), 2)
+                if side[u] != side[v] and rng.random() < 0.4]))
+            yield complement(graph_from_edges(n, [
+                (u, v) for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < 0.3]))
+
+
+def _run_recorded(monkeypatch, search, T):
+    """The nodes where the step of ``search(T)`` returned a state, and the
+    masks its ``_pruned_masks`` yielded."""
+    kernel = decomposition._pruned_masks
+    nodes, masks = [], []
+
+    def recording(n, step, root):
+        def recorded(state, x, y, free):
+            state = step(state, x, y, free)
+            if state:
+                nodes.append((x, y, free))
+            return state
+
+        for x in kernel(n, recorded, root):
+            masks.append(x)
+            yield x
+
+    with monkeypatch.context() as m:
+        m.setattr(decomposition, "_pruned_masks", recording)
+        list(search(T))
+    return nodes, masks
+
+
+def _run_predicate(n, feasible):
+    """The nodes a stateless predicate enters, and the masks it yields."""
+    nodes = []
+
+    def step(state, x, y, free):
+        if feasible(x, y, free):
+            nodes.append((x, y, free))
+            return True
+        return False
+
+    return nodes, list(_pruned_masks(n, step, True))
+
+
+DIFFERENTIAL = (INSTANCES + list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+                + list(_queries_like(random.Random(909))))
+
+
+def test_search_states_enter_only_nodes_the_stateless_predicates_entered(monkeypatch):
+    dropped = 0
+    for T in DIFFERENTIAL:
+        # skew: the same predicate, so the same nodes and masks
+        got = _run_recorded(monkeypatch, _skew_masks, T)
+        assert got == _run_predicate(T.n, skew_feasible_by_connectivity(T)), T
+        # 2-join: a subset of the nodes; the leaves it drops have no split
+        nodes, masks = _run_recorded(monkeypatch, iter_2joins, T)
+        old_nodes, old_masks = _run_predicate(T.n, two_join_feasible_by_bundles(T))
+        assert set(nodes) <= set(old_nodes), T
+        assert set(masks) <= set(old_masks), T
+        assert all(_derive_split(T, x) is None for x in set(old_masks) - set(masks)), T
+        assert list(iter_2joins(T)) == [s for s in map(
+            lambda x: _derive_split(T, x), old_masks) if s is not None]
+        dropped += len(old_masks) - len(masks)
+    assert len(DIFFERENTIAL) == len(INSTANCES) + 1252 + 379 + 16
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_prism_search_stays_polynomial_on_complements_of_cycles(n):
+    # co-C24 (co-C32) has 1,520 (4,032) triangles and no prism; a scan of
+    # every later triangle per first triangle examines about 1.2M (8.1M)
+    # pairs, each at least two lines of detect.  The line count stays far
+    # below that, and past the bound the run stops at once.
+    T = complement(cycle(n))
+    bound = 2 * n ** 3
+    lines = 0
+    source = detect.__file__
+
+    def per_line(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > bound:
+                raise AssertionError(f"prism search ran past {bound} lines")
+        return per_line
+
+    def per_call(frame, event, arg):
+        return per_line if frame.f_code.co_filename == source else None
+
+    previous = sys.gettrace()
+    sys.settrace(per_call)
+    try:
+        witness = find_prism(T)
+    finally:
+        sys.settrace(previous)
+    assert witness is None
+    assert lines > 0
+
+
+def test_search_state_stays_on_the_stack():
+    # the 2-join and skew searches keep one state per node of the current
+    # path, never one per node visited: co-C24 traces about 4 KB
+    T = complement(cycle(24))
+    find_2join(T)
+    find_balanced_skew_partition(T)
+    tracemalloc.start()
+    try:
+        find_2join(T)
+        find_balanced_skew_partition(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
