@@ -224,8 +224,8 @@ def good_partition_of(T: Trigraph) -> GoodPartition | None:
     first.  The search stays exponential in the worst case.
     """
     full = (1 << T.n) - 1
-    masks = _pruned_masks(T.n, lambda ok, x, y, free: _small_sides(T, x, y),
-                          True)
+    masks = (x for x, _ in _pruned_masks(
+        T.n, lambda ok, x, y, free: _small_sides(T, x, y), True))
     for x_mask in itertools.chain(masks, (0, full) if T.n else (0,)):
         if _good_partition_masks(T, x_mask):
             x = frozenset(bits_of(x_mask))

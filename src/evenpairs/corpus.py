@@ -75,10 +75,8 @@ def _pair_image(g: tuple[int, ...], pair: tuple[int, int]) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def graphs_of_order(n: int) -> tuple[Trigraph, ...]:
     """All graphs on exactly n vertices, one per isomorphism class."""
-    if n == 0:
-        return (make_trigraph(0),)
-    if n == 1:
-        return (make_trigraph(1),)
+    if n <= 1:
+        return (make_trigraph(n),)
     out: dict[bytes, Trigraph] = {}
     switch = [0] * n
     for base in graphs_of_order(n - 1):

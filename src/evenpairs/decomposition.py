@@ -13,11 +13,12 @@ Each search supplies a necessary condition for that, as a step that
 updates the state of the parent node with the one vertex fixed last: for
 skew partitions the masks of the free vertices that can still extend the
 fixed parts, for 2-joins the bicliques the crossing edges form.  A
-bipartition that remains is judged once, by the exact test: for skew
-partitions the condition itself, which is exact once no vertex is free,
-and for 2-joins ``_derive_split``.  So each search returns exactly what a
-scan of all 2^n bipartitions would.  Sets are built only for a candidate
-that passes the mask tests.  On one core of a 2-vCPU machine the full
+bipartition that remains is judged once, from the state at its leaf: for
+skew partitions the condition itself, exact once no vertex is free, whose
+mask of vertices complete to B holds the star centers; for 2-joins
+``_derive_split`` on the two bicliques.  So each search returns exactly
+what a scan of all 2^n bipartitions would.  Sets are built only for a
+candidate that passes the mask tests.  On one core of a 2-vCPU machine the full
 balanced-skew-partition search of C16 takes about 0.5 ms and the full
 2-join search of its complement about 0.2 ms.  The searches stay
 exponential in the worst case; near-complete inputs prune least.
@@ -150,19 +151,21 @@ def _is_balanced(T: Trigraph, a_mask: int, b_mask: int) -> bool:
                 or _odd_path_exists(T.anti, T.adj, a_mask, b_mask))
 
 
-def _witness_for(T: Trigraph, a_mask: int, b_mask: int,
+def _witness_for(T: Trigraph, a_mask: int, complete_b: int,
                  balanced: bool) -> SkewPartitionWitness:
-    """The witness of the skew-partition with masks (A, B): the split puts
-    the first component of A and the first anticomponent of B apart from
-    the rest, and the star center is the first one-vertex anticomponent of
-    B, if any.  The (anti)components come as masks from one
-    ``_mask_components`` pass each, and sets are built only for the
-    witness."""
+    """The witness of the skew-partition (A, B) with the A-mask ``a_mask``:
+    the split puts the first component of A and the first anticomponent of
+    B apart from the rest, and the star center is the lowest vertex of B in
+    ``complete_b`` (the leaf state of ``_skew_masks``), if any.  The
+    (anti)components come as masks from one ``_mask_components`` pass each,
+    and sets are built only for the witness."""
+    b_mask = ((1 << T.n) - 1) ^ a_mask
     comp = _mask_components(T.adj, a_mask)[0]
-    anticomps = _mask_components(T.anti, b_mask)
+    anticomp = _mask_components(T.anti, b_mask)[0]
     split = tuple(frozenset(bits_of(m)) for m in (
-        comp, a_mask ^ comp, anticomps[0], b_mask ^ anticomps[0]))
-    star = next((m.bit_length() - 1 for m in anticomps if m.bit_count() == 1), None)
+        comp, a_mask ^ comp, anticomp, b_mask ^ anticomp))
+    stars = complete_b & b_mask
+    star = (stars & -stars).bit_length() - 1 if stars else None
     return SkewPartitionWitness(frozenset(bits_of(a_mask)),
                                 frozenset(bits_of(b_mask)), split, balanced, star)
 
@@ -170,18 +173,20 @@ def _witness_for(T: Trigraph, a_mask: int, b_mask: int,
 def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
     """First skew-partition (A, B) in increasing A-mask order in which some
     anticomponent of B is a single vertex v; then B consists of v and
-    strong neighbors of v.  A vertex is a one-vertex anticomponent of B
-    exactly when it has no antineighbor in B."""
+    strong neighbors of v.  Those v are the vertices of B in the leaf
+    state's mask of vertices strongly complete to B."""
     full = (1 << T.n) - 1
-    for a_mask in _skew_masks(T):
+    for a_mask, (complete_b, *_) in _skew_masks(T):
         b_mask = full ^ a_mask
-        if any(not T.anti[v] & b_mask for v in bits_of(b_mask)):
-            return _witness_for(T, a_mask, b_mask, _is_balanced(T, a_mask, b_mask))
+        if complete_b & b_mask:
+            return _witness_for(T, a_mask, complete_b,
+                                _is_balanced(T, a_mask, b_mask))
     return None
 
 
 def _skew_masks(T: Trigraph):
-    """The A-masks of the skew-partitions (A, B) of T, in increasing order.
+    """The A-masks of the skew-partitions (A, B) of T, in increasing order,
+    each with its leaf state.
 
     The masks come from ``_pruned_masks``, which skips a subtree only when
     no A-mask in it can be skew.  A fixed part of B that is anticonnected
@@ -200,7 +205,8 @@ def _skew_masks(T: Trigraph):
     is unknown otherwise (``_grown``).  In A the same holds with neighbors.  A connectivity
     search (``_mask_connected``) runs only when no free vertex is left in a
     mask and the flag is unknown, so the nodes entered and the masks yielded
-    are those of the predicate alone.
+    are those of the predicate alone.  At a leaf the vertices of B in the
+    first mask are exactly the one-vertex anticomponents of B.
     """
     n, adj, anti = T.n, T.adj, T.anti
 
@@ -255,28 +261,28 @@ def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
     case.
     """
     full = (1 << T.n) - 1
-    for a_mask in _skew_masks(T):
-        b_mask = full ^ a_mask
-        if _is_balanced(T, a_mask, b_mask):
-            return _witness_for(T, a_mask, b_mask, True)
+    for a_mask, (complete_b, *_) in _skew_masks(T):
+        if _is_balanced(T, a_mask, full ^ a_mask):
+            return _witness_for(T, a_mask, complete_b, True)
     return None
 
 
-def _derive_split(T: Trigraph, x1_mask: int) -> TwoJoinSplit | None:
+def _derive_split(T: Trigraph, x1_mask: int,
+                  bicliques: tuple[int, int, int, int]) -> TwoJoinSplit | None:
     """Classify a bipartition as a 2-join, or reject it.
 
-    The cross strong edges must form exactly two complete bipartite bundles
-    A1-A2 and B1-B2 with nothing else crossing; that classification is
-    forced, so each bipartition yields at most one split (up to swapping the
-    A and B names, fixed here by putting the smallest bundle vertex in A).
+    ``bicliques`` is the leaf state ``(p1, q1, p2, q2)`` of
+    ``_two_join_step``: the cross strong edges form exactly the bundles
+    p1-q1 and p2-q2.  That classification is forced, so each bipartition
+    yields at most one split, up to swapping the A and B names: A holds the
+    smallest bundle vertex, so the bundles swap when p2's is below p1's.
     """
     x2_mask = ((1 << T.n) - 1) & ~x1_mask
     if x1_mask.bit_count() < 3 or x2_mask.bit_count() < 3:
         return None
-    bundles = _bundles(T, x1_mask, x2_mask)
-    if bundles is None or not bundles[3]:
-        return None  # two bundles with disjoint targets are needed
-    a1_mask, a2_mask, b1_mask, b2_mask = bundles
+    a1_mask, a2_mask, b1_mask, b2_mask = bicliques
+    if b1_mask & -b1_mask < a1_mask & -a1_mask:
+        a1_mask, a2_mask, b1_mask, b2_mask = b1_mask, b2_mask, a1_mask, a2_mask
     c1_mask = x1_mask & ~a1_mask & ~b1_mask
     # the X2 side needs no pass of its own: the masks are symmetric, so each
     # vertex of A2 (B2) sees exactly A1 (B1) across, C2 nothing, and no
@@ -332,54 +338,18 @@ def observed_parity(T: Trigraph, sets) -> str | None:
     return None
 
 
-def _bundles(T: Trigraph, side: int, other: int) -> tuple[int, int, int, int] | None:
-    """The bundles (A, A', B, B') of ``side`` into ``other``: the vertices
-    of A cross strongly to exactly A', those of B to exactly B', the rest of
-    ``side`` to nothing.  A holds the smallest bundle vertex; a bundle not
-    met is 0.  None when a switchable pair crosses or the crossings do not
-    fit two disjoint bundles, which rules out every 2-join whose sides
-    contain ``side`` and ``other``."""
-    strong, switch = T.strong, T.switch
-    a = a_cross = b = b_cross = 0
-    while side:
-        low = side & -side
-        side ^= low
-        v = low.bit_length() - 1
-        if switch[v] & other:
-            return None
-        cross = strong[v] & other
-        if not cross:
-            continue
-        if cross == a_cross:
-            a |= low
-        elif cross == b_cross:
-            b |= low
-        elif b_cross or cross & a_cross:
-            return None
-        elif a_cross:
-            b, b_cross = low, cross
-        else:
-            a, a_cross = low, cross
-    return a, a_cross, b, b_cross
+def _two_join_step(T: Trigraph):
+    """The step of the 2-join search for ``_pruned_masks``.
 
-
-def iter_2joins(T: Trigraph):
-    """All 2-join splits, in increasing X1-mask order.
-
-    Each unordered bipartition appears twice, once per choice of X1; that is
-    deliberate since fragments are one-sided.  The X1-masks come from
-    ``_pruned_masks``, which leaves a subtree once the strong edges that
-    cross between the fixed parts no longer form at most two disjoint
-    bicliques p1 x q1 and p2 x q2 (p in X1, q in X2), or a switchable pair
-    crosses; a leaf needs both bicliques.  No mask it skips has a split.
-    The bicliques are the search state: a node takes its parent's and
-    places the one vertex it fixed, whose crossings must be empty or a whole
-    q (p) or, while a biclique is unused, disjoint from the other one.  This
-    is ``_bundles`` of X1 into X2, and the reverse check of X2 into X1 is
-    implied: each vertex of q_i crosses to exactly p_i and every other
-    vertex of X2 to nothing.  A leaf is judged once, by ``_derive_split``,
-    so the sequence is the one a scan of every bipartition gives.  The
-    search stays exponential in the worst case.
+    It leaves a node once the strong edges that cross between the fixed
+    parts no longer form at most two disjoint bicliques p1 x q1 and p2 x q2
+    (p in X1, q in X2), or a switchable pair crosses; a leaf needs both
+    bicliques.  No mask it skips has a split.  The bicliques are the search
+    state: a node takes its parent's and places the one vertex it fixed,
+    which must cross strongly to nothing, to exactly one q (p for a vertex
+    of X2), or, while a biclique is unused, outside the other one.  So at a
+    leaf each vertex of p_i crosses to exactly q_i, each of q_i to exactly
+    p_i, and every other vertex to nothing: the state is the bundles.
     """
     n, strong, switch = T.n, T.strong, T.switch
 
@@ -388,41 +358,44 @@ def iter_2joins(T: Trigraph):
         if v < n:
             bit = 1 << v
             p1, q1, p2, q2 = state
-            if x1_fixed & bit:
-                if switch[v] & x2_fixed:
+            in_x1 = x1_fixed & bit
+            if in_x1:
+                other = x2_fixed
+            else:  # seen from X2, each p trades places with its q
+                other = x1_fixed
+                p1, q1, p2, q2 = q1, p1, q2, p2
+            if switch[v] & other:
+                return None
+            cross = strong[v] & other
+            if cross:
+                if cross == q1:
+                    p1 |= bit
+                elif cross == q2:
+                    p2 |= bit
+                elif not q1:
+                    p1, q1 = bit, cross
+                elif not q2 and not cross & q1:
+                    p2, q2 = bit, cross
+                else:
                     return None
-                cross = strong[v] & x2_fixed
-                if cross:
-                    if cross == q1:
-                        state = p1 | bit, q1, p2, q2
-                    elif cross == q2:
-                        state = p1, q1, p2 | bit, q2
-                    elif not q1:
-                        state = bit, cross, 0, 0
-                    elif not q2 and not cross & q1:
-                        state = p1, q1, bit, cross
-                    else:
-                        return None
-            else:
-                if switch[v] & x1_fixed:
-                    return None
-                cross = strong[v] & x1_fixed
-                if cross:
-                    if cross == p1:
-                        state = p1, q1 | bit, p2, q2
-                    elif cross == p2:
-                        state = p1, q1, p2, q2 | bit
-                    elif not p1:
-                        state = cross, bit, 0, 0
-                    elif not p2 and not cross & p1:
-                        state = p1, q1, cross, bit
-                    else:
-                        return None
+                state = (p1, q1, p2, q2) if in_x1 else (q1, p1, q2, p2)
         # a split needs two bundles, so a leaf with fewer is dropped
         return state if free or state[3] else None
 
-    for x1_mask in _pruned_masks(n, step, (0, 0, 0, 0)):
-        split = _derive_split(T, x1_mask)
+    return step
+
+
+def iter_2joins(T: Trigraph):
+    """All 2-join splits, in increasing X1-mask order.
+
+    Each unordered bipartition appears twice, once per choice of X1; that is
+    deliberate since fragments are one-sided.  Each leaf of the search with
+    ``_two_join_step`` is judged once, by ``_derive_split`` on its bundles,
+    so the sequence is the one a scan of every bipartition gives.  The
+    search stays exponential in the worst case.
+    """
+    for x1_mask, bicliques in _pruned_masks(T.n, _two_join_step(T), (0, 0, 0, 0)):
+        split = _derive_split(T, x1_mask, bicliques)
         if split is not None:
             yield split
 
@@ -457,13 +430,20 @@ def split_for(T: Trigraph, X) -> TwoJoinSplit | None:
     """The split of the bipartition (X, V - X), if it is a 2-join.
 
     The classification is forced by the cross edges, so this is the only
-    split the bipartition can have (up to the A/B naming convention).  A
-    vertex of X outside 0..n-1 raises InputError.
+    split the bipartition can have (up to the A/B naming convention).  The
+    2-join search walks only the path to X's mask and hands its leaf to
+    ``_derive_split``.  A vertex of X outside 0..n-1 raises InputError.
     """
     x_mask = _vertex_mask(T, X)
-    if x_mask == 0 or x_mask == (1 << T.n) - 1:
-        return None
-    return _derive_split(T, x_mask)
+    step = _two_join_step(T)
+
+    def on_path(state, x1_fixed: int, x2_fixed: int, free: int):
+        if x1_fixed & ~x_mask or x2_fixed & x_mask:
+            return None
+        return step(state, x1_fixed, x2_fixed, free)
+
+    leaf = next(_pruned_masks(T.n, on_path, (0, 0, 0, 0)), None)
+    return None if leaf is None else _derive_split(T, *leaf)
 
 
 def is_fragment(T: Trigraph, X) -> bool:

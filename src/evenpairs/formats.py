@@ -80,6 +80,10 @@ def from_text(text: str) -> Trigraph:
 
 
 def to_graph6(G: Trigraph) -> str:
+    """Encode a graph in the layout ``from_graph6`` reads: bit k of one
+    integer is the k-th pair of the upper triangle, column v holding the
+    neighbors u < v of v, read off the strong masks; the padded bits then
+    go out six to a character, first bit highest."""
     if not G.is_graph:
         raise InputError("graph6 can only encode graphs (no switchable pairs)")
     n = G.n
@@ -89,17 +93,13 @@ def to_graph6(G: Trigraph) -> str:
         prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise InputError("graph6 vertex count out of supported range")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if G.value(u, v) == STRONG else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = [
-        chr(sum(b << (5 - i) for i, b in enumerate(bits[k:k + 6])) + 63)
-        for k in range(0, len(bits), 6)
-    ]
-    return prefix + "".join(chunks)
+    bits = 0
+    for v in range(n - 1, 0, -1):
+        bits = bits << v | G.strong[v] & ((1 << v) - 1)
+    width = (n * (n - 1) // 2 + 5) // 6 * 6
+    row = bin(bits | 1 << width)[3:][::-1]  # bit k at index k
+    return prefix + "".join(chr(int(row[k:k + 6], 2) + 63)
+                            for k in range(0, width, 6))
 
 
 def from_graph6(text: str) -> Trigraph:

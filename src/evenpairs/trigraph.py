@@ -5,8 +5,9 @@ A trigraph assigns each unordered vertex pair one of three adjacency codes:
 (strongly antiadjacent).  A pair is *adjacent* if its code is in {0, +1} and
 *antiadjacent* if its code is in {-1, 0}; a graph is exactly a trigraph with
 no switchable pair.  All values here are immutable after construction and
-every operation is a pure function, so everything is safe to use from
-multiple workers.
+every operation is a pure function that attaches nothing to its input
+(``complement`` builds a new trigraph on each call), so everything is safe
+to use from multiple workers.
 
 Vertices are the integers 0..n-1.  Both input formats cap n at
 MAX_VERTICES (``_check_vertex_count``), plenty for the exhaustive workloads
@@ -64,8 +65,7 @@ class Trigraph:
     bookkeeping only and does not participate in equality.
     """
 
-    __slots__ = ("n", "strong", "switch", "adj", "anti", "parent_vertices",
-                 "_complement")
+    __slots__ = ("n", "strong", "switch", "adj", "anti", "parent_vertices")
 
     def __init__(self, strong: Sequence[int], switch: Sequence[int],
                  parent_vertices: tuple[int, ...] | None = None):
@@ -95,7 +95,6 @@ class Trigraph:
         self.adj = tuple(adj)
         self.anti = tuple(anti)
         self.parent_vertices = parent_vertices
-        self._complement = None
 
     @property
     def is_graph(self) -> bool:
@@ -193,13 +192,9 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Trigraph:
 def complement(T: Trigraph) -> Trigraph:
     """Negate every pair code (an involution).  Its ``adj`` and ``anti`` are
     T's ``anti`` and ``adj``, so a search that needs only those masks takes
-    them swapped; for callers that need the complement as a ``Trigraph`` it
-    is computed once per instance."""
-    if T._complement is None:
-        co = Trigraph([a & ~w for a, w in zip(T.anti, T.switch)], T.switch)
-        co._complement = T
-        T._complement = co
-    return T._complement
+    them swapped; a caller that needs the complement as a ``Trigraph`` gets
+    a new one on each call, and T is left as it was."""
+    return Trigraph([a & ~w for a, w in zip(T.anti, T.switch)], T.switch)
 
 
 def induced(T: Trigraph, X: Iterable[int]) -> Trigraph:
@@ -285,9 +280,10 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
 
 
 def _pruned_masks(n: int, step: Callable[[object, int, int, int], object],
-                  root: object) -> Iterator[int]:
-    """Yield the masks 0 < x < 2^n - 1 in increasing order, skipping
-    subtrees that cannot hold a wanted mask.
+                  root: object) -> Iterator[tuple[int, object]]:
+    """Yield the masks 0 < x < 2^n - 1 in increasing order, each with the
+    state ``step`` returned at its leaf, skipping subtrees that cannot hold
+    a wanted mask.
 
     A depth-first search decides vertex n - 1 first and vertex 0 last,
     putting each vertex on the Y side (bit clear) before the X side, which
@@ -312,7 +308,7 @@ def _pruned_masks(n: int, step: Callable[[object, int, int, int], object],
             continue
         if not free:
             if 0 < x < full:
-                yield x
+                yield x, state
             continue
         bit = 1 << (free.bit_length() - 1)
         free ^= bit

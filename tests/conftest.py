@@ -12,10 +12,10 @@ from evenpairs.canonical import canonical_form
 from evenpairs.corpus import plant_light, plant_small
 from evenpairs.families import complete_graph, cycle, path_graph
 from evenpairs.detect import PrismWitness
-from evenpairs.decomposition import _bundles
+from evenpairs.decomposition import SkewPartitionWitness, _derive_split
 from evenpairs.trigraph import (STRONG, SWITCHABLE, PathWitness, Trigraph,
-                                _mask_connected, bits_of, graph_from_edges,
-                                in_class_F, make_trigraph)
+                                _mask_components, _mask_connected, bits_of,
+                                graph_from_edges, in_class_F, make_trigraph)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -99,9 +99,9 @@ def count_calls(monkeypatch, module, name):
 
 # -- reference oracles: the per-pair, form-per-draw, sorted-signature,
 # -- separate path-search, path-triple, side-array, multigraph, uncut
-# -- hole-search, stateless predicate and pair-scan text versions the
-# -- library replaced, kept here so they stay independent of the code they
-# -- check
+# -- hole-search, stateless predicate, bundle-scan, anticomponent-scan and
+# -- pair-scan text and graph6 versions the library replaced, kept here so
+# -- they stay independent of the code they check
 
 def skew_feasible_by_connectivity(T):
     """The skew search's predicate without search state, on (A fixed, B
@@ -121,6 +121,61 @@ def skew_feasible_by_connectivity(T):
         return True
 
     return feasible
+
+
+def _bundles(T, side: int, other: int) -> tuple[int, int, int, int] | None:
+    """The bundles (A, A', B, B') of ``side`` into ``other``: the vertices
+    of A cross strongly to exactly A', those of B to exactly B', the rest of
+    ``side`` to nothing.  A holds the smallest bundle vertex; a bundle not
+    met is 0.  None when a switchable pair crosses or the crossings do not
+    fit two disjoint bundles, which rules out every 2-join whose sides
+    contain ``side`` and ``other``."""
+    strong, switch = T.strong, T.switch
+    a = a_cross = b = b_cross = 0
+    while side:
+        low = side & -side
+        side ^= low
+        v = low.bit_length() - 1
+        if switch[v] & other:
+            return None
+        cross = strong[v] & other
+        if not cross:
+            continue
+        if cross == a_cross:
+            a |= low
+        elif cross == b_cross:
+            b |= low
+        elif b_cross or cross & a_cross:
+            return None
+        elif a_cross:
+            b, b_cross = low, cross
+        else:
+            a, a_cross = low, cross
+    return a, a_cross, b, b_cross
+
+
+def split_by_bundles(T, x1_mask):
+    """The split of (X1, V - X1) from bundles found by a scan of X1
+    (``_bundles``) instead of the 2-join search state; None unless X1
+    crosses to two of them."""
+    bundles = _bundles(T, x1_mask, ((1 << T.n) - 1) & ~x1_mask)
+    if bundles is None or not bundles[3]:
+        return None
+    return _derive_split(T, x1_mask, bundles)
+
+
+def skew_witness_by_components(T, a_mask, balanced):
+    """The witness of the skew-partition with the A-mask ``a_mask`` from
+    the components of A and the anticomponents of B, the star center the
+    first one-vertex anticomponent of B, if any."""
+    b_mask = ((1 << T.n) - 1) ^ a_mask
+    comp = _mask_components(T.adj, a_mask)[0]
+    anticomps = _mask_components(T.anti, b_mask)
+    split = tuple(frozenset(bits_of(m)) for m in (
+        comp, a_mask ^ comp, anticomps[0], b_mask ^ anticomps[0]))
+    star = next((m.bit_length() - 1 for m in anticomps if m.bit_count() == 1), None)
+    return SkewPartitionWitness(frozenset(bits_of(a_mask)),
+                                frozenset(bits_of(b_mask)), split, balanced, star)
 
 
 def two_join_feasible_by_bundles(T):
@@ -153,6 +208,27 @@ def to_text_by_pairs(T):
         elif code == SWITCHABLE:
             lines.append(f"{u} {v} S")
     return "\n".join(lines) + "\n"
+
+
+def to_graph6_by_pairs(G):
+    """graph6 by one ``value`` call per pair, column by column, packed six
+    bits to a character."""
+    n = G.n
+    if n <= 62:
+        prefix = chr(n + 63)
+    else:
+        prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    bits = []
+    for v in range(1, n):
+        for u in range(v):
+            bits.append(1 if G.value(u, v) == STRONG else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    chunks = [
+        chr(sum(b << (5 - i) for i, b in enumerate(bits[k:k + 6])) + 63)
+        for k in range(0, len(bits), 6)
+    ]
+    return prefix + "".join(chunks)
 
 
 def bipartition_by_side_array(T):

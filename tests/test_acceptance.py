@@ -14,6 +14,7 @@ from evenpairs.contraction import (contract_even_pair, derive_coloring,
                                    is_even_contractile)
 from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
                               random_bipartite_graph)
+from evenpairs import trigraph
 from evenpairs.decomposition import (_skew_masks, build_block,
                                      find_balanced_skew_partition, iter_2joins)
 from evenpairs.detect import (_gadget_sees_odd_path,
@@ -23,6 +24,8 @@ from evenpairs.engine import verify_main_theorem
 from evenpairs.families import line_graph
 from evenpairs.trigraph import (ANTI, bits_of, clique_number, components,
                                 is_complete)
+
+from conftest import count_calls
 
 
 def report(criterion: str, detail: str) -> None:
@@ -42,17 +45,14 @@ def test_criterion_1_main_theorem_graphs_exhaustive():
            f"0 failures")
 
 
-def test_criterion_1_main_theorem_graphs_exhaustive_n8():
-    # the run leaves no complement on the cached graphs; other tests
-    # complement them on purpose, so their complements are dropped first
-    cached = graphs_upto(8)
-    for g in cached:
-        g._complement = None
+def test_criterion_1_main_theorem_graphs_exhaustive_n8(monkeypatch):
+    # the run builds no complement
+    complements = count_calls(monkeypatch, trigraph, "complement")
     summary = verify_main_theorem(8, "graphs")
     assert summary.failures == (), summary.failures[:3]
     assert (summary.instances, summary.filtered_in, summary.complete,
             summary.even_pair) == (13598, 23, 8, 15)
-    assert all(g._complement is None for g in cached)
+    assert complements == []
     report("criterion 1 (exhaustive n<=8)",
            f"{summary.instances} graphs, {summary.filtered_in} past the filter, "
            f"{summary.complete} complete, {summary.even_pair} with even pairs, "
@@ -261,10 +261,10 @@ def test_criterion_10_skew_partitions_are_balanced():
     for name, instances in corpora.items():
         skew = 0
         for T in instances:
-            a_mask = next(_skew_masks(T), None)
-            if a_mask is None:
+            leaf = next(_skew_masks(T), None)
+            if leaf is None:
                 continue
-            a = set(bits_of(a_mask))
+            a = set(bits_of(leaf[0]))
             assert len(components(T, a, "connected")) > 1
             assert len(components(T, set(range(T.n)) - a, "anticonnected")) > 1
             skew += 1

@@ -64,6 +64,19 @@ def test_classify_c4_order_and_forced_doubled(c4):
     assert gp is not None and gp.x == frozenset({0, 1}) and gp.y == frozenset({2, 3})
 
 
+def test_classify_a_doubled_graph():
+    # K_{1,3} with a pendant path: neither bipartite side nor a line graph
+    # comes first, and the good partition is the certificate
+    from evenpairs.certs import to_jsonable
+    from evenpairs.formats import from_text
+
+    t = from_text("trigraph 5\n0 3 E\n0 4 E\n1 4 E\n2 4 E\n3 4 E\n")
+    doc = to_jsonable(classify_basic(t))
+    assert doc["verdict"] == "doubled" and doc["bipartition"] is None
+    assert doc["good_partition"] == {"kind": "good_partition",
+                                     "x": [1, 2], "y": [0, 3, 4]}
+
+
 def test_line_root_of_even_prism():
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
              (0, 6), (6, 3), (1, 7), (7, 4), (2, 8), (8, 5)]

@@ -15,14 +15,14 @@ import pytest
 from evenpairs import basic
 from evenpairs.basic import GoodPartition, good_partition_of
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
-from evenpairs.decomposition import (TwoJoinSplit, _derive_split, _witness_for,
-                                     find_balanced_skew_partition,
-                                     is_balanced_partition)
+from evenpairs.decomposition import (TwoJoinSplit, find_balanced_skew_partition,
+                                     is_balanced_partition, split_for)
 from evenpairs.families import cycle
 from evenpairs.trigraph import (_mask_connected, bits_of, complement, components,
                                 full_realization, induced)
 
-from conftest import random_trigraph, side_path_parities_by_pairs
+from conftest import (random_trigraph, side_path_parities_by_pairs,
+                      skew_witness_by_components)
 
 
 def _connected(T, X, mode):
@@ -43,7 +43,7 @@ def reference_bsp(T):
         if _connected(T, a, "connected") or _connected(T, b, "anticonnected"):
             continue
         if is_balanced_partition(T, a, b):
-            return _witness_for(T, a_mask, ((1 << n) - 1) ^ a_mask, True)
+            return skew_witness_by_components(T, a_mask, True)
     return None
 
 
@@ -163,7 +163,7 @@ def test_derive_split_matches_reference_on_every_mask():
     splits = 0
     for T in INSTANCES:
         for x1_mask in range(1, (1 << T.n) - 1):
-            got = _derive_split(T, x1_mask)
+            got = split_for(T, bits_of(x1_mask))
             assert got == reference_split(T, frozenset(bits_of(x1_mask))), (T, x1_mask)
             splits += got is not None
     assert splits > 0

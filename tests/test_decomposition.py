@@ -180,7 +180,7 @@ def test_odd_path_exists_matches_the_per_pair_enumeration():
     for t in _small_pool():
         co, full = complement(t), (1 << t.n) - 1
         masks = [rng.getrandbits(t.n) for _ in range(3)]
-        masks += [m for m in _skew_masks(t) if m not in masks]
+        masks += [m for m, _ in _skew_masks(t) if m not in masks]
         for a_mask in masks:
             a = frozenset(v for v in range(t.n) if a_mask >> v & 1)
             b = frozenset(v for v in range(t.n) if (full ^ a_mask) >> v & 1)
@@ -402,5 +402,10 @@ def test_shape_report_negative_control():
     report = check_nobsp_2join_shape(g, s)
     assert not report.ok
     assert any("|X1| < 4" in v for v in report.violations)
+    from evenpairs.certs import to_jsonable
+
+    assert to_jsonable(report) == {
+        "kind": "two_join_shape", "ok": False,
+        "violations": ["|X1| < 4", "C1 empty but A1 or B1 is a singleton"]}
     # its C1 is empty, so the parity comes from the direct A-B edges
     assert s.c1 == frozenset() and s.parity == "odd"

@@ -317,6 +317,8 @@ def test_is_even_pair_c6_witness(c6):
     report = is_even_pair(c6, 0, 3)
     assert report.verdict == "not_even_pair"
     assert report.witness.vertices == (0, 1, 2, 3)
+    # the endpoints are taken in increasing order
+    assert is_even_pair(c6, 3, 0) == report
 
 
 def test_is_even_pair_p4(p4):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from evenpairs import trigraph
 from evenpairs.cli import main
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs)
@@ -11,7 +12,7 @@ from evenpairs.engine import (PRECONDITIONS, check_preconditions,
                               find_even_pair_structured, verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.formats import from_graph6, from_text
-from evenpairs.trigraph import Trigraph, make_trigraph
+from evenpairs.trigraph import make_trigraph
 
 from conftest import count_calls
 
@@ -170,16 +171,15 @@ def test_verify_writes_instance_text_only_for_kept_records(monkeypatch, tmp_path
     assert summary.ok and len(texts) == summary.instances == 1252
 
 
-def test_precondition_filter_builds_no_complement():
+def test_precondition_filter_builds_no_complement(monkeypatch):
     # the antihole searches and the balance test read the complement's
-    # masks off T, swapped; fresh copies, since other tests complement the
-    # cached instances on purpose
+    # masks off T, swapped
+    complements = count_calls(monkeypatch, trigraph, "complement")
     pool = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
     for t in pool:
         for fast in (True, False):
-            fresh = Trigraph(t.strong, t.switch)
-            check_preconditions(fresh, fast=fast)
-            assert fresh._complement is None
+            check_preconditions(t, fast=fast)
+    assert complements == []
 
 
 def test_structured_two_join_branch_wiring(c8, monkeypatch):

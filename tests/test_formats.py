@@ -8,9 +8,10 @@ from evenpairs.decomposition import build_block, iter_2joins
 from evenpairs.errors import InputError
 from evenpairs.formats import (from_graph6, from_text, load, loads, to_graph6,
                                to_text)
-from evenpairs.trigraph import make_trigraph
+from evenpairs.trigraph import Trigraph, make_trigraph
 
-from conftest import random_graph, random_trigraph, to_text_by_pairs
+from conftest import (random_graph, random_trigraph, to_graph6_by_pairs,
+                      to_text_by_pairs)
 from test_engine import GENUINE_ROUTES
 
 
@@ -41,6 +42,8 @@ def test_text_comments_and_blank_lines():
     ("0 1 E\n", "header"),
     ("", "missing"),
     ("trigraph two\n", "bad vertex count"),
+    ("trigraph -1\n", "line 1: negative vertex count"),
+    ("trigraph 2\n0 one E\n", "line 2: bad vertex"),
 ])
 def test_text_errors_carry_line_numbers(payload, message):
     with pytest.raises(InputError, match=message):
@@ -78,6 +81,43 @@ def test_graph6_past_the_vertex_cap_is_refused():
     literal = chr(33 + 63) + "?" * (33 * 32 // 2 // 6)
     with pytest.raises(InputError, match="vertex count 33 exceeds cap 32"):
         from_graph6(literal)
+
+
+@pytest.mark.parametrize("literal, message", [
+    # the four-byte count of n > 62 is decoded in full, then capped
+    ("~??~" + "?" * ((63 * 62 // 2 + 5) // 6), "vertex count 63 exceeds cap 32"),
+    ("~?", "truncated graph6 vertex count"),
+], ids=["n63", "truncated"])
+def test_graph6_long_vertex_count(literal, message):
+    with pytest.raises(InputError, match=message):
+        from_graph6(literal)
+
+
+def _wide_graph(rng, n, p):
+    """A graph past the vertex cap, built from masks."""
+    strong = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                strong[u] |= 1 << v
+                strong[v] |= 1 << u
+    return Trigraph(strong, [0] * n)
+
+
+def test_to_graph6_matches_the_pair_scan():
+    # every graph <= 7, random graphs on 0..32 vertices, and 64-vertex
+    # graphs, which take the four-byte '~' count and are refused on input
+    rng = random.Random(64)
+    graphs = list(graphs_upto(7)) + [random_graph(rng, rng.randint(0, 32), rng.random())
+                                     for _ in range(2000)]
+    for g in graphs:
+        assert to_graph6(g) == to_graph6_by_pairs(g), g
+    for p in (0.0, 0.1, 0.5, 1.0):
+        g = _wide_graph(rng, 64, p)
+        g6 = to_graph6(g)
+        assert g6.startswith("~?@?") and g6 == to_graph6_by_pairs(g)
+        with pytest.raises(InputError, match="vertex count 64 exceeds cap 32"):
+            from_graph6(g6)
 
 
 def test_graph6_padding_bits_must_be_zero():

@@ -7,7 +7,10 @@ only triangle pairs no matching can join.  The flat references below are
 those scans, and the work pins keep the searches far from 2^n on the
 class members that used to force the whole scan.  The skew and 2-join
 steps, which carry a state down the tree, are also compared node by node
-with the stateless predicates they replaced (kept in conftest).
+with the stateless predicates they replaced (kept in conftest), and the
+leaf states they hand over with the scans of the leaf they replaced: the
+bundles of X1 for 2-joins, the one-vertex anticomponents of B for star
+centers.
 """
 
 import itertools
@@ -21,18 +24,20 @@ from evenpairs import basic, decomposition, detect
 from evenpairs.basic import GoodPartition, _good_partition_masks, good_partition_of
 from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
                               random_bipartite_graph)
-from evenpairs.decomposition import (_derive_split, _mask_connected, _skew_masks,
-                                     _witness_for, find_2join,
+from evenpairs.decomposition import (_mask_connected, _skew_masks,
+                                     _two_join_step, find_2join,
                                      find_balanced_skew_partition,
-                                     is_balanced_partition, iter_2joins)
+                                     find_star_cutset, is_balanced_partition,
+                                     iter_2joins)
 from evenpairs.detect import _iter_prisms, find_prism
 from evenpairs.engine import check_preconditions
 from evenpairs.families import cycle, line_graph
-from evenpairs.trigraph import (_pruned_masks, bits_of, complement,
-                                graph_from_edges, mask_of)
+from evenpairs.trigraph import (_mask_components, _pruned_masks, bits_of,
+                                complement, graph_from_edges, mask_of)
 
-from conftest import (count_calls, extend_rungs_by_grow, random_graph,
+from conftest import (_bundles, count_calls, extend_rungs_by_grow, random_graph,
                       random_trigraph, skew_feasible_by_connectivity,
+                      skew_witness_by_components, split_by_bundles,
                       two_join_feasible_by_bundles)
 
 
@@ -56,20 +61,32 @@ INSTANCES = list(_instances())
 
 
 def flat_2joins(T):
-    splits = (_derive_split(T, x1) for x1 in range(1, (1 << T.n) - 1))
+    splits = (split_by_bundles(T, x1) for x1 in range(1, (1 << T.n) - 1))
     return [s for s in splits if s is not None]
 
 
-def flat_bsp(T):
+def flat_skew_masks(T):
     full = (1 << T.n) - 1
     for a_mask in range(1, full):
         b_mask = full ^ a_mask
-        if _mask_connected(T.anti, b_mask) or _mask_connected(T.adj, a_mask):
-            continue
-        a = frozenset(bits_of(a_mask))
-        b = frozenset(bits_of(b_mask))
+        if not (_mask_connected(T.anti, b_mask) or _mask_connected(T.adj, a_mask)):
+            yield a_mask, frozenset(bits_of(a_mask)), frozenset(bits_of(b_mask))
+
+
+def flat_bsp(T):
+    for a_mask, a, b in flat_skew_masks(T):
         if is_balanced_partition(T, a, b):
-            return _witness_for(T, a_mask, b_mask, True)
+            return skew_witness_by_components(T, a_mask, True)
+    return None
+
+
+def flat_star_cutset(T):
+    """The first skew-partition with a one-vertex anticomponent of B, the
+    anticomponents taken from ``_mask_components``."""
+    for a_mask, a, b in flat_skew_masks(T):
+        if any(m.bit_count() == 1 for m in _mask_components(T.anti, mask_of(b))):
+            return skew_witness_by_components(T, a_mask,
+                                              is_balanced_partition(T, a, b))
     return None
 
 
@@ -139,7 +156,7 @@ def test_prisms_match_the_reference_rungs_on_small_classes():
 @pytest.mark.parametrize("n", range(0, 11))
 def test_pruned_masks_without_pruning_is_every_proper_mask(n):
     assert (list(_pruned_masks(n, lambda state, x, y, free: True, True))
-            == list(range(1, (1 << n) - 1)))
+            == [(x, True) for x in range(1, (1 << n) - 1)])
 
 
 def test_pruned_masks_keeps_exactly_the_masks_its_predicate_allows():
@@ -153,14 +170,15 @@ def test_pruned_masks_keeps_exactly_the_masks_its_predicate_allows():
         def feasible(state, x, y, free):
             return any(m & (x | y) == x for m in wanted)
 
-        got = list(_pruned_masks(n, feasible, True))
+        got = [x for x, _ in _pruned_masks(n, feasible, True)]
         assert got == sorted(m for m in wanted if 0 < m < (1 << n) - 1)
 
 
 def test_pruned_masks_hands_each_node_its_parents_state():
     # each state is a fresh list naming its node, so a child handed a
     # sibling's, a grandparent's or a copy of its parent's state is caught;
-    # random nodes leave, and no node below one that left is entered
+    # random nodes leave, and no node below one that left is entered; each
+    # mask comes with the very state its leaf returned
     rng = random.Random(8)
     for _ in range(100):
         n = rng.randint(0, 8)
@@ -181,8 +199,9 @@ def test_pruned_masks_hands_each_node_its_parents_state():
 
         got = list(_pruned_masks(n, step, root))
         full = (1 << n) - 1
-        assert got == sorted(x for x, y, free in returned
-                             if not free and 0 < x < full)
+        assert [x for x, _ in got] == sorted(x for x, y, free in returned
+                                             if not free and 0 < x < full)
+        assert all(state is returned[x, full ^ x, 0] for x, state in got)
 
 
 @pytest.mark.parametrize("falsy", [None, False, 0, (), []])
@@ -193,7 +212,7 @@ def test_pruned_masks_drops_a_leaf_whose_state_is_falsy(falsy):
     def step(state, x, y, free):
         return falsy if not free and x in dropped else state
 
-    got = list(_pruned_masks(n, step, "root"))
+    got = [x for x, _ in _pruned_masks(n, step, "root")]
     assert got == [m for m in range(1, (1 << n) - 1) if m not in dropped]
 
 
@@ -244,9 +263,9 @@ def _run_recorded(monkeypatch, search, T):
                 nodes.append((x, y, free))
             return state
 
-        for x in kernel(n, recorded, root):
+        for x, state in kernel(n, recorded, root):
             masks.append(x)
-            yield x
+            yield x, state
 
     with monkeypatch.context() as m:
         m.setattr(decomposition, "_pruned_masks", recording)
@@ -264,7 +283,7 @@ def _run_predicate(n, feasible):
             return True
         return False
 
-    return nodes, list(_pruned_masks(n, step, True))
+    return nodes, [x for x, _ in _pruned_masks(n, step, True)]
 
 
 DIFFERENTIAL = (INSTANCES + list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
@@ -282,12 +301,47 @@ def test_search_states_enter_only_nodes_the_stateless_predicates_entered(monkeyp
         old_nodes, old_masks = _run_predicate(T.n, two_join_feasible_by_bundles(T))
         assert set(nodes) <= set(old_nodes), T
         assert set(masks) <= set(old_masks), T
-        assert all(_derive_split(T, x) is None for x in set(old_masks) - set(masks)), T
+        assert all(split_by_bundles(T, x) is None for x in set(old_masks) - set(masks)), T
         assert list(iter_2joins(T)) == [s for s in map(
-            lambda x: _derive_split(T, x), old_masks) if s is not None]
+            lambda x: split_by_bundles(T, x), old_masks) if s is not None]
         dropped += len(old_masks) - len(masks)
     assert len(DIFFERENTIAL) == len(INSTANCES) + 1252 + 379 + 16
     assert dropped > 0
+
+
+def test_two_join_leaf_states_are_the_bundles_of_x1():
+    # a leaf is kept exactly when the scan of X1 finds two bundles, and its
+    # bicliques are those bundles once named with A holding the smallest
+    # bundle vertex
+    kept = 0
+    for T in DIFFERENTIAL:
+        full = (1 << T.n) - 1
+        leaves = dict(_pruned_masks(T.n, _two_join_step(T), (0, 0, 0, 0)))
+        for x1 in range(1, full):
+            bundles = _bundles(T, x1, full ^ x1)
+            if bundles is None or not bundles[3]:
+                assert x1 not in leaves, (T, x1)
+                continue
+            p1, q1, p2, q2 = leaves[x1]
+            if p2 & -p2 < p1 & -p1:
+                p1, q1, p2, q2 = p2, q2, p1, q1
+            assert (p1, q1, p2, q2) == bundles, (T, x1)
+            kept += 1
+    assert kept > 1000
+
+
+def test_star_centers_match_the_flat_scan():
+    # the star center comes from the skew leaf state, the references take it
+    # from the one-vertex anticomponents of B
+    stars = balanced_stars = 0
+    for T in INSTANCES + list(graphs_upto(7)) + list(planted_class_f_trigraphs(6)):
+        got = find_star_cutset(T)
+        assert got == flat_star_cutset(T), T
+        stars += got is not None
+        bsp = find_balanced_skew_partition(T)
+        assert bsp == flat_bsp(T), T
+        balanced_stars += bsp is not None and bsp.star is not None
+    assert stars > 1000 and 0 < balanced_stars < stars
 
 
 @pytest.mark.parametrize("n", [24, 32])

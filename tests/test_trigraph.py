@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -76,9 +77,12 @@ def test_complement_is_involution_on_randoms():
         assert complement(complement(t)) == t
 
 
-def test_complement_is_built_once(c6):
-    co = complement(c6)
-    assert complement(c6) is co and complement(co) is c6
+def test_complement_leaves_its_input_as_it_was():
+    # nothing is attached to T, so a worker that is sent T gets T alone
+    t = cycle(6)
+    before = pickle.dumps(t)
+    co = complement(t)
+    assert pickle.dumps(t) == before and complement(co) == t
 
 
 def test_complement_of_c6_is_prism(c6):
@@ -391,6 +395,26 @@ def test_validate_hole(c6, c5):
     with pytest.raises(InputError):
         validate_hole(c6, (0, 1, 2, 4, 5), "hole")
     validate_hole(complement(c5), (0, 1, 2, 3, 4), "antihole")
+
+
+@pytest.mark.parametrize("t, cycle_, kind, message", [
+    (cycle(6), (0, 1, 2, 3, 4, 4), "hole", "hole vertices must be distinct"),
+    (cycle(6), (0, 1, 2, 3, 4, 5), "cycle", "unknown hole kind 'cycle'"),
+    (complete_graph(5), (0, 1, 2, 3, 4), "hole",
+     r"chord pair \(0, 2\) not antiadjacent"),
+], ids=["repeated", "kind", "chord"])
+def test_validate_hole_errors(t, cycle_, kind, message):
+    with pytest.raises(InputError, match=message):
+        validate_hole(t, cycle_, kind)
+
+
+@pytest.mark.parametrize("seq, message", [
+    ((), "empty vertex sequence"),
+    ((0, 1, 0), "path vertices must be distinct"),
+], ids=["empty", "repeated"])
+def test_validate_path_errors(c6, seq, message):
+    with pytest.raises(InputError, match=message):
+        validate_path(c6, seq)
 
 
 # -- property tests --------------------------------------------------------
