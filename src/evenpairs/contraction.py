@@ -47,9 +47,7 @@ def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:
     """The graph G / {u, v}.
 
     The merged vertex takes the smaller of the two freed indices (so it sits
-    at min(u, v)); vertices above max(u, v) shift down by one.  The result's
-    ``parent_vertices`` maps each new index to its source, with the merged
-    slot mapping to min(u, v).
+    at min(u, v)); vertices above max(u, v) shift down by one.
     """
     if not G.is_graph:
         raise InputError("contraction is defined for graphs only")
@@ -69,8 +67,7 @@ def _merge(G: Trigraph, u: int, v: int) -> Trigraph:
     strong[u] = (G.strong[u] | G.strong[v]) & ~(1 << u | 1 << v)
     for w in bits_of(strong[u]):
         strong[w] |= 1 << u
-    return Trigraph(renumber(strong, keep), [0] * len(keep),
-                    parent_vertices=tuple(keep))
+    return Trigraph(renumber(strong, keep), [0] * len(keep))
 
 
 def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
@@ -119,21 +116,18 @@ def is_even_contractile(G: Trigraph) -> tuple[bool, ContractionSequence]:
 
 def derive_coloring(seq: ContractionSequence) -> Coloring:
     """Unwind a complete-terminal sequence into a proper coloring of the
-    original graph.  Contracting an even pair keeps the clique number of any
-    graph, so the color count equals it, and that equality is asserted
-    here."""
+    original graph: the terminal's vertex v takes color v, and each step,
+    undone in reverse, puts v of its pair u < v back at index v with u's
+    color.  Contracting an even pair keeps the clique number of any graph,
+    so the color count equals it, and that equality is asserted here."""
     if seq.outcome != "complete":
         raise InputError(f"cannot derive a coloring from outcome {seq.outcome!r}")
-    colors = {v: v for v in range(seq.terminal.n)}
+    colors = list(range(seq.terminal.n))
     for step in reversed(seq.steps):
         u, v = step.pair
-        lifted = {}
-        for new_index, old_index in enumerate(step.after.parent_vertices):
-            lifted[old_index] = colors[new_index]
-        lifted[v] = lifted[min(u, v)]
-        colors = lifted
+        colors[v:v] = [colors[u]]
     original = seq.initial
-    assignment = tuple(colors[v] for v in range(original.n))
+    assignment = tuple(colors)
     for x, y in original.strong_edges():
         if assignment[x] == assignment[y]:
             raise AssertionError(f"unwound coloring is not proper on edge ({x}, {y})")

@@ -234,8 +234,7 @@ def _instances_for(scope: str, n_max: int, sample: int | None,
 
 def verify_main_theorem(n_max: int, scope: str = "graphs", *,
                         sample: int | None = None, seed: int = 0,
-                        log_path: str | None = None,
-                        workers: int | None = None) -> VerifySummary:
+                        log_path: str | None = None) -> VerifySummary:
     """Run the engine over a whole corpus and tally the outcomes.
 
     ``scope='graphs'`` enumerates every graph with up to n_max vertices up
@@ -248,8 +247,10 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     opened before the first instance runs, so an unwritable one raises
     OSError at once.  An n_max outside 1..ENUMERATION_CAP, an unsampled
     n_max above EXHAUSTIVE_CAP, a sample with another scope, and a sample
-    the sampler cannot fill raise InputError, and so does an
-    EVENPAIRS_WORKERS value that is not an integer >= 1.
+    the sampler cannot fill raise InputError.  The environment variable
+    EVENPAIRS_WORKERS is the only worker setting: it names how many
+    processes run the instances (default 1), and a value that is not an
+    integer >= 1 raises InputError too.
     """
     if not 1 <= n_max <= ENUMERATION_CAP:
         raise InputError(f"n_max {n_max} is outside 1..{ENUMERATION_CAP}")
@@ -258,14 +259,13 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     if sample is None and n_max > EXHAUSTIVE_CAP:
         raise InputError(f"an exhaustive run at n_max {n_max} would hold all "
                          "12,005,168 graphs on 10 vertices; sample graphs with --sample")
-    if workers is None:
-        value = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise InputError(f"{WORKERS_ENV}={value!r} is not an integer >= 1")
+    value = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InputError(f"{WORKERS_ENV}={value!r} is not an integer >= 1")
     instances = _instances_for(scope, n_max, sample, seed)
     tally, failures, lines = Counter(), [], []
     with (open(log_path, "w", encoding="ascii") if log_path else nullcontext()) as log:

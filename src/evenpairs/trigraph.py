@@ -59,16 +59,11 @@ class Trigraph:
 
     - ``adj[v]``: adjacent partners (code >= 0),
     - ``anti[v]``: antiadjacent partners (code <= 0).
-
-    ``parent_vertices`` optionally records, for trigraphs derived from a
-    larger one, which parent vertex each local vertex came from.  It is
-    bookkeeping only and does not participate in equality.
     """
 
-    __slots__ = ("n", "strong", "switch", "adj", "anti", "parent_vertices")
+    __slots__ = ("n", "strong", "switch", "adj", "anti")
 
-    def __init__(self, strong: Sequence[int], switch: Sequence[int],
-                 parent_vertices: tuple[int, ...] | None = None):
+    def __init__(self, strong: Sequence[int], switch: Sequence[int]):
         strong, switch = tuple(strong), tuple(switch)
         n = len(strong)
         if len(switch) != n:
@@ -94,7 +89,6 @@ class Trigraph:
         self.switch = switch
         self.adj = tuple(adj)
         self.anti = tuple(anti)
-        self.parent_vertices = parent_vertices
 
     @property
     def is_graph(self) -> bool:
@@ -108,9 +102,6 @@ class Trigraph:
         if self.strong[u] >> v & 1:
             return STRONG
         return SWITCHABLE if self.switch[u] >> v & 1 else ANTI
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        return itertools.combinations(range(self.n), 2)
 
     def _pairs_in(self, masks: Sequence[int]) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(masks[u] >> u << u)]
@@ -198,17 +189,14 @@ def complement(T: Trigraph) -> Trigraph:
 
 
 def induced(T: Trigraph, X: Iterable[int]) -> Trigraph:
-    """Restriction to the vertex set X, reindexed in sorted order.
-
-    The result records the parent vertex of each new index so certificates
-    can be lifted back.  X may be empty.
+    """Restriction to the vertex set X: new vertex i is the i-th smallest
+    vertex of X.  X may be empty.
     """
     idx = sorted(set(X))
     for v in idx:
         if not (0 <= v < T.n):
             raise InputError(f"vertex {v} out of range for n={T.n}")
-    return Trigraph(renumber(T.strong, idx), renumber(T.switch, idx),
-                    parent_vertices=tuple(idx))
+    return Trigraph(renumber(T.strong, idx), renumber(T.switch, idx))
 
 
 def realization(T: Trigraph, S: Iterable[tuple[int, int]]) -> Trigraph:
@@ -342,14 +330,6 @@ def components(T: Trigraph, X: Iterable[int] | None = None,
         raise InputError(f"unknown mode {mode!r}")
     neigh = T.adj if mode == "connected" else T.anti
     return [frozenset(bits_of(c)) for c in _mask_components(neigh, _vertex_mask(T, X))]
-
-
-def is_connected(T: Trigraph, X: Iterable[int] | None = None) -> bool:
-    return _mask_connected(T.adj, _vertex_mask(T, X))
-
-
-def is_anticonnected(T: Trigraph, X: Iterable[int] | None = None) -> bool:
-    return _mask_connected(T.anti, _vertex_mask(T, X))
 
 
 @dataclass(frozen=True)

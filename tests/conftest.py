@@ -199,9 +199,9 @@ def two_join_feasible_by_bundles(T):
 
 def to_text_by_pairs(T):
     """The trigraph line format by one ``value`` call per pair u < v in
-    ``pairs()`` order."""
+    lexicographic order."""
     lines = [f"trigraph {T.n}"]
-    for u, v in T.pairs():
+    for u, v in itertools.combinations(range(T.n), 2):
         code = T.value(u, v)
         if code == STRONG:
             lines.append(f"{u} {v} E")

@@ -335,6 +335,14 @@ def test_good_pair_none_on_star():
 def test_good_pair_rejects_non_bipartite():
     with pytest.raises(InputError):
         find_good_pair(complete_graph(3))
+    with pytest.raises(InputError, match="bipartite"):
+        is_good_pair(cycle(5), (0, 1), (2, 3))
+    with pytest.raises(InputError, match="good pairs live in graphs"):
+        find_good_pair(make_trigraph(2, [(0, 1, 0)]))
+
+
+def test_edges_sharing_an_end_are_no_good_pair(c4):
+    assert not is_good_pair(c4, (0, 1), (1, 2))
 
 
 def _good_by_definition(h, side, e1, e2):

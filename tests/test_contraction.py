@@ -20,7 +20,6 @@ def test_contract_c4_gives_path(c4):
     g = contract_even_pair(c4, 0, 2)
     assert g.n == 3
     assert sorted(g.strong_edges()) == [(0, 1), (0, 2)]
-    assert g.parent_vertices == (0, 1, 3)
 
 
 def test_contract_two_isolated_vertices():
@@ -39,6 +38,11 @@ def test_contract_rejects_non_even_pair(c6):
     assert err.value.witness.vertices == (0, 1, 2, 3)
     with pytest.raises(NotEvenPairError):
         contract_even_pair(c6, 0, 1)
+
+
+def test_contract_rejects_a_single_vertex(c4):
+    with pytest.raises(InputError, match="two distinct vertices"):
+        contract_even_pair(c4, 1, 1)
 
 
 def test_contract_rejects_trigraph():

@@ -17,9 +17,9 @@ from evenpairs.decomposition import (TwoJoinSplit, _odd_path_exists,
 from evenpairs.detect import is_berge, is_even_pair
 from evenpairs.errors import InputError, NonBergeError
 from evenpairs.families import cycle
-from evenpairs.trigraph import (complement, full_realization, in_class_F,
-                                is_anticonnected, is_connected, make_trigraph,
-                                mask_of, switchable_components)
+from evenpairs.trigraph import (complement, components, full_realization,
+                                in_class_F, make_trigraph, mask_of,
+                                switchable_components)
 
 from conftest import (count_calls, odd_path_exists_by_pairs, random_graph,
                       side_path_parities_by_pairs)
@@ -31,8 +31,8 @@ def test_star_cutset_p4(p4):
     wit = find_star_cutset(p4)
     assert wit.a == frozenset({0, 3}) and wit.b == frozenset({1, 2})
     assert wit.star in (1, 2)
-    assert not is_connected(p4, wit.a)
-    assert not is_anticonnected(p4, wit.b)
+    assert len(components(p4, wit.a)) > 1
+    assert len(components(p4, wit.b, "anticonnected")) > 1
 
 
 def test_star_cutset_absent(c6, k4):
@@ -69,7 +69,7 @@ def _star_cutset_per_vertex(t):
         for size in range(1, len(nbrs) + 1):
             for chosen in itertools.combinations(nbrs, size):
                 a = frozenset(range(t.n)) - {v, *chosen}
-                if a and not is_connected(t, a):
+                if a and len(components(t, a)) > 1:
                     return True
     return False
 
@@ -84,7 +84,8 @@ def test_star_cutset_existence_matches_per_vertex_search():
         if wit is not None:
             hits += 1
             assert wit.star in wit.b and not t.anti[wit.star] & mask_of(wit.b)
-            assert not is_connected(t, wit.a) and not is_anticonnected(t, wit.b)
+            assert len(components(t, wit.a)) > 1
+            assert len(components(t, wit.b, "anticonnected")) > 1
     assert hits > 100
 
 
@@ -294,6 +295,20 @@ def test_join_parity_without_paths_is_an_assertion():
     fake = TwoJoinSplit(*(frozenset({v}) for v in range(6)), parity=None, proper=True)
     with pytest.raises(AssertionError):
         join_parity(make_trigraph(6), fake)
+
+
+def test_join_parity_rejects_an_improper_split():
+    fake = TwoJoinSplit(*(frozenset({v}) for v in range(6)), parity=None, proper=False)
+    with pytest.raises(InputError, match="requires a proper 2-join"):
+        join_parity(make_trigraph(6), fake)
+
+
+def test_split_side_is_one_or_two(c8):
+    split = find_2join(c8)
+    assert split.side(1) == (split.a1, split.b1, split.c1)
+    assert split.side(2) == (split.a2, split.b2, split.c2)
+    with pytest.raises(InputError, match="side must be 1 or 2"):
+        split.side(3)
 
 
 def test_complement_two_join(c8, c6, k4):

@@ -5,7 +5,7 @@ import pytest
 
 from evenpairs import detect
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
-from evenpairs.detect import (_iter_prisms, _shortest_hole,
+from evenpairs.detect import (PrismWitness, _iter_prisms, _shortest_hole,
                               find_antihole_of_length_at_least,
                               find_even_pair_oracle, find_hole,
                               find_odd_antihole, find_odd_hole, find_prism,
@@ -14,8 +14,9 @@ from evenpairs.engine import check_preconditions
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, cycle, line_graph,
                                 prism3)
-from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
-                                make_trigraph, realization, validate_hole)
+from evenpairs.trigraph import (PathWitness, bits_of, complement,
+                                graph_from_edges, make_trigraph, realization,
+                                validate_hole)
 
 from conftest import (count_calls, random_graph, random_trigraph,
                       shortest_hole_without_cut)
@@ -269,6 +270,23 @@ def test_every_prism_witness_validates():
                 validate_prism(g, wit)
                 witnesses += 1
     assert witnesses > 0
+
+
+_PRISM3 = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("edges, rungs, message", [
+    (_PRISM3, [(0, 3), (1, 4), (2, 4)], "rungs overlap"),
+    (_PRISM3[1:], [(0, 3), (1, 4), (2, 5)], r"triangle pair \(0, 1\) not adjacent"),
+    (_PRISM3, [(0, 3), (2, 5), (1, 4)], "rung 1 does not join its clique vertices"),
+    (_PRISM3[:6] + _PRISM3[7:], [(0, 3), (1, 4), (2, 5)],
+     r"required prism edge \(0, 3\) missing"),
+    (_PRISM3 + [(0, 4)], [(0, 3), (1, 4), (2, 5)], r"stray edge \(0, 4\) inside the prism"),
+], ids=["overlap", "triangle", "rung-ends", "rung-edge", "stray"])
+def test_validate_prism_errors(edges, rungs, message):
+    wit = PrismWitness(((0, 1, 2), (3, 4, 5)), tuple(PathWitness(r) for r in rungs))
+    with pytest.raises(InputError, match=message):
+        validate_prism(graph_from_edges(6, edges), wit)
 
 
 def test_prism_parity_filter_rejects_bad_value(c6):

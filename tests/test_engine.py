@@ -8,8 +8,9 @@ from evenpairs.cli import main
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs)
 from evenpairs.detect import EvenPairReport, is_even_pair
-from evenpairs.engine import (PRECONDITIONS, check_preconditions,
-                              find_even_pair_structured, verify_main_theorem)
+from evenpairs.engine import (PRECONDITIONS, _run_instance,
+                              check_preconditions, find_even_pair_structured,
+                              verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.formats import from_graph6, from_text
 from evenpairs.trigraph import make_trigraph
@@ -71,6 +72,16 @@ def test_structured_precondition_failure(p4):
     result = find_even_pair_structured(p4)
     assert result.outcome == "precondition_failed"
     assert result.report.first_failure.name == "no_balanced_skew_partition"
+
+
+def test_fast_pass_stops_at_class_membership():
+    # Berge, with no prism or antihole, but two switchable components
+    t = make_trigraph(4, [(0, 1, 0), (2, 3, 0)])
+    result = find_even_pair_structured(t)
+    assert result.outcome == "precondition_failed"
+    assert tuple(c.name for c in result.report.checks) == PRECONDITIONS[:4]
+    assert result.report.first_failure.witness == "more than one switchable component"
+    assert _run_instance(t)["failed_check"] == "class_membership"
 
 
 def test_structured_trigraph_block(c8):
@@ -148,9 +159,11 @@ def test_verify_rejects_large_n():
         verify_main_theorem(5, "everything")
 
 
-def test_verify_workers_match_sequential(tmp_path):
-    seq = verify_main_theorem(4, "graphs", workers=1, log_path=str(tmp_path / "1"))
-    par = verify_main_theorem(4, "graphs", workers=2, log_path=str(tmp_path / "2"))
+def test_verify_workers_match_sequential(monkeypatch, tmp_path):
+    monkeypatch.setenv("EVENPAIRS_WORKERS", "1")
+    seq = verify_main_theorem(4, "graphs", log_path=str(tmp_path / "1"))
+    monkeypatch.setenv("EVENPAIRS_WORKERS", "2")
+    par = verify_main_theorem(4, "graphs", log_path=str(tmp_path / "2"))
     assert (seq.instances, seq.filtered_in, seq.complete, seq.even_pair) == \
         (par.instances, par.filtered_in, par.complete, par.even_pair)
     # records come back in instance order, which pairs each with its text

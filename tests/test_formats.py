@@ -87,7 +87,9 @@ def test_graph6_past_the_vertex_cap_is_refused():
     # the four-byte count of n > 62 is decoded in full, then capped
     ("~??~" + "?" * ((63 * 62 // 2 + 5) // 6), "vertex count 63 exceeds cap 32"),
     ("~?", "truncated graph6 vertex count"),
-], ids=["n63", "truncated"])
+    # "~~" opens the eight-byte count of n > 258047, which is not supported
+    ("~~??????", "graph6 vertex count out of supported range"),
+], ids=["n63", "truncated", "eight-byte"])
 def test_graph6_long_vertex_count(literal, message):
     with pytest.raises(InputError, match=message):
         from_graph6(literal)
@@ -145,11 +147,20 @@ def test_to_text_matches_the_pair_scan():
 def test_loads_sniffing():
     t = make_trigraph(2, [(0, 1, 0)])
     assert loads(to_text(t)) == t
+    assert loads(to_text(t), fmt="trigraph") == t
     g = random_graph(random.Random(64), 5)
     assert loads(to_graph6(g)) == g
     assert loads(to_graph6(g), fmt="graph6") == g
     with pytest.raises(InputError):
         loads("stuff", fmt="nope")
+
+
+def test_to_jsonable_writes_a_trigraph_as_its_text_and_a_set_sorted():
+    from evenpairs.certs import to_jsonable
+
+    t = make_trigraph(3, [(0, 2, 0)])
+    assert to_jsonable(t) == {"kind": "trigraph", "n": 3, "text": to_text(t)}
+    assert to_jsonable({3, 1, 2}) == to_jsonable(frozenset({2, 1, 3})) == [1, 2, 3]
 
 
 def test_load_from_file(tmp_path):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenpairs.contraction import contract_even_pair
 from evenpairs.errors import InputError
 from evenpairs.families import complete_graph, cycle, empty_graph, prism3
 from evenpairs.trigraph import (ANTI, STRONG, _reach, bits_of, clique_number,
                                 complement, components, enumerate_paths,
-                                full_realization, in_class_F, induced,
+                                full_realization, graph_from_edges,
+                                in_class_F, induced,
                                 is_complete, is_semirealization, iter_paths,
                                 make_trigraph, realization,
                                 switchable_components, validate_hole,
@@ -46,6 +48,8 @@ def test_make_trigraph_rejects_bad_entries(entries, message):
 def test_vertex_cap():
     with pytest.raises(InputError, match="cap"):
         make_trigraph(33)
+    with pytest.raises(InputError, match="nonnegative"):
+        make_trigraph(-1)
 
 
 @pytest.mark.parametrize("strong, switch, message", [
@@ -66,6 +70,8 @@ def test_trigraph_rejects_inconsistent_masks(strong, switch, message):
 def test_value_rejects_out_of_range(c5):
     with pytest.raises(InputError, match="out of range"):
         c5.value(0, 5)
+    with pytest.raises(InputError, match="no self-pair"):
+        c5.value(2, 2)
 
 
 # -- complement ------------------------------------------------------------
@@ -105,10 +111,16 @@ def test_induced_identity(c6):
     assert induced(c6, range(6)) == c6
 
 
+def test_derived_trigraph_pickles_as_its_pair_codes(c4, c6):
+    # a trigraph derived from another carries nothing beyond its pair codes
+    assert pickle.dumps(induced(c6, range(6))) == pickle.dumps(c6)
+    assert (pickle.dumps(contract_even_pair(c4, 0, 2))
+            == pickle.dumps(graph_from_edges(3, [(0, 1), (0, 2)])))
+
+
 def test_induced_of_c6_arc(c6):
     sub = induced(c6, [0, 1, 2])
     assert sorted(sub.strong_edges()) == [(0, 1), (1, 2)]
-    assert sub.parent_vertices == (0, 1, 2)
 
 
 def test_induced_triangle_of_prism(c6):
@@ -140,6 +152,8 @@ def test_realization_single_switchable_pair():
 def test_realization_rejects_non_switchable(c6):
     with pytest.raises(InputError, match="not switchable"):
         realization(c6, [(0, 1)])
+    with pytest.raises(InputError, match="out of range"):
+        realization(c6, [(0, 6)])
 
 
 def test_every_realization_is_semirealization():
@@ -177,6 +191,11 @@ def test_components_connected_c6(c6):
 
 def test_components_anticonnected_edge(c4):
     assert components(c4, [2, 3], "anticonnected") == [frozenset({2}), frozenset({3})]
+
+
+def test_components_rejects_unknown_mode(c6):
+    with pytest.raises(InputError, match="unknown mode"):
+        components(c6, mode="strong")
 
 
 def test_semiadjacent_counts_both_ways():
@@ -351,6 +370,10 @@ def test_in_class_f_light_conditions():
     assert "common neighbors besides the center" in in_class_F(bad).violation
     bad = make_trigraph(4, [(0, 1, 0), (1, 2, 0), (0, 3, 1), (1, 3, 1)])
     assert "center has a neighbor" in in_class_F(bad).violation
+    bad = make_trigraph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+    assert "ends are not strongly antiadjacent" in in_class_F(bad).violation
+    bad = make_trigraph(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+    assert "more than two edges" in in_class_F(bad).violation
 
 
 # -- completeness and cliques ----------------------------------------------
