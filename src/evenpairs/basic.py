@@ -425,6 +425,11 @@ def even_pair_basic(T: Trigraph, need_disjoint: bool = False,
         elif len(y) >= 2:
             pair = (y[0], y[1])
         elif x and y:
+            # the engine never gets here: it asks for a disjoint pair only at
+            # favorable leaves, so n >= 5, D is light and the pair is strongly
+            # antiadjacent.  Its vertex on the side of D's ends is isolated,
+            # so bipartition_of puts it first, and the sides split only when
+            # the other vertex sees an end of D: a balanced skew partition
             pair = (x[0], y[0])
         else:
             raise TheoremContradictionError(

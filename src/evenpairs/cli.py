@@ -13,8 +13,8 @@ INPUT is a file path or an inline literal, in graph6 or the trigraph text
 format (sniffed, or forced with --format).  All commands print one JSON
 document with sorted keys; --emit-cert writes the involved witnesses as
 JSON lines.  Exit codes: 0 success, 1 precondition failure, 2 input error
-(an unreadable input or unwritable certificate path included), 3 internal
-contradiction of a proved statement.
+(an unreadable input or unwritable certificate path included), 3 a
+TheoremContradictionError, which every internal cross-check raises.
 
 Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable, an
 integer >= 1 (default 1; any other value is an input error).
@@ -34,7 +34,7 @@ from .decomposition import build_block, find_2join, find_complement_2join
 from .engine import check_preconditions, find_even_pair_structured, verify_main_theorem
 from .errors import InputError, NonBergeError, TheoremContradictionError
 from .formats import load
-from .trigraph import Trigraph, switchable_vertices
+from .trigraph import switchable_vertices
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -52,12 +52,8 @@ def _emit(document: dict, cert_objects: list, cert_path: str | None) -> None:
     print(json.dumps(certs.to_jsonable(document), sort_keys=True, indent=2))
 
 
-def _load_input(args) -> Trigraph:
-    return load(args.input, args.format)
-
-
 def _cmd_analyze(args) -> int:
-    T = _load_input(args)
+    T = load(args.input, args.format)
     report = check_preconditions(T)
     witnesses = [c.witness for c in report.checks if not c.passed]
     _emit({"command": "analyze", "report": report}, witnesses, args.emit_cert)
@@ -65,7 +61,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_even_pair(args) -> int:
-    T = _load_input(args)
+    T = load(args.input, args.format)
     result = find_even_pair_structured(T)
     if result.outcome == "even_pair" and args.need_disjoint:
         if switchable_vertices(T) & set(result.pair):
@@ -78,7 +74,7 @@ def _cmd_even_pair(args) -> int:
 
 
 def _cmd_contract_color(args) -> int:
-    T = _load_input(args)
+    T = load(args.input, args.format)
     if not T.is_graph:
         raise InputError("contract-color expects a graph input")
     seq = run_contraction_sequence(T)
@@ -89,7 +85,7 @@ def _cmd_contract_color(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    T = _load_input(args)
+    T = load(args.input, args.format)
     split = find_2join(T)
     blocks = None
     if split is not None and split.proper and split.parity is not None:
@@ -102,7 +98,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    T = _load_input(args)
+    T = load(args.input, args.format)
     classification = classify_basic(T)
     _emit({"command": "classify", "classification": classification},
           [classification], args.emit_cert)
@@ -179,8 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         # cannot be read or written, or input that is not ASCII text
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except (TheoremContradictionError, AssertionError) as exc:
-        # an AssertionError is an internal cross-check that failed
+    except TheoremContradictionError as exc:
         print(json.dumps({"theorem_contradiction": str(exc)}), file=sys.stderr)
         return EXIT_CONTRADICTION
 

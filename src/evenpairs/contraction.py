@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .canonical import canonical_form
 from .detect import even_pairs, is_berge, is_even_pair
-from .errors import InputError, NonBergeError, NotEvenPairError
+from .errors import InputError, NonBergeError, NotEvenPairError, TheoremContradictionError
 from .trigraph import Trigraph, bits_of, clique_number, is_complete, renumber
 
 
@@ -119,7 +119,7 @@ def derive_coloring(seq: ContractionSequence) -> Coloring:
     original graph: the terminal's vertex v takes color v, and each step,
     undone in reverse, puts v of its pair u < v back at index v with u's
     color.  Contracting an even pair keeps the clique number of any graph,
-    so the color count equals it, and that equality is asserted here."""
+    so the color count equals it, and that equality is checked here."""
     if seq.outcome != "complete":
         raise InputError(f"cannot derive a coloring from outcome {seq.outcome!r}")
     colors = list(range(seq.terminal.n))
@@ -130,10 +130,10 @@ def derive_coloring(seq: ContractionSequence) -> Coloring:
     assignment = tuple(colors)
     for x, y in original.strong_edges():
         if assignment[x] == assignment[y]:
-            raise AssertionError(f"unwound coloring is not proper on edge ({x}, {y})")
+            raise TheoremContradictionError(f"unwound coloring is not proper on edge ({x}, {y})")
     count = len(set(assignment))
     if count != seq.terminal.n:
-        raise AssertionError("color count does not match the terminal clique")
+        raise TheoremContradictionError("color count does not match the terminal clique")
     if count != clique_number(original):
-        raise AssertionError("coloring does not use clique-number many colors")
+        raise TheoremContradictionError("coloring does not use clique-number many colors")
     return Coloring(assignment, count)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detect import is_berge
-from .errors import InputError, NonBergeError
+from .errors import InputError, NonBergeError, TheoremContradictionError
 from .trigraph import (Trigraph, _mask_components, _mask_connected, _paths,
                        _pruned_masks, _vertex_mask, bits_of, complement,
                        mask_of, renumber)
@@ -416,7 +416,7 @@ def join_parity(T: Trigraph, split: TwoJoinSplit) -> str:
     parity = observed_parity(T, (split.a1, split.b1, split.c1,
                                  split.a2, split.b2, split.c2))
     if parity is None:
-        raise AssertionError(
+        raise TheoremContradictionError(
             "proper 2-join of a Berge trigraph without a common path parity")
     return parity
 

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, TheoremContradictionError
 from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths,
                        bits_of, iter_paths, mask_of, switchable_vertices)
 
@@ -27,12 +27,12 @@ MAX_PATHS = 1_000_000
 
 def _shortest_hole(n: int, adj, anti, lengths,
                    first: int | None = None) -> tuple[int, ...] | None:
-    """The shortest hole whose length lies in ``lengths``, in canonical
-    form (smallest vertex first, second vertex smaller than the last), and
-    among those the first one met; None if there is none.  With ``first``,
-    only the holes whose smallest vertex is ``first``.  The trigraph is
-    given by its vertex count and its ``adj`` and ``anti`` masks, so callers
-    can search one they never build, or its complement by swapping them.
+    """The shortest hole whose length lies in ``lengths`` (each at least
+    five), in canonical form (smallest vertex first, second vertex smaller
+    than the last), and among those the first one met; None if there is
+    none.  With ``first``, only the holes whose smallest vertex is ``first``.
+    The trigraph is given by its vertex count and ``adj`` and ``anti`` masks,
+    so callers can search one they never build, or its complement by swapping.
 
     One DFS grows chordless paths from each smallest vertex h1 in ascending
     order, taking candidates in ascending order.  A candidate adjacent to h1
@@ -55,8 +55,6 @@ def _shortest_hole(n: int, adj, anti, lengths,
     """
     wanted = 0
     for k in lengths:
-        if k < 5:
-            raise InputError("holes have at least five vertices")
         if k <= n:
             wanted |= 1 << k
     if not wanted:
@@ -108,17 +106,9 @@ def _shortest_hole(n: int, adj, anti, lengths,
     return best
 
 
-def find_hole(T: Trigraph, lengths) -> HoleWitness | None:
-    """Shortest hole whose length lies in ``lengths``, the first in
-    canonical DFS order among those (one bounded search, see
-    ``_shortest_hole``); every length is checked to be at least five
-    before the search starts."""
-    cycle = _shortest_hole(T.n, T.adj, T.anti, lengths)
-    return None if cycle is None else HoleWitness(cycle, "hole")
-
-
 def find_odd_hole(T: Trigraph) -> HoleWitness | None:
-    return find_hole(T, range(5, T.n + 1, 2))
+    cycle = _shortest_hole(T.n, T.adj, T.anti, range(5, T.n + 1, 2))
+    return None if cycle is None else HoleWitness(cycle, "hole")
 
 
 def find_odd_antihole(T: Trigraph) -> HoleWitness | None:
@@ -335,7 +325,7 @@ def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
     if T.is_graph:
         gadget_odd = _gadget_sees_odd_path(T, u, v)
         if gadget_odd != (witness is not None):
-            raise AssertionError(
+            raise TheoremContradictionError(
                 f"even-pair routes disagree on ({u}, {v}): "
                 f"gadget={gadget_odd}, enumeration={witness is not None}")
     return EvenPairReport((u, v), verdict, witness, count)

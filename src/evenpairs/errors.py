@@ -27,7 +27,8 @@ class NonBergeError(ValueError):
 
 
 class TheoremContradictionError(RuntimeError):
-    """An internal step that a proved statement guarantees has failed.
+    """An internal step that a proved statement guarantees has failed, or
+    two independent oracles for the same question disagree.
 
     This is surfaced loudly and never swallowed: it means either a bug or a
     counterexample, and both must be looked at.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import InputError
 from .trigraph import Trigraph, graph_from_edges, make_trigraph
 
 
@@ -17,7 +18,7 @@ def complete_graph(n: int) -> Trigraph:
 
 def cycle(n: int) -> Trigraph:
     if n < 3:
-        raise ValueError("cycles need at least three vertices")
+        raise InputError("cycles need at least three vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -42,7 +43,7 @@ def line_graph(H: Trigraph) -> tuple[Trigraph, tuple[tuple[int, int], ...]]:
     exactly when the edges share an endpoint.
     """
     if not H.is_graph:
-        raise ValueError("line_graph expects a graph")
+        raise InputError("line_graph expects a graph")
     edges = H.strong_edges()
     adj = [(i, j) for i, j in itertools.combinations(range(len(edges)), 2)
            if set(edges[i]) & set(edges[j])]

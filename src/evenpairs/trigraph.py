@@ -192,10 +192,7 @@ def induced(T: Trigraph, X: Iterable[int]) -> Trigraph:
     """Restriction to the vertex set X: new vertex i is the i-th smallest
     vertex of X.  X may be empty.
     """
-    idx = sorted(set(X))
-    for v in idx:
-        if not (0 <= v < T.n):
-            raise InputError(f"vertex {v} out of range for n={T.n}")
+    idx = list(bits_of(_vertex_mask(T, X)))
     return Trigraph(renumber(T.strong, idx), renumber(T.switch, idx))
 
 
@@ -514,12 +511,10 @@ def switchable_structure(T: Trigraph) -> ClassFVerdict:
             return ClassFVerdict(
                 False, "small switchable pair has a common neighbor", D, "small")
         return ClassFVerdict(True, None, D, "small")
-    # two switchable edges: the component is a path x - v - y
-    degree = {w: sum(1 for e in sigma_edges if w in e) for w in D}
-    center = [w for w in D if degree[w] == 2][0]
-    x, y = sorted(w for w in D if w != center)
-    rest = mask_of(range(T.n)) & ~mask_of((center, x, y))
-    if T.adj[center] & rest:
+    # two switchable edges, a path x - center - y: its center's other edges are strong
+    center = next(w for w in D if T.switch[w].bit_count() == 2)
+    x, y = bits_of(T.switch[center])
+    if T.strong[center]:
         return ClassFVerdict(
             False, "light component center has a neighbor outside the component",
             D, "light")

@@ -15,6 +15,7 @@ from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
                               planted_class_f_trigraphs, random_bipartite_graph)
 from evenpairs.detect import (find_antihole_of_length_at_least, find_odd_hole,
                               find_prism, is_berge, is_even_pair)
+from evenpairs.engine import find_even_pair_structured
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, complete_graph, cycle,
                                 empty_graph, line_graph, path_graph, prism3)
@@ -289,6 +290,14 @@ def test_favorability_requires_class_membership(c5):
         is_favorable(c5)
 
 
+def test_verdicts_are_false_when_they_fail():
+    # a failing verdict must not pass ``if in_class_F(T):``
+    assert bool(in_class_F(cycle(6)))
+    assert not bool(in_class_F(make_trigraph(6, [(0, 1, 0), (3, 4, 0)])))
+    assert bool(favorability(cycle(6)))
+    assert not bool(favorability(complete_graph(5)))
+
+
 # -- bipartite finder -------------------------------------------------------------
 
 def test_even_pair_bipartite_c6(c6):
@@ -310,6 +319,19 @@ def test_even_pair_bipartite_disjoint_on_light_block():
     pair = even_pair_basic(block.trigraph, need_disjoint=True)
     assert pair is not None
     assert not (set(pair) & set(block.markers))
+
+
+def test_even_pair_bipartite_cross_pair():
+    # one vertex on each side once the light component {0, 1, 2} is left
+    # out: the pair is the cross pair, which the engine never asks for here,
+    # because the favorable trigraph has a balanced skew partition
+    T = make_trigraph(5, [(0, 1, 0), (1, 2, 0), (0, 3, 1)])
+    assert classify_basic(T).verdict == "bipartite"
+    assert favorability(T).favorable
+    assert even_pair_basic(T, need_disjoint=True) == (3, 4)
+    assert is_even_pair(T, 3, 4).is_even_pair
+    report = find_even_pair_structured(T).report
+    assert report.first_failure.name == "no_balanced_skew_partition"
 
 
 # -- good pairs --------------------------------------------------------------------

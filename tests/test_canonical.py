@@ -96,6 +96,11 @@ def test_enumeration_builds_a_trigraph_per_class_only(monkeypatch):
     assert len(built) <= len(classes)
 
 
+def test_the_empty_trigraph_has_the_empty_form():
+    assert canonical_form(trigraph.make_trigraph(0)) == b"\x00"
+    assert mask_automorphisms([], []) == []
+
+
 def test_automorphisms_fix_the_trigraph():
     # every graph on <= 7 vertices, every planted member on a base of <= 6,
     # and seeded random graphs and trigraphs on 8-10, switchable pairs

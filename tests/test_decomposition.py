@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from evenpairs.decomposition import (TwoJoinSplit, _odd_path_exists,
                                      is_balanced_partition, is_fragment,
                                      iter_2joins, join_parity, split_for)
 from evenpairs.detect import is_berge, is_even_pair
-from evenpairs.errors import InputError, NonBergeError
+from evenpairs.errors import InputError, NonBergeError, TheoremContradictionError
 from evenpairs.families import cycle
 from evenpairs.trigraph import (complement, components, full_realization,
                                 in_class_F, make_trigraph, mask_of,
@@ -289,11 +290,11 @@ def test_join_parity_rejects_non_berge(c5):
         join_parity(c5, fake)
 
 
-def test_join_parity_without_paths_is_an_assertion():
+def test_join_parity_without_paths_is_a_contradiction():
     # a hand-made "proper" split of a stable set has no A-B path on either
     # side, so no parity is observed
     fake = TwoJoinSplit(*(frozenset({v}) for v in range(6)), parity=None, proper=True)
-    with pytest.raises(AssertionError):
+    with pytest.raises(TheoremContradictionError):
         join_parity(make_trigraph(6), fake)
 
 
@@ -403,6 +404,11 @@ def test_block_even_pair_lifts_to_parent(c8):
 
 def test_shape_report_clean(c8):
     assert check_nobsp_2join_shape(c8, find_2join(c8)).ok
+
+
+def test_shape_report_names_an_improper_split(c8):
+    improper = dataclasses.replace(find_2join(c8), proper=False)
+    assert check_nobsp_2join_shape(c8, improper).violations == ("2-join is not proper",)
 
 
 def test_shape_report_negative_control():

@@ -7,7 +7,7 @@ from evenpairs import detect
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs.detect import (PrismWitness, _iter_prisms, _shortest_hole,
                               find_antihole_of_length_at_least,
-                              find_even_pair_oracle, find_hole,
+                              find_even_pair_oracle,
                               find_odd_antihole, find_odd_hole, find_prism,
                               is_berge, is_even_pair, validate_prism)
 from evenpairs.engine import check_preconditions
@@ -142,14 +142,6 @@ def test_shortest_hole_cut_matches_the_uncut_search():
                 queries += 1
                 holes += got is not None
     assert queries > 60_000 and holes > 7_000
-
-
-def test_find_hole_rejects_short_lengths_up_front():
-    # a length below five is refused even when a longer wanted hole exists
-    with pytest.raises(InputError):
-        find_hole(cycle(5), [5, 4])
-    with pytest.raises(InputError):
-        find_hole(cycle(6), [5, 4])
 
 
 def test_precondition_pass_runs_three_hole_searches(monkeypatch):

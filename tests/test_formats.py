@@ -71,6 +71,12 @@ def test_graph6_header_tolerated():
 def test_graph6_rejects_trigraphs_and_garbage():
     with pytest.raises(InputError):
         to_graph6(make_trigraph(2, [(0, 1, 0)]))
+    # a stand-in past the four-byte count: a real one would hold 258,048
+    # masks of 258,048 bits each
+    huge = object.__new__(Trigraph)
+    huge.n, huge.strong, huge.switch = 258048, (), ()
+    with pytest.raises(InputError, match="graph6 vertex count out of supported range"):
+        to_graph6(huge)
     with pytest.raises(InputError, match="length mismatch"):
         from_graph6("E")
     with pytest.raises(InputError):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from evenpairs.contraction import contract_even_pair
 from evenpairs.errors import InputError
-from evenpairs.families import complete_graph, cycle, empty_graph, prism3
+from evenpairs.families import (complete_graph, cycle, empty_graph, line_graph,
+                                prism3)
 from evenpairs.trigraph import (ANTI, STRONG, _reach, bits_of, clique_number,
                                 complement, components, enumerate_paths,
                                 full_realization, graph_from_edges,
@@ -65,6 +66,19 @@ def test_trigraph_rejects_inconsistent_masks(strong, switch, message):
 
     with pytest.raises(InputError, match=message):
         Trigraph(strong, switch)
+
+
+def test_repr_names_the_kind_and_the_pair_counts():
+    assert repr(cycle(5)) == "<graph n=5 strong=5 switchable=0>"
+    assert repr(make_trigraph(3, [(0, 1, 0), (1, 2, 1)])) == (
+        "<trigraph n=3 strong=1 switchable=1>")
+
+
+def test_families_reject_bad_input():
+    with pytest.raises(InputError, match="at least three vertices"):
+        cycle(2)
+    with pytest.raises(InputError, match="expects a graph"):
+        line_graph(make_trigraph(2, [(0, 1, 0)]))
 
 
 def test_value_rejects_out_of_range(c5):
