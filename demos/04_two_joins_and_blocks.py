@@ -12,7 +12,7 @@ whole trigraph, which is what makes the decomposition useful.
 
 from evenpairs import (build_block, find_2join, find_balanced_skew_partition,
                        find_star_cutset, full_realization, is_even_pair,
-                       join_parity, split_for, to_text)
+                       iter_2joins, join_parity, to_text)
 from evenpairs.families import cycle, path_graph
 
 # The path P4 has a star cutset (its two middle vertices), which for Berge
@@ -46,7 +46,7 @@ print("lifted pair", lifted, "->", is_even_pair(c8, *lifted).verdict)
 
 # Even joins get light markers: the 10-hole split through five vertices.
 c10 = cycle(10)
-split10 = split_for(c10, {0, 1, 2, 3, 4})
+split10 = next(s for s in iter_2joins(c10) if s.x1 == {0, 1, 2, 3, 4})
 block10 = build_block(c10, split10, 1)
 print("C10 join parity:", split10.parity, "-> marker kind:", block10.kind)
 print("light block realizes as an 8-cycle:",

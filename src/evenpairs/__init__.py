@@ -24,7 +24,7 @@ from .decomposition import (Block, SkewPartitionWitness, TwoJoinSplit,
                             build_block, check_nobsp_2join_shape, find_2join,
                             find_balanced_skew_partition,
                             find_complement_2join, find_star_cutset,
-                            is_fragment, iter_2joins, join_parity, split_for)
+                            iter_2joins, join_parity)
 from .detect import (EvenPairReport, PrismWitness,
                      find_antihole_of_length_at_least, find_even_pair_oracle,
                      find_odd_antihole, find_odd_hole, find_prism, is_berge,
@@ -39,8 +39,8 @@ from .trigraph import (ANTI, STRONG, SWITCHABLE, ClassFVerdict, HoleWitness,
                        PathEnumeration, PathWitness, Trigraph, clique_number,
                        complement, components, enumerate_paths,
                        full_realization, graph_from_edges, in_class_F,
-                       induced, is_complete, is_semirealization,
-                       make_trigraph, realization, switchable_components)
+                       induced, is_complete, make_trigraph, realization,
+                       switchable_components)
 
 __all__ = [
     "ANTI", "STRONG", "SWITCHABLE",
@@ -60,9 +60,9 @@ __all__ = [
     "find_odd_antihole", "find_odd_hole", "find_prism", "find_star_cutset",
     "from_graph6", "from_text", "full_realization", "good_partition_of",
     "graph_from_edges", "in_class_F", "induced", "is_berge", "is_complete",
-    "is_even_contractile", "is_even_pair", "is_favorable", "is_fragment",
-    "is_good_pair", "is_semirealization", "iter_2joins", "join_parity",
+    "is_even_contractile", "is_even_pair", "is_favorable", "is_good_pair",
+    "iter_2joins", "join_parity",
     "line_root_of", "load", "loads", "make_trigraph", "realization",
-    "run_contraction_sequence", "split_for", "switchable_components",
+    "run_contraction_sequence", "switchable_components",
     "to_graph6", "to_text", "verify_main_theorem", "verify_root_properties",
 ]

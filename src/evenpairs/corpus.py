@@ -33,8 +33,7 @@ import random
 from functools import lru_cache
 
 from .canonical import canonical_form, mask_automorphisms, mask_labeling
-from .trigraph import (ANTI, Trigraph, bits_of, graph_from_edges, in_class_F,
-                       make_trigraph)
+from .trigraph import ANTI, Trigraph, bits_of, in_class_F, make_trigraph
 
 
 def _orbit_firsts(items, gens: list[tuple[int, ...]], image):
@@ -100,12 +99,19 @@ def graphs_upto(n_max: int) -> list[Trigraph]:
 
 
 def _degree_invariant(G: Trigraph) -> tuple:
-    """The sorted multiset of (degree, sorted neighbor degrees) over the
-    vertices of G; isomorphic graphs share it."""
-    degree = [m.bit_count() for m in G.adj]
-    return tuple(sorted(
-        (degree[v], tuple(sorted(degree[u] for u in bits_of(G.adj[v]))))
-        for v in range(G.n)))
+    """The sorted multiset over the vertices of G of (degree, then the
+    number of neighbors in each degree class of G, by increasing degree);
+    isomorphic graphs share it.  The degree classes are masks, so each
+    count is one ``bit_count``.  Given the degrees of G, the counts are the
+    sorted neighbor degrees, so two graphs share it exactly when they share
+    the sorted multiset of (degree, sorted neighbor degrees)."""
+    adj = G.adj
+    degree = [m.bit_count() for m in adj]
+    classes = [0] * len(adj)
+    for v, d in enumerate(degree):
+        classes[d] |= 1 << v
+    return tuple(sorted(zip(degree, *[[(m & c).bit_count() for m in adj]
+                                      for c in classes if c])))
 
 
 def random_canonical_graphs(n: int, count: int, seed: int = 0) -> list[Trigraph]:
@@ -192,20 +198,3 @@ def planted_class_f_trigraphs(max_base_n: int) -> tuple[Trigraph, ...]:
             if in_class_F(T).ok:
                 out.setdefault(canonical_form(T), T)
     return tuple(out.values())
-
-
-def random_bipartite_graph(rng: random.Random, max_edges: int = 12) -> Trigraph:
-    """A random bipartite graph with at most ``max_edges`` edges.
-
-    Used as raw material for line-graph roots; callers filter for the
-    structural conditions they need.
-    """
-    a = rng.randint(1, 5)
-    b = rng.randint(1, 5)
-    cross = [(i, a + j) for i in range(a) for j in range(b)]
-    rng.shuffle(cross)
-    want = rng.randint(1, min(max_edges, len(cross)))
-    edges = sorted(cross[:want])
-    used = sorted({w for e in edges for w in e})
-    index = {w: i for i, w in enumerate(used)}
-    return graph_from_edges(len(used), [(index[u], index[v]) for u, v in edges])

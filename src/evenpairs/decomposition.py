@@ -1,4 +1,4 @@
-"""Skew-partitions, star cutsets, 2-joins, fragments, and blocks.
+"""Skew-partitions, star cutsets, 2-joins, and blocks.
 
 The balanced-skew-partition and 2-join searches meet bipartitions in
 increasing bitmask order (bit i is vertex i), so results are deterministic
@@ -101,6 +101,17 @@ class Block:
     parent_map: tuple[int | None, ...]
 
 
+def _touching(adj, mask: int, target: int) -> int:
+    """The vertices of ``mask`` with a neighbor in ``target``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if adj[low.bit_length() - 1] & target:
+            out |= low
+    return out
+
+
 def _odd_path_exists(adj, anti, ends: int, inner: int) -> bool:
     """Any odd path of length > 1 with both ends in the mask ``ends`` and
     every interior vertex in the mask ``inner``, in the trigraph with the
@@ -115,17 +126,16 @@ def _odd_path_exists(adj, anti, ends: int, inner: int) -> bool:
     chordless-path search (``_paths``) through the core from each such end
     u in ascending order, closing only at such ends above u; it returns at
     the first odd path."""
-    core = 0
-    for w in bits_of(inner):
-        if adj[w] & inner:
-            core |= 1 << w
+    core = _touching(adj, inner, inner)
     if not core:
         return False
-    ends = mask_of(u for u in bits_of(ends) if adj[u] & core)
-    for u in bits_of(ends):
-        above = ends & -(2 << u)
+    above = _touching(adj, ends, core)
+    while above:
+        low = above & -above
+        # the search from this end closes only at the ends above it
+        above ^= low
         if any(len(path) > 2 and len(path) % 2 == 0
-               for path in _paths(adj, anti, u, above, core)):
+               for path in _paths(adj, anti, low.bit_length() - 1, above, core)):
             return True
     return False
 
@@ -424,32 +434,6 @@ def join_parity(T: Trigraph, split: TwoJoinSplit) -> str:
 def find_complement_2join(T: Trigraph) -> TwoJoinSplit | None:
     """First 2-join of the complement, reported in T's vertex labels."""
     return find_2join(complement(T))
-
-
-def split_for(T: Trigraph, X) -> TwoJoinSplit | None:
-    """The split of the bipartition (X, V - X), if it is a 2-join.
-
-    The classification is forced by the cross edges, so this is the only
-    split the bipartition can have (up to the A/B naming convention).  The
-    2-join search walks only the path to X's mask and hands its leaf to
-    ``_derive_split``.  A vertex of X outside 0..n-1 raises InputError.
-    """
-    x_mask = _vertex_mask(T, X)
-    step = _two_join_step(T)
-
-    def on_path(state, x1_fixed: int, x2_fixed: int, free: int):
-        if x1_fixed & ~x_mask or x2_fixed & x_mask:
-            return None
-        return step(state, x1_fixed, x2_fixed, free)
-
-    leaf = next(_pruned_masks(T.n, on_path, (0, 0, 0, 0)), None)
-    return None if leaf is None else _derive_split(T, *leaf)
-
-
-def is_fragment(T: Trigraph, X) -> bool:
-    """True iff (X, V - X) is a proper 2-join of T."""
-    split = split_for(T, X)
-    return split is not None and split.proper
 
 
 def build_block(T: Trigraph, split: TwoJoinSplit, side: int) -> Block:

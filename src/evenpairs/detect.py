@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths,
-                       bits_of, iter_paths, mask_of, switchable_vertices)
+                       iter_paths, mask_of, switchable_vertices)
 
 # is_even_pair gives up with a RuntimeError past this many u-v paths
 MAX_PATHS = 1_000_000
@@ -189,14 +189,28 @@ def validate_prism(T: Trigraph, witness: PrismWitness) -> None:
             raise InputError(f"stray edge ({u}, {v}) inside the prism")
 
 
-def _triangles(adj, avail: int, low: int) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """The triangles a < b < c inside the mask ``avail`` with a >= ``low``,
-    in lexicographic order, each with its mask, read off the masks."""
-    for a in bits_of(avail & -(1 << low)):
-        above_a = adj[a] & avail & -(2 << a)
-        for b in bits_of(above_a):
-            for c in bits_of(above_a & adj[b] & -(2 << b)):
-                yield (a, b, c), 1 << a | 1 << b | 1 << c
+def _triangles(adj, avail: int) -> list[tuple[tuple[int, int, int], int]]:
+    """The triangles a < b < c inside the mask ``avail``, in lexicographic
+    order, each with its mask, read off the masks by three nested walks of
+    their low bits."""
+    out = []
+    while avail:
+        low_a = avail & -avail
+        avail ^= low_a
+        a = low_a.bit_length() - 1
+        # avail now holds only vertices above a, and bs only those above b
+        bs = adj[a] & avail
+        while bs:
+            low_b = bs & -bs
+            bs ^= low_b
+            ab = low_a | low_b
+            b = low_b.bit_length() - 1
+            cs = bs & adj[b]
+            while cs:
+                low_c = cs & -cs
+                cs ^= low_c
+                out.append(((a, b, low_c.bit_length() - 1), ab | low_c))
+    return out
 
 
 def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
@@ -209,25 +223,29 @@ def _iter_prisms(T: Trigraph) -> Iterator[PrismWitness]:
     triangle and the common neighbors of two of its vertices.  A triangle
     after the first one in lexicographic order that misses it has its
     smallest vertex above the first's smallest, so the second triangles are
-    enumerated inside the unblocked vertices above that vertex, which is
-    the sequence a scan of the later triangles keeps, in the same order.
+    listed by ``_triangles`` inside the unblocked vertices above that
+    vertex (none when fewer than three are left), which is the sequence a
+    scan of the later triangles keeps, in the same order.
     """
     n, adj = T.n, T.adj
     full = (1 << n) - 1
-    # strict_anti[v]: the strong antineighbors of v, the only partners a
-    # rung vertex may have among the rung's non-consecutive vertices
-    strict_anti = [full ^ 1 << v ^ adj[v] for v in range(n)]
-
-    for tri_a, mask_a in _triangles(adj, full, 0):
-        sa, sb, sc = (adj[v] for v in tri_a)
-        blocked = mask_a | sa & sb | sa & sc | sb & sc
-        for tri_b, mask_b in _triangles(adj, full & ~blocked, tri_a[0] + 1):
+    strict_anti = None
+    for tri_a, mask_a in _triangles(adj, full):
+        sa, sb, sc = adj[tri_a[0]], adj[tri_a[1]], adj[tri_a[2]]
+        free = full & ~(mask_a | sa & sb | sa & sc | sb & sc) & -(2 << tri_a[0])
+        if free.bit_count() < 3:
+            continue
+        for tri_b, mask_b in _triangles(adj, free):
             for perm in itertools.permutations(tri_b):
+                p0, p1, p2 = perm
                 # between the triangles only matched pairs may be adjacent
-                ok = all(not adj[tri_a[i]] >> perm[j] & 1
-                         for i in range(3) for j in range(3) if i != j)
-                if not ok:
+                if (sa >> p1 | sa >> p2 | sb >> p0 | sb >> p2 | sc >> p0 | sc >> p1) & 1:
                     continue
+                if strict_anti is None:
+                    # strict_anti[v]: the strong antineighbors of v, the only
+                    # partners a rung vertex may have among the rung's
+                    # non-consecutive vertices
+                    strict_anti = [full ^ 1 << v ^ adj[v] for v in range(n)]
                 yield from _extend_rungs(T, strict_anti, tri_a, perm, 0,
                                          mask_a | mask_b, ())
 
@@ -239,7 +257,8 @@ def _extend_rungs(T: Trigraph, strict_anti, tri_a, tri_b, i: int, used: int,
 
     Each rung is a chordless path of ``_paths`` under ``strict_anti``, so
     its non-consecutive pairs are strongly antiadjacent.  Its interior
-    vertices see nothing already chosen except the rung's ends; a vertex
+    vertices see nothing already chosen except the rung's ends, so they lie
+    outside the neighborhoods of the other chosen vertices; a vertex
     adjacent to b can only be followed by b.
     """
     if i == 3:
@@ -248,7 +267,12 @@ def _extend_rungs(T: Trigraph, strict_anti, tri_a, tri_b, i: int, used: int,
     a, b = tri_a[i], tri_b[i]
     adj = T.adj
     chosen = used & ~(1 << a | 1 << b)
-    inner = mask_of(w for w in range(T.n) if not (used >> w & 1 or adj[w] & chosen))
+    seen = used
+    while chosen:
+        low = chosen & -chosen
+        seen |= adj[low.bit_length() - 1]
+        chosen ^= low
+    inner = ((1 << T.n) - 1) & ~seen
     for rung in _paths(adj, strict_anti, a, 1 << b, inner):
         yield from _extend_rungs(T, strict_anti, tri_a, tri_b, i + 1,
                                  used | mask_of(rung), rungs + (PathWitness(rung),))

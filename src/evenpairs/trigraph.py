@@ -32,12 +32,22 @@ SWITCHABLE = 0
 ANTI = -1
 
 
-def bits_of(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+# the set bit positions of every byte
+_BYTE_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+
+
+def bits_of(mask: int) -> Sequence[int]:
+    """The set bit positions of the nonnegative ``mask`` in increasing
+    order: below 256 a row of a shared table of tuples, above it a new list
+    from one walk of the low bits."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -70,6 +80,8 @@ class Trigraph:
             raise InputError("strong and switch masks must cover the same vertices")
         full = (1 << n) - 1
         adj, anti = [], []
+        # the partners below each vertex, mirrored from the rows above it
+        strong_below, switch_below = [0] * n, [0] * n
         for v in range(n):
             s, w = strong[v], switch[v]
             others = full ^ (1 << v)
@@ -80,10 +92,24 @@ class Trigraph:
                 raise InputError(f"pair ({v}, {u}) is both strong and switchable")
             adj.append(s | w)
             anti.append(others & ~s)
+            bit = 1 << v
+            above = s & -(2 << v)
+            while above:
+                low = above & -above
+                strong_below[low.bit_length() - 1] |= bit
+                above ^= low
+            above = w & -(2 << v)
+            while above:
+                low = above & -above
+                switch_below[low.bit_length() - 1] |= bit
+                above ^= low
         for v in range(n):
-            for u in bits_of(adj[v]):
-                if not adj[u] >> v & 1 or (strong[u] >> v & 1) != (strong[v] >> u & 1):
-                    raise InputError(f"pair ({v}, {u}) has asymmetric codes")
+            below = (1 << v) - 1
+            odd = (strong[v] & below ^ strong_below[v]
+                   | switch[v] & below ^ switch_below[v])
+            if odd:
+                u = (odd & -odd).bit_length() - 1
+                raise InputError(f"pair ({u}, {v}) has asymmetric codes")
         self.n = n
         self.strong = strong
         self.switch = switch
@@ -212,17 +238,6 @@ def realization(T: Trigraph, S: Iterable[tuple[int, int]]) -> Trigraph:
 
 def full_realization(T: Trigraph) -> Trigraph:
     return Trigraph(T.adj, [0] * T.n)
-
-
-def is_semirealization(candidate: Trigraph, base: Trigraph) -> bool:
-    """True iff ``candidate`` keeps every strong edge and every strong
-    antiedge of ``base`` (switchable pairs of the base may go either way)."""
-    if candidate.n != base.n:
-        raise InputError("semirealization check requires equal vertex counts")
-    return all(not bs & ~cs and not (ba & ~bw) & ~(ca & ~cw)
-               for bs, ba, bw, cs, ca, cw in zip(
-                   base.strong, base.anti, base.switch,
-                   candidate.strong, candidate.anti, candidate.switch))
 
 
 def _reach(neigh: Sequence[int], mask: int, seed: int) -> int:

@@ -12,9 +12,12 @@ from evenpairs.canonical import canonical_form
 from evenpairs.corpus import plant_light, plant_small
 from evenpairs.families import complete_graph, cycle, path_graph
 from evenpairs.detect import PrismWitness
-from evenpairs.decomposition import SkewPartitionWitness, _derive_split
+from evenpairs.decomposition import (SkewPartitionWitness, TwoJoinSplit,
+                                     _derive_split, _two_join_step)
+from evenpairs.errors import InputError
 from evenpairs.trigraph import (STRONG, SWITCHABLE, PathWitness, Trigraph,
-                                _mask_components, _mask_connected, bits_of,
+                                _mask_components, _mask_connected,
+                                _pruned_masks, _vertex_mask, bits_of,
                                 graph_from_edges, in_class_F, make_trigraph)
 
 
@@ -99,9 +102,73 @@ def count_calls(monkeypatch, module, name):
 
 # -- reference oracles: the per-pair, form-per-draw, sorted-signature,
 # -- separate path-search, path-triple, side-array, multigraph, uncut
-# -- hole-search, stateless predicate, bundle-scan, anticomponent-scan and
-# -- pair-scan text and graph6 versions the library replaced, kept here so
-# -- they stay independent of the code they check
+# -- hole-search, stateless predicate, bundle-scan, anticomponent-scan,
+# -- sorted-neighbor-degree and pair-scan text and graph6 versions the
+# -- library replaced, kept here so they stay independent of the code they
+# -- check
+
+
+def random_bipartite_graph(rng: random.Random, max_edges: int = 12) -> Trigraph:
+    """A random bipartite graph with at most ``max_edges`` edges.
+
+    Used as raw material for line-graph roots; callers filter for the
+    structural conditions they need.
+    """
+    a = rng.randint(1, 5)
+    b = rng.randint(1, 5)
+    cross = [(i, a + j) for i in range(a) for j in range(b)]
+    rng.shuffle(cross)
+    want = rng.randint(1, min(max_edges, len(cross)))
+    edges = sorted(cross[:want])
+    used = sorted({w for e in edges for w in e})
+    index = {w: i for i, w in enumerate(used)}
+    return graph_from_edges(len(used), [(index[u], index[v]) for u, v in edges])
+
+
+def is_semirealization(candidate: Trigraph, base: Trigraph) -> bool:
+    """True iff ``candidate`` keeps every strong edge and every strong
+    antiedge of ``base`` (switchable pairs of the base may go either way)."""
+    if candidate.n != base.n:
+        raise InputError("semirealization check requires equal vertex counts")
+    return all(not bs & ~cs and not (ba & ~bw) & ~(ca & ~cw)
+               for bs, ba, bw, cs, ca, cw in zip(
+                   base.strong, base.anti, base.switch,
+                   candidate.strong, candidate.anti, candidate.switch))
+
+
+def split_for(T: Trigraph, X) -> TwoJoinSplit | None:
+    """The split of the bipartition (X, V - X), if it is a 2-join.
+
+    The classification is forced by the cross edges, so this is the only
+    split the bipartition can have (up to the A/B naming convention).  The
+    2-join search walks only the path to X's mask and hands its leaf to
+    ``_derive_split``.  A vertex of X outside 0..n-1 raises InputError.
+    """
+    x_mask = _vertex_mask(T, X)
+    step = _two_join_step(T)
+
+    def on_path(state, x1_fixed: int, x2_fixed: int, free: int):
+        if x1_fixed & ~x_mask or x2_fixed & x_mask:
+            return None
+        return step(state, x1_fixed, x2_fixed, free)
+
+    leaf = next(_pruned_masks(T.n, on_path, (0, 0, 0, 0)), None)
+    return None if leaf is None else _derive_split(T, *leaf)
+
+
+def is_fragment(T: Trigraph, X) -> bool:
+    """True iff (X, V - X) is a proper 2-join of T."""
+    split = split_for(T, X)
+    return split is not None and split.proper
+
+
+def degree_invariant_by_sorting(G):
+    """The sorted multiset of (degree, sorted neighbor degrees) over the
+    vertices of G."""
+    degree = [m.bit_count() for m in G.adj]
+    return tuple(sorted(
+        (degree[v], tuple(sorted(degree[u] for u in bits_of(G.adj[v]))))
+        for v in range(G.n)))
 
 def skew_feasible_by_connectivity(T):
     """The skew search's predicate without search state, on (A fixed, B

@@ -12,8 +12,7 @@ import random
 from evenpairs.basic import find_good_pair, is_favorable, verify_root_properties
 from evenpairs.contraction import (contract_even_pair, derive_coloring,
                                    is_even_contractile)
-from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
-                              random_bipartite_graph)
+from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs import trigraph
 from evenpairs.decomposition import (_skew_masks, build_block,
                                      find_balanced_skew_partition, iter_2joins)
@@ -25,7 +24,7 @@ from evenpairs.families import line_graph
 from evenpairs.trigraph import (ANTI, bits_of, clique_number, components,
                                 is_complete)
 
-from conftest import count_calls
+from conftest import count_calls, random_bipartite_graph
 
 
 def report(criterion: str, detail: str) -> None:

@@ -10,9 +10,9 @@ from evenpairs.basic import (BasicClassification, classify_basic,
                              good_partition_of, has_k4_minor, is_favorable,
                              is_good_pair, line_root_of,
                              verify_root_properties, bipartition_of)
-from evenpairs.decomposition import build_block, find_2join, split_for
+from evenpairs.decomposition import build_block, find_2join
 from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
-                              planted_class_f_trigraphs, random_bipartite_graph)
+                              planted_class_f_trigraphs)
 from evenpairs.detect import (find_antihole_of_length_at_least, find_odd_hole,
                               find_prism, is_berge, is_even_pair)
 from evenpairs.engine import find_even_pair_structured
@@ -27,7 +27,8 @@ from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
 
 from conftest import (bipartition_by_side_array, count_calls,
                       even_theta_by_path_triples, has_k4_minor_by_counters,
-                      random_graph, random_trigraph, simple_paths)
+                      is_semirealization, random_bipartite_graph, random_graph,
+                      random_trigraph, simple_paths, split_for)
 
 
 def _forced(verdict, t):
@@ -188,7 +189,6 @@ def test_line_roots_match_harary_holzmann():
 
 def test_line_roots_match_networkx_inverse_line_graph():
     nx = pytest.importorskip("networkx")
-    from evenpairs.corpus import random_bipartite_graph
 
     rng = random.Random(53)
     checked = 0
@@ -216,9 +216,6 @@ def test_line_root_none_on_dense_non_line_graphs():
 
 
 def test_closure_over_all_semirealizations_of_planted_members():
-    from evenpairs.corpus import planted_class_f_trigraphs
-    from evenpairs.trigraph import is_semirealization, make_trigraph
-
     for t in planted_class_f_trigraphs(4):
         if not classify_basic(t).is_basic:
             continue

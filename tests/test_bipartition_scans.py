@@ -16,13 +16,13 @@ from evenpairs import basic
 from evenpairs.basic import GoodPartition, good_partition_of
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs.decomposition import (TwoJoinSplit, find_balanced_skew_partition,
-                                     is_balanced_partition, split_for)
+                                     is_balanced_partition)
 from evenpairs.families import cycle
 from evenpairs.trigraph import (_mask_connected, bits_of, complement, components,
                                 full_realization, induced)
 
 from conftest import (random_trigraph, side_path_parities_by_pairs,
-                      skew_witness_by_components)
+                      skew_witness_by_components, split_for)
 
 
 def _connected(T, X, mode):

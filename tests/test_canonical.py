@@ -7,16 +7,16 @@ import pytest
 from evenpairs import canonical, corpus
 from evenpairs.canonical import (canonical_form, canonical_labeling,
                                  mask_automorphisms, relabel)
-from evenpairs.corpus import (_mask_image, _orbit_firsts, _pair_image,
-                              graphs_of_order, graphs_upto,
+from evenpairs.corpus import (_degree_invariant, _mask_image, _orbit_firsts,
+                              _pair_image, graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs,
                               random_canonical_graphs)
 from evenpairs import trigraph
 from evenpairs.trigraph import bits_of, in_class_F
 
 from conftest import (canonical_labeling_by_sorting, count_calls,
-                      graphs_of_order_by_sorting, labeled_children_by_sorting,
-                      labeled_plants_by_sorting,
+                      degree_invariant_by_sorting, graphs_of_order_by_sorting,
+                      labeled_children_by_sorting, labeled_plants_by_sorting,
                       planted_class_f_trigraphs_by_sorting,
                       random_canonical_graphs_by_forms, random_graph,
                       random_trigraph)
@@ -203,6 +203,19 @@ def test_census_sampling_computes_few_canonical_forms(monkeypatch):
         assert len(forms) <= len(draws)
     assert len(draws) == 2001
     assert len(forms) == 10
+
+
+def test_degree_invariant_buckets_match_the_sorted_neighbor_degrees():
+    # the count-per-degree-class key and the sorted-neighbor-degree key it
+    # replaced put graphs in the same buckets: equal under one exactly when
+    # equal under the other
+    graphs = list(graphs_upto(7)) + [G for seed in range(100)
+                                     for G in random_canonical_graphs(8, 20, seed)]
+    keys = {(degree_invariant_by_sorting(G), _degree_invariant(G)) for G in graphs}
+    buckets = len({old for old, _ in keys})
+    assert buckets == len({new for _, new in keys}) == len(keys)
+    # non-isomorphic graphs share buckets, so the split is not trivial
+    assert 1000 < buckets < len(graphs) - 100
 
 
 def test_planted_corpus_members_are_class_members():

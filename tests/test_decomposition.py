@@ -13,8 +13,8 @@ from evenpairs.decomposition import (TwoJoinSplit, _odd_path_exists,
                                      check_nobsp_2join_shape,
                                      find_2join, find_balanced_skew_partition,
                                      find_complement_2join, find_star_cutset,
-                                     is_balanced_partition, is_fragment,
-                                     iter_2joins, join_parity, split_for)
+                                     is_balanced_partition, iter_2joins,
+                                     join_parity)
 from evenpairs.detect import is_berge, is_even_pair
 from evenpairs.errors import InputError, NonBergeError, TheoremContradictionError
 from evenpairs.families import cycle
@@ -22,8 +22,8 @@ from evenpairs.trigraph import (complement, components, full_realization,
                                 in_class_F, make_trigraph, mask_of,
                                 switchable_components)
 
-from conftest import (count_calls, odd_path_exists_by_pairs, random_graph,
-                      side_path_parities_by_pairs)
+from conftest import (count_calls, is_fragment, odd_path_exists_by_pairs,
+                      random_graph, side_path_parities_by_pairs, split_for)
 
 
 # -- star cutsets ------------------------------------------------------------

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from evenpairs import trigraph
+from evenpairs.canonical import relabel
 from evenpairs.cli import main
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs)
-from evenpairs.detect import EvenPairReport, is_even_pair
+from evenpairs.detect import EvenPairReport, find_prism, is_even_pair
 from evenpairs.engine import (PRECONDITIONS, _run_instance,
                               check_preconditions, find_even_pair_structured,
                               verify_main_theorem)
@@ -31,6 +33,29 @@ def test_preconditions_p4_bsp(p4):
     report = check_preconditions(p4)
     assert failed_names(report) == {"no_balanced_skew_partition"}
     assert report.first_failure.witness.balanced
+
+
+def test_precondition_verdicts_do_not_move_under_relabelling():
+    # a metamorphic relation that needs no oracle: every check is a
+    # property of the isomorphism class, so a relabelling, which reorders
+    # every search and so every cut that depends on the vertex order, must
+    # give each check the same pass or fail; one seeded permutation per
+    # instance
+    instances = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    moved = prisms = 0
+    for index, T in enumerate(instances):
+        perm = list(range(T.n))
+        random.Random(index).shuffle(perm)
+        R = relabel(T, tuple(perm))
+        verdicts = [[(c.name, c.passed) for c in check_preconditions(X).checks]
+                    for X in (T, R)]
+        assert verdicts[0] == verdicts[1], (T, perm)
+        has_prism = find_prism(T, "odd") is not None
+        assert has_prism == (find_prism(R, "odd") is not None), (T, perm)
+        moved += perm != sorted(perm)
+        prisms += has_prism
+    assert len(instances) == 1252 + 379
+    assert moved > 1500 and prisms > 10
 
 
 def test_preconditions_prism():

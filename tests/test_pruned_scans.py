@@ -23,22 +23,22 @@ import pytest
 from evenpairs import basic, decomposition, detect
 from evenpairs.basic import GoodPartition, _good_partition_masks, good_partition_of
 from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
-                              random_bipartite_graph)
+                              random_canonical_graphs)
 from evenpairs.decomposition import (_mask_connected, _skew_masks,
                                      _two_join_step, find_2join,
                                      find_balanced_skew_partition,
                                      find_star_cutset, is_balanced_partition,
                                      iter_2joins)
-from evenpairs.detect import _iter_prisms, find_prism
+from evenpairs.detect import _iter_prisms, find_prism, validate_prism
 from evenpairs.engine import check_preconditions
 from evenpairs.families import cycle, line_graph
 from evenpairs.trigraph import (_mask_components, _pruned_masks, bits_of,
                                 complement, graph_from_edges, mask_of)
 
-from conftest import (_bundles, count_calls, extend_rungs_by_grow, random_graph,
-                      random_trigraph, skew_feasible_by_connectivity,
-                      skew_witness_by_components, split_by_bundles,
-                      two_join_feasible_by_bundles)
+from conftest import (_bundles, count_calls, extend_rungs_by_grow,
+                      random_bipartite_graph, random_graph, random_trigraph,
+                      skew_feasible_by_connectivity, skew_witness_by_components,
+                      split_by_bundles, two_join_feasible_by_bundles)
 
 
 def _instances():
@@ -143,14 +143,22 @@ def test_prisms_match_the_flat_scan_on_complements_of_cycles(n):
 
 
 def test_prisms_match_the_reference_rungs_on_small_classes():
-    # graphs <= 7, planted trigraphs on base <= 6 and their complements
+    # the census corpora: graphs <= 7, planted trigraphs on base <= 6 and
+    # the sampled classes on 8 vertices of seeds 100-109, with their
+    # complements; every prism yielded is also checked by validate_prism
+    census = (list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+              + [G for seed in range(100, 110)
+                 for G in random_canonical_graphs(8, 20, seed)])
     prisms = 0
-    for t in list(graphs_upto(7)) + list(planted_class_f_trigraphs(6)):
+    for t in census:
         for g in (t, complement(t)):
             got = list(_iter_prisms(g))
             assert got == list(flat_prisms(g)), g
+            for witness in got:
+                validate_prism(g, witness)
             prisms += len(got)
-    assert prisms > 30
+    assert len(census) == 1252 + 379 + 200
+    assert prisms > 40
 
 
 @pytest.mark.parametrize("n", range(0, 11))

@@ -10,16 +10,16 @@ from evenpairs.contraction import contract_even_pair
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_graph, cycle, empty_graph, line_graph,
                                 prism3)
-from evenpairs.trigraph import (ANTI, STRONG, _reach, bits_of, clique_number,
-                                complement, components, enumerate_paths,
-                                full_realization, graph_from_edges,
-                                in_class_F, induced,
-                                is_complete, is_semirealization, iter_paths,
+from evenpairs.trigraph import (ANTI, STRONG, Trigraph, _reach, bits_of,
+                                clique_number, complement, components,
+                                enumerate_paths, full_realization,
+                                graph_from_edges,
+                                in_class_F, induced, is_complete, iter_paths,
                                 make_trigraph, realization,
                                 switchable_components, validate_hole,
                                 validate_path)
 
-from conftest import iter_paths_with_used, random_trigraph
+from conftest import is_semirealization, iter_paths_with_used, random_trigraph
 
 
 # -- construction ----------------------------------------------------------
@@ -62,10 +62,33 @@ def test_vertex_cap():
     ([0b10, 0], [0, 0b01], "asymmetric"),
 ])
 def test_trigraph_rejects_inconsistent_masks(strong, switch, message):
-    from evenpairs.trigraph import Trigraph
-
     with pytest.raises(InputError, match=message):
         Trigraph(strong, switch)
+
+
+def test_trigraph_names_the_pair_of_every_one_sided_flip():
+    # flipping one off-diagonal bit of one row leaves exactly that pair
+    # with codes that disagree; a flip that makes the pair both strong and
+    # switchable in that row is refused by its own check instead
+    rng = random.Random(31)
+    flips = 0
+    for n in sorted(3 * list(range(2, 13))):
+        T = random_trigraph(rng, n, 0.2, 0.6)
+        v = rng.randrange(n)
+        for row in ("strong", "switch"):
+            for u in range(n):
+                if u == v:
+                    continue
+                strong, switch = list(T.strong), list(T.switch)
+                (strong if row == "strong" else switch)[v] ^= 1 << u
+                if strong[v] & switch[v]:
+                    continue
+                lo, hi = sorted((u, v))
+                with pytest.raises(InputError,
+                                   match=rf"^pair \({lo}, {hi}\) has asymmetric codes$"):
+                    Trigraph(strong, switch)
+                flips += 1
+    assert flips > 200
 
 
 def test_repr_names_the_kind_and_the_pair_counts():
