@@ -8,6 +8,7 @@ writers in the CLI.
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from .basic import (BasicClassification, FavorabilityVerdict, GoodPairWitness,
@@ -67,11 +68,14 @@ def to_jsonable(obj: Any) -> Any:
         return {"kind": "two_join_shape", "ok": obj.ok,
                 "violations": list(obj.violations)}
     if isinstance(obj, ContractionSequence):
+        # a step's after is the next step's before and the last after is
+        # the terminal: render each distinct trigraph once
+        text = functools.cache(to_text)
         return {"kind": "contraction_sequence", "outcome": obj.outcome,
                 "steps": [{"pair": list(s.pair), "merged_vertex": s.merged_vertex,
-                           "before": to_text(s.before), "after": to_text(s.after)}
+                           "before": text(s.before), "after": text(s.after)}
                           for s in obj.steps],
-                "terminal": to_text(obj.terminal)}
+                "terminal": text(obj.terminal)}
     if isinstance(obj, Coloring):
         return {"kind": "coloring", "assignment": list(obj.assignment),
                 "color_count": obj.color_count}

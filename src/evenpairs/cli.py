@@ -10,11 +10,13 @@ Commands::
     evenpairs verify --nmax N --scope graphs|trigraphs_in_F
 
 INPUT is a file path or an inline literal, in graph6 or the trigraph text
-format (sniffed, or forced with --format).  All commands print one JSON
-document with sorted keys; --emit-cert writes the involved witnesses as
-JSON lines.  Exit codes: 0 success, 1 precondition failure, 2 input error
-(an unreadable input or unwritable certificate path included), 3 a
-TheoremContradictionError, which every internal cross-check raises.
+format (sniffed, or forced with --format).  All commands print one ASCII
+JSON document with sorted keys and a two-space indent, byte for byte what
+``json.dumps(..., sort_keys=True, indent=2)`` writes; --emit-cert writes
+the involved witnesses as compact sorted-key JSON lines.  Exit codes:
+0 success, 1 precondition failure, 2 input error (an unreadable input or
+unwritable certificate path included), 3 a TheoremContradictionError,
+which every internal cross-check raises.
 
 Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable, an
 integer >= 1 (default 1; any other value is an input error).
@@ -26,6 +28,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import certs
 from .basic import classify_basic
@@ -42,6 +45,35 @@ EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
 
 
+# scalar writers by exact type; any other scalar (a float, a subclass)
+# goes through json.dumps
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the data that
+    ``certs.to_jsonable`` returns (string keys), written directly: with an
+    indent, CPython runs its pure-Python encoder.  ``newline`` is the line
+    break and indent before a closing bracket at this depth."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)
+
+
 def _emit(document: dict, cert_objects: list, cert_path: str | None) -> None:
     # certificates first, so an unwritable path prints no document
     if cert_path:
@@ -49,7 +81,7 @@ def _emit(document: dict, cert_objects: list, cert_path: str | None) -> None:
             for obj in cert_objects:
                 if obj is not None:
                     fh.write(json.dumps(certs.to_jsonable(obj), sort_keys=True) + "\n")
-    print(json.dumps(certs.to_jsonable(document), sort_keys=True, indent=2))
+    print(_dumps(certs.to_jsonable(document)))
 
 
 def _cmd_analyze(args) -> int:

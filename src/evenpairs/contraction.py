@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .canonical import canonical_form
 from .detect import even_pairs, is_berge, is_even_pair
 from .errors import InputError, NonBergeError, NotEvenPairError, TheoremContradictionError
-from .trigraph import Trigraph, bits_of, clique_number, is_complete, renumber
+from .trigraph import Trigraph, bits_of, clique_number, is_complete
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,14 @@ def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:
 
 def _merge(G: Trigraph, u: int, v: int) -> Trigraph:
     """G / {u, v} for a pair u < v already known to be even."""
-    keep = [w for w in range(G.n) if w != v]
     strong = list(G.strong)
     strong[u] = (G.strong[u] | G.strong[v]) & ~(1 << u | 1 << v)
     for w in bits_of(strong[u]):
         strong[w] |= 1 << u
-    return Trigraph(renumber(strong, keep), [0] * len(keep))
+    del strong[v]
+    # drop bit v from every row: the bits below stay, the bits above shift down
+    below = (1 << v) - 1
+    return Trigraph([m & below | m >> 1 & ~below for m in strong], [0] * (G.n - 1))
 
 
 def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
@@ -116,12 +118,14 @@ def is_even_contractile(G: Trigraph) -> tuple[bool, ContractionSequence]:
 
 def derive_coloring(seq: ContractionSequence) -> Coloring:
     """Unwind a complete-terminal sequence into a proper coloring of the
-    original graph: the terminal's vertex v takes color v, and each step,
-    undone in reverse, puts v of its pair u < v back at index v with u's
-    color.  Contracting an even pair keeps the clique number of any graph,
+    original graph: the terminal, which must be a clique, gives its vertex
+    v color v, and each step, undone in reverse, puts v of its pair u < v
+    back at index v with u's color.  Contracting an even pair keeps the clique number of any graph,
     so the color count equals it, and that equality is checked here."""
     if seq.outcome != "complete":
         raise InputError(f"cannot derive a coloring from outcome {seq.outcome!r}")
+    if not is_complete(seq.terminal):
+        raise TheoremContradictionError("terminal of a complete sequence is not a clique")
     colors = list(range(seq.terminal.n))
     for step in reversed(seq.steps):
         u, v = step.pair
@@ -132,8 +136,6 @@ def derive_coloring(seq: ContractionSequence) -> Coloring:
         if assignment[x] == assignment[y]:
             raise TheoremContradictionError(f"unwound coloring is not proper on edge ({x}, {y})")
     count = len(set(assignment))
-    if count != seq.terminal.n:
-        raise TheoremContradictionError("color count does not match the terminal clique")
     if count != clique_number(original):
         raise TheoremContradictionError("coloring does not use clique-number many colors")
     return Coloring(assignment, count)

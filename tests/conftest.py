@@ -18,7 +18,8 @@ from evenpairs.errors import InputError
 from evenpairs.trigraph import (STRONG, SWITCHABLE, PathWitness, Trigraph,
                                 _mask_components, _mask_connected,
                                 _pruned_masks, _vertex_mask, bits_of,
-                                graph_from_edges, in_class_F, make_trigraph)
+                                graph_from_edges, in_class_F, make_trigraph,
+                                renumber)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -103,9 +104,9 @@ def count_calls(monkeypatch, module, name):
 # -- reference oracles: the per-pair, form-per-draw, sorted-signature,
 # -- separate path-search, path-triple, side-array, multigraph, uncut
 # -- hole-search, stateless predicate, bundle-scan, anticomponent-scan,
-# -- sorted-neighbor-degree and pair-scan text and graph6 versions the
-# -- library replaced, kept here so they stay independent of the code they
-# -- check
+# -- sorted-neighbor-degree, pair-scan text and graph6, and renumbering
+# -- merge versions the library replaced, kept here so they stay independent
+# -- of the code they check
 
 
 def random_bipartite_graph(rng: random.Random, max_edges: int = 12) -> Trigraph:
@@ -296,6 +297,17 @@ def to_graph6_by_pairs(G):
         for k in range(0, len(bits), 6)
     ]
     return prefix + "".join(chunks)
+
+
+def merge_by_renumbering(G, u, v):
+    """G / {u, v} for u < v: the union of both rows at u, then every row
+    renumbered through a vertex map that leaves v out."""
+    keep = [w for w in range(G.n) if w != v]
+    strong = list(G.strong)
+    strong[u] = (G.strong[u] | G.strong[v]) & ~(1 << u | 1 << v)
+    for w in bits_of(strong[u]):
+        strong[w] |= 1 << u
+    return Trigraph(renumber(strong, keep), [0] * len(keep))
 
 
 def bipartition_by_side_array(T):

@@ -6,9 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evenpairs import cli
 from evenpairs.cli import main
-from evenpairs.families import complete_graph, cycle, prism3
+from evenpairs.contraction import ContractionSequence, ContractionStep, _merge
+from evenpairs.families import complete_graph, cycle, empty_graph, path_graph, prism3
 from evenpairs.formats import from_graph6, to_graph6, to_text
 
 from conftest import count_calls
@@ -192,8 +196,6 @@ def test_exit_codes_are_function_of_outcome(capsys, c5, c6, p4, k4):
 def test_parser_is_built_once(capsys, c6):
     # in-process callers run main many times; the parser is built on the
     # first call only
-    from evenpairs import cli
-
     cli.build_parser.cache_clear()
     for command in ("analyze", "classify", "contract-color"):
         assert main([command, to_graph6(c6)]) == 0
@@ -309,21 +311,91 @@ CLI_DIGESTS = {
 }
 
 
+def _golden_input(name: str) -> str:
+    """graph6 of a CLI_DIGESTS input: an even cycle, or a seeded graph."""
+    if name.startswith("C"):
+        return to_graph6(cycle(int(name[1:])))
+    return to_graph6(_seeded_graph(name, 11, 20261018))
+
+
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_witnesses_are_golden(capsys, name):
     # the bipartition scans return their smallest-mask witness; these
     # digests pin that order through the analyze, classify and decompose
     # output
-    if name.startswith("C"):
-        G = cycle(int(name[1:]))
-    else:
-        G = _seeded_graph(name, 11, 20261018)
-    g6 = to_graph6(G)
+    g6 = _golden_input(name)
     h = hashlib.sha256()
     for command in ("analyze", "classify", "decompose"):
         code = main([command, g6])
         h.update(f"{command} {code}\n{capsys.readouterr().out}".encode())
     assert h.hexdigest() == CLI_DIGESTS[name]
+
+
+# The two documents below were digested while json.dumps(..., sort_keys=True,
+# indent=2) still wrote them, so they pin that the direct writer keeps
+# every byte.
+EVEN_PAIR_DIGESTS = {
+    "C10": "dab685a33a56ba14b82628836280ac6044cd0712932d71303772c3cd580f3442",
+    "C12": "78ad9dd874841f097b4ff06ae6dfead0da4c9686e12627683bc463f438b4e46b",
+    "bipartite": "f37840b7bb7b02f905351fde5c34fa638fe99afd3f8c719d31f8233296dbb072",
+    "co-bipartite": "4a6960db0818f19b4f985f2dcf6bd53e93cc34eee0f96121d9c954e4574df387",
+    "gnp": "f51ded3769bf602559e22e98db914d4a1e918092737fe6cbda7ff645f2b2e0f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVEN_PAIR_DIGESTS))
+def test_even_pair_is_golden(capsys, name):
+    code = main(["even-pair", _golden_input(name)])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"even-pair {code}\n{out}".encode()).hexdigest()
+    assert digest == EVEN_PAIR_DIGESTS[name]
+
+
+def test_verify_document_is_golden(capsys):
+    code = main(["verify", "--nmax", "5"])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"verify {code}\n{out}".encode()).hexdigest()
+    assert digest == "35ea5c9229e333159cc4d8bdc0b349de0d49d3125d7debe2e4639ffd9fe14c52"
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2**100, max_value=2**100) | st.floats()
+            | st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
+                      | st.characters()))
+_trees = st.recursive(
+    _scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30)
+
+
+@given(_trees)
+@settings(max_examples=200, deadline=None)
+def test_document_writer_writes_the_bytes_of_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def _doctored(G, pairs):
+    """A "complete" sequence that merges ``pairs`` in turn, even or not."""
+    steps = []
+    for u, v in pairs:
+        steps.append(ContractionStep(G, (u, v), u, _merge(G, u, v)))
+        G = steps[-1].after
+    return ContractionSequence(tuple(steps), G, "complete")
+
+
+@pytest.mark.parametrize("G, pairs, message", [
+    (path_graph(2), [(0, 1)], "unwound coloring is not proper on edge (0, 1)"),
+    (path_graph(4), [(0, 3)], "coloring does not use clique-number many colors"),
+    (empty_graph(2), [], "terminal of a complete sequence is not a clique"),
+])
+def test_each_coloring_guard_exits_three(capsys, monkeypatch, G, pairs, message):
+    # a wrong contraction sequence reaches exactly one guard of the unwinding
+    monkeypatch.setattr(cli, "run_contraction_sequence", lambda T: _doctored(T, pairs))
+    code, doc, err = run_cli(capsys, "contract-color", to_graph6(G))
+    assert code == 3 and doc is None
+    assert json.loads(err)["theorem_contradiction"] == message
 
 
 CONTRACT_COLOR_DIGESTS = {
@@ -342,14 +414,12 @@ def test_contract_color_is_golden(capsys, name):
     # the search returns the first complete sequence in lexicographic pair
     # order, or else the greedy least-pair sequence: prism3 is stuck after
     # no step, FCrQo after the one step (0, 2)
-    if name.startswith("C"):
-        g6 = to_graph6(cycle(int(name[1:])))
-    elif name == "prism3":
+    if name == "prism3":
         g6 = to_graph6(prism3())
     elif name == "FCrQo":
         g6 = name
     else:
-        g6 = to_graph6(_seeded_graph(name, 11, 20261018))
+        g6 = _golden_input(name)
     code = main(["contract-color", g6])
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"contract-color {code}\n{out}".encode()).hexdigest()

@@ -4,16 +4,17 @@ from collections import Counter
 
 import pytest
 
-from evenpairs.contraction import (contract_even_pair, derive_coloring,
+from evenpairs.contraction import (_merge, contract_even_pair, derive_coloring,
                                    is_even_contractile,
                                    run_contraction_sequence)
+from evenpairs.corpus import graphs_upto
 from evenpairs.detect import is_berge, is_even_pair
 from evenpairs.errors import InputError, NonBergeError, NotEvenPairError
 from evenpairs.families import cycle, empty_graph, prism3
 from evenpairs.formats import from_graph6
 from evenpairs.trigraph import clique_number, is_complete, make_trigraph
 
-from conftest import count_calls, random_graph
+from conftest import count_calls, merge_by_renumbering, random_graph
 
 
 def test_contract_c4_gives_path(c4):
@@ -153,6 +154,17 @@ def test_search_keys_no_graph_before_a_dead_end(monkeypatch):
     keys = count_calls(monkeypatch, canonical, "canonical_form")
     assert run_contraction_sequence(cycle(10)).outcome == "complete"
     assert keys == []
+
+
+def test_merge_deletes_the_vertex_as_renumbering_does():
+    # every pair u < v, adjacent pairs included: _merge does not ask for an
+    # even pair
+    merged = 0
+    for G in graphs_upto(7):
+        for u, v in itertools.combinations(range(G.n), 2):
+            assert _merge(G, u, v) == merge_by_renumbering(G, u, v), (G, u, v)
+            merged += 1
+    assert merged == 24684
 
 
 def test_contraction_preserves_berge_and_clique_number():
