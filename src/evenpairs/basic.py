@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .detect import find_even_pair_oracle, is_even_pair
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (Trigraph, _is_clique, _mask_components, _pruned_masks,
-                       _reach, bits_of, complement, full_realization,
+                       _reach, _Record, bits_of, complement, full_realization,
                        in_class_F, is_complete, mask_of, switchable_vertices)
 
 
@@ -34,36 +33,36 @@ from .trigraph import (Trigraph, _is_clique, _mask_components, _pruned_masks,
 # recognizers
 
 
-@dataclass(frozen=True)
-class GoodPartition:
+class GoodPartition(_Record):
     """Partition (X, Y) with tiny components on the X side, tiny
     anticomponents on the Y side, no switchable pair across, and at most one
     strong edge and one strong antiedge per vertex between any component and
     anticomponent."""
 
-    x: frozenset[int]
-    y: frozenset[int]
+    def __init__(self, x: frozenset[int], y: frozenset[int]):
+        self.__dict__.update(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class LineRootCertificate:
+class LineRootCertificate(_Record):
     """Bipartite root graph H with, for every trigraph vertex, the root
     edge it represents (the full realization is the line graph of H).
     ``side`` is the first color class of ``bipartition_of(H)``, kept so
     that the good-pair scan does not color H again."""
 
-    root: Trigraph
-    vertex_edges: tuple[tuple[int, int], ...]
-    side: frozenset[int]
+    def __init__(self, root: Trigraph, vertex_edges: tuple[tuple[int, int], ...],
+                 side: frozenset[int]):
+        self.__dict__.update(root=root, vertex_edges=vertex_edges, side=side)
 
 
-@dataclass(frozen=True)
-class BasicClassification:
-    verdict: str  # bipartite | complement_bipartite | line | complement_line
-    #              | doubled | not_basic
-    bipartition: tuple[frozenset[int], frozenset[int]] | None = None
-    line_root: LineRootCertificate | None = None
-    good_partition: GoodPartition | None = None
+class BasicClassification(_Record):
+    # verdict: bipartite | complement_bipartite | line | complement_line
+    #          | doubled | not_basic
+    def __init__(self, verdict: str,
+                 bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
+                 line_root: LineRootCertificate | None = None,
+                 good_partition: GoodPartition | None = None):
+        self.__dict__.update(verdict=verdict, bipartition=bipartition, line_root=line_root,
+                             good_partition=good_partition)
 
     @property
     def is_basic(self) -> bool:
@@ -259,10 +258,9 @@ def classify_basic(T: Trigraph) -> BasicClassification:
 # favorability
 
 
-@dataclass(frozen=True)
-class FavorabilityVerdict:
-    favorable: bool
-    failed: str | None = None
+class FavorabilityVerdict(_Record):
+    def __init__(self, favorable: bool, failed: str | None = None):
+        self.__dict__.update(favorable=favorable, failed=failed)
 
     def __bool__(self) -> bool:
         return self.favorable
@@ -303,14 +301,13 @@ def favorability(T: Trigraph) -> FavorabilityVerdict:
 # good pairs in bipartite roots
 
 
-@dataclass(frozen=True)
-class GoodPairWitness:
+class GoodPairWitness(_Record):
     """Disjoint root edges (a1, b1) and (a2, b2), with a1, a2 on one side,
     such that every a1-a2 path meets {b1, b2} and every b1-b2 path meets
     {a1, a2}."""
 
-    edge1: tuple[int, int]
-    edge2: tuple[int, int]
+    def __init__(self, edge1: tuple[int, int], edge2: tuple[int, int]):
+        self.__dict__.update(edge1=edge1, edge2=edge2)
 
 
 def is_good_pair(H: Trigraph, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
@@ -462,10 +459,9 @@ def even_pair_basic(T: Trigraph, need_disjoint: bool = False,
 # root sanity checks
 
 
-@dataclass(frozen=True)
-class RootPropertyReport:
-    even_theta: tuple | None
-    has_k4_minor: bool
+class RootPropertyReport(_Record):
+    def __init__(self, even_theta: tuple | None, has_k4_minor: bool):
+        self.__dict__.update(even_theta=even_theta, has_k4_minor=has_k4_minor)
 
     @property
     def ok(self) -> bool:

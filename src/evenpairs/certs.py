@@ -9,7 +9,6 @@ writers in the CLI.
 from __future__ import annotations
 
 import functools
-from typing import Any
 
 from .basic import (BasicClassification, FavorabilityVerdict, GoodPairWitness,
                     GoodPartition, LineRootCertificate, RootPropertyReport)
@@ -21,7 +20,7 @@ from .formats import to_text
 from .trigraph import ClassFVerdict, HoleWitness, PathWitness, Trigraph
 
 
-def to_jsonable(obj: Any) -> Any:
+def to_jsonable(obj: object) -> object:
     """Translate a result object into JSON-compatible data."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj

@@ -10,37 +10,31 @@ unwinds into an optimal coloring) or "stuck" (no even pair is left).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import canonical_form
 from .detect import even_pairs, is_berge, is_even_pair
 from .errors import InputError, NonBergeError, NotEvenPairError, TheoremContradictionError
-from .trigraph import Trigraph, bits_of, clique_number, is_complete
+from .trigraph import Trigraph, _Record, bits_of, clique_number, is_complete
 
 
-@dataclass(frozen=True)
-class ContractionStep:
-    before: Trigraph
-    pair: tuple[int, int]
-    merged_vertex: int
-    after: Trigraph
+class ContractionStep(_Record):
+    def __init__(self, before: Trigraph, pair: tuple[int, int], merged_vertex: int,
+                 after: Trigraph):
+        self.__dict__.update(before=before, pair=pair, merged_vertex=merged_vertex, after=after)
 
 
-@dataclass(frozen=True)
-class ContractionSequence:
-    steps: tuple[ContractionStep, ...]
-    terminal: Trigraph
-    outcome: str  # "complete" | "stuck"
+class ContractionSequence(_Record):
+    def __init__(self, steps: tuple[ContractionStep, ...], terminal: Trigraph,
+                 outcome: str):  # "complete" | "stuck"
+        self.__dict__.update(steps=steps, terminal=terminal, outcome=outcome)
 
     @property
     def initial(self) -> Trigraph:
         return self.steps[0].before if self.steps else self.terminal
 
 
-@dataclass(frozen=True)
-class Coloring:
-    assignment: tuple[int, ...]
-    color_count: int
+class Coloring(_Record):
+    def __init__(self, assignment: tuple[int, ...], color_count: int):
+        self.__dict__.update(assignment=assignment, color_count=color_count)
 
 
 def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:

@@ -26,17 +26,14 @@ exponential in the worst case; near-complete inputs prune least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .detect import is_berge
 from .errors import InputError, NonBergeError, TheoremContradictionError
 from .trigraph import (Trigraph, _mask_components, _mask_connected, _paths,
-                       _pruned_masks, _vertex_mask, bits_of, complement,
+                       _pruned_masks, _Record, _vertex_mask, bits_of, complement,
                        mask_of, renumber)
 
 
-@dataclass(frozen=True)
-class TwoJoinSplit:
+class TwoJoinSplit(_Record):
     """The six sets of a 2-join, with the observed path parity.
 
     ``parity`` is "odd" or "even" when every path from A_i to B_i through
@@ -45,14 +42,11 @@ class TwoJoinSplit:
     definite parity.
     """
 
-    a1: frozenset[int]
-    b1: frozenset[int]
-    c1: frozenset[int]
-    a2: frozenset[int]
-    b2: frozenset[int]
-    c2: frozenset[int]
-    parity: str | None
-    proper: bool
+    def __init__(self, a1: frozenset[int], b1: frozenset[int], c1: frozenset[int],
+                 a2: frozenset[int], b2: frozenset[int], c2: frozenset[int],
+                 parity: str | None, proper: bool):
+        self.__dict__.update(a1=a1, b1=b1, c1=c1, a2=a2, b2=b2, c2=c2,
+                             parity=parity, proper=proper)
 
     @property
     def x1(self) -> frozenset[int]:
@@ -70,21 +64,18 @@ class TwoJoinSplit:
         raise InputError("side must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class SkewPartitionWitness:
+class SkewPartitionWitness(_Record):
     """A partition (A, B) with A disconnected and B not anticonnected,
     plus a split and, when some anticomponent of B is a singleton, the
     star-cutset center."""
 
-    a: frozenset[int]
-    b: frozenset[int]
-    split: tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]
-    balanced: bool
-    star: int | None
+    def __init__(self, a: frozenset[int], b: frozenset[int],
+                 split: tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]],
+                 balanced: bool, star: int | None):
+        self.__dict__.update(a=a, b=b, split=split, balanced=balanced, star=star)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Record):
     """Block of decomposition: one side of a proper 2-join plus marker
     vertices that stand in for the other side's connections.
 
@@ -93,12 +84,10 @@ class Block:
     is the parent vertex behind block vertex i, or None for markers.
     """
 
-    trigraph: Trigraph
-    markers: tuple[int, ...]
-    kind: str  # "small" | "light"
-    side: int
-    parent_split: TwoJoinSplit
-    parent_map: tuple[int | None, ...]
+    def __init__(self, trigraph: Trigraph, markers: tuple[int, ...], kind: str, side: int,
+                 parent_split: TwoJoinSplit, parent_map: tuple[int | None, ...]):
+        self.__dict__.update(trigraph=trigraph, markers=markers, kind=kind, side=side,
+                             parent_split=parent_split, parent_map=parent_map)
 
 
 def _touching(adj, mask: int, target: int) -> int:
@@ -477,12 +466,12 @@ def build_block(T: Trigraph, split: TwoJoinSplit, side: int) -> Block:
     return Block(Trigraph(strong, switch), markers, kind, side, split, parent_map)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(_Record):
     """Checks a 2-join split against the shape every 2-join of a
     no-balanced-skew-partition member of the working class must have."""
 
-    violations: tuple[str, ...]
+    def __init__(self, violations: tuple[str, ...]):
+        self.__dict__.update(violations=violations)
 
     @property
     def ok(self) -> bool:

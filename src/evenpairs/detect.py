@@ -14,11 +14,10 @@ objects, never bare booleans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import InputError, TheoremContradictionError
-from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths,
+from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths, _Record,
                        iter_paths, mask_of, switchable_vertices)
 
 # is_even_pair gives up with a RuntimeError past this many u-v paths
@@ -138,13 +137,13 @@ def is_berge(T: Trigraph) -> tuple[bool, HoleWitness | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class PrismWitness:
+class PrismWitness(_Record):
     """Two disjoint triangles joined by three disjoint rungs such that the
     induced subtrigraph realizes exactly the prism (no stray edges)."""
 
-    cliques: tuple[tuple[int, int, int], tuple[int, int, int]]
-    rungs: tuple[PathWitness, PathWitness, PathWitness]
+    def __init__(self, cliques: tuple[tuple[int, int, int], tuple[int, int, int]],
+                 rungs: tuple[PathWitness, PathWitness, PathWitness]):
+        self.__dict__.update(cliques=cliques, rungs=rungs)
 
     @property
     def parity(self) -> str:
@@ -292,14 +291,13 @@ def find_prism(T: Trigraph, parity_filter: str = "any") -> PrismWitness | None:
     return None
 
 
-@dataclass(frozen=True)
-class EvenPairReport:
+class EvenPairReport(_Record):
     """Outcome of an even-pair test, with the enumeration evidence."""
 
-    pair: tuple[int, int]
-    verdict: str  # "even_pair" | "not_even_pair" | "not_strongly_antiadjacent"
-    witness: PathWitness | None
-    path_count: int
+    # verdict: "even_pair" | "not_even_pair" | "not_strongly_antiadjacent"
+    def __init__(self, pair: tuple[int, int], verdict: str, witness: PathWitness | None,
+                 path_count: int):
+        self.__dict__.update(pair=pair, verdict=verdict, witness=witness, path_count=path_count)
 
     @property
     def is_even_pair(self) -> bool:

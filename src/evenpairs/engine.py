@@ -19,7 +19,6 @@ import json
 import os
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from .basic import classify_basic, even_pair_basic, favorability
 from .corpus import graphs_upto, planted_class_f_trigraphs, random_canonical_graphs
@@ -28,7 +27,7 @@ from .detect import (find_antihole_of_length_at_least, find_prism,
                      is_berge, is_even_pair)
 from .errors import InputError, TheoremContradictionError
 from .formats import to_text
-from .trigraph import (Trigraph, in_class_F, is_complete, switchable_structure,
+from .trigraph import (Trigraph, _Record, in_class_F, is_complete, switchable_structure,
                        switchable_vertices, with_bergeness)
 
 ENUMERATION_CAP = 10
@@ -42,16 +41,14 @@ PRECONDITIONS = ("berge", "no_odd_prism", "no_long_antihole",
                  "class_membership", "no_balanced_skew_partition")
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    witness: object = None
+class CheckOutcome(_Record):
+    def __init__(self, name: str, passed: bool, witness: object = None):
+        self.__dict__.update(name=name, passed=passed, witness=witness)
 
 
-@dataclass(frozen=True)
-class PreconditionReport:
-    checks: tuple[CheckOutcome, ...]
+class PreconditionReport(_Record):
+    def __init__(self, checks: tuple[CheckOutcome, ...]):
+        self.__dict__.update(checks=checks)
 
     @property
     def ok(self) -> bool:
@@ -94,12 +91,11 @@ def check_preconditions(T: Trigraph, fast: bool = False) -> PreconditionReport:
     return PreconditionReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class EngineResult:
-    outcome: str  # "complete" | "even_pair" | "precondition_failed"
-    pair: tuple[int, int] | None = None
-    report: PreconditionReport | None = None
-    trace: tuple[dict, ...] = ()
+class EngineResult(_Record):
+    # outcome: "complete" | "even_pair" | "precondition_failed"
+    def __init__(self, outcome: str, pair: tuple[int, int] | None = None,
+                 report: PreconditionReport | None = None, trace: tuple[dict, ...] = ()):
+        self.__dict__.update(outcome=outcome, pair=pair, report=report, trace=trace)
 
 
 def _structured(T: Trigraph, disjoint_required: bool,
@@ -172,22 +168,17 @@ def find_even_pair_structured(T: Trigraph) -> EngineResult:
     return EngineResult(outcome, pair=pair, trace=tuple(trace))
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    instance: str
-    stage: str
-    detail: str
+class FailureRecord(_Record):
+    def __init__(self, instance: str, stage: str, detail: str):
+        self.__dict__.update(instance=instance, stage=stage, detail=detail)
 
 
-@dataclass(frozen=True)
-class VerifySummary:
-    scope: str
-    n_max: int
-    instances: int
-    filtered_in: int
-    complete: int
-    even_pair: int
-    failures: tuple[FailureRecord, ...]
+class VerifySummary(_Record):
+    def __init__(self, scope: str, n_max: int, instances: int, filtered_in: int,
+                 complete: int, even_pair: int, failures: tuple[FailureRecord, ...]):
+        self.__dict__.update(scope=scope, n_max=n_max, instances=instances,
+                             filtered_in=filtered_in, complete=complete,
+                             even_pair=even_pair, failures=failures)
 
     @property
     def ok(self) -> bool:

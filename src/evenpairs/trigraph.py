@@ -20,8 +20,7 @@ the switchable partners; every other pair is strongly antiadjacent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -344,12 +343,42 @@ def components(T: Trigraph, X: Iterable[int] | None = None,
     return [frozenset(bits_of(c)) for c in _mask_components(neigh, _vertex_mask(T, X))]
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class _Record:
+    """Base of the immutable result classes.
+
+    A subclass's ``__init__`` sets every field once, in declaration order,
+    through ``self.__dict__``, and nothing else is stored on an instance,
+    so ``__dict__`` is exactly the fields.  Two records are equal when they
+    have the same class and equal fields; the hash is that of the field
+    tuple and the repr is ``Name(field=value, ...)``.  Assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+class PathWitness(_Record):
     """A path in the trigraph sense: consecutive vertices adjacent, all
     other pairs antiadjacent."""
 
-    vertices: tuple[int, ...]
+    def __init__(self, vertices: tuple[int, ...]):
+        self.__dict__.update(vertices=vertices)
 
     @property
     def length(self) -> int:
@@ -360,10 +389,9 @@ class PathWitness:
         return self.length % 2 == 1
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
-    paths: tuple[PathWitness, ...]
-    truncated: bool
+class PathEnumeration(_Record):
+    def __init__(self, paths: tuple[PathWitness, ...], truncated: bool):
+        self.__dict__.update(paths=paths, truncated=truncated)
 
 
 def validate_path(T: Trigraph, vertices: Sequence[int]) -> None:
@@ -443,13 +471,12 @@ def enumerate_paths(T: Trigraph, u: int, v: int,
     return PathEnumeration(tuple(out), truncated)
 
 
-@dataclass(frozen=True)
-class HoleWitness:
+class HoleWitness(_Record):
     """A hole (chordless cycle on >= 5 vertices) or an antihole (its
     complement-side counterpart), listed in cyclic order."""
 
-    vertices: tuple[int, ...]
-    kind: str  # "hole" | "antihole"
+    def __init__(self, vertices: tuple[int, ...], kind: str):  # "hole" | "antihole"
+        self.__dict__.update(vertices=vertices, kind=kind)
 
     @property
     def length(self) -> int:
@@ -487,14 +514,13 @@ def switchable_components(T: Trigraph) -> list[frozenset[int]]:
     return [frozenset(bits_of(c)) for c in _mask_components(T.switch, partnered)]
 
 
-@dataclass(frozen=True)
-class ClassFVerdict:
+class ClassFVerdict(_Record):
     """Outcome of the restricted-switchable-structure membership test."""
 
-    ok: bool
-    violation: str | None = None
-    component: frozenset[int] | None = None
-    kind: str | None = None  # "small" | "light" | None
+    def __init__(self, ok: bool, violation: str | None = None,
+                 component: frozenset[int] | None = None,
+                 kind: str | None = None):  # "small" | "light" | None
+        self.__dict__.update(ok=ok, violation=violation, component=component, kind=kind)
 
     def __bool__(self) -> bool:
         return self.ok

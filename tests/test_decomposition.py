@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -407,7 +406,8 @@ def test_shape_report_clean(c8):
 
 
 def test_shape_report_names_an_improper_split(c8):
-    improper = dataclasses.replace(find_2join(c8), proper=False)
+    s = find_2join(c8)
+    improper = TwoJoinSplit(s.a1, s.b1, s.c1, s.a2, s.b2, s.c2, s.parity, proper=False)
     assert check_nobsp_2join_shape(c8, improper).violations == ("2-join is not proper",)
 
 

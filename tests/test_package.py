@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import evenpairs
@@ -41,3 +43,30 @@ def test_no_cross_check_raises_a_bare_assertion():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert len(SOURCES) > 10 and found == []
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # result classes are plain ``_Record`` values: a dataclass execs its
+    # generated methods again in every process that imports it
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] in ("dataclasses", "typing")]
+    assert len(SOURCES) > 10 and found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    # -S keeps site .pth hooks, which may preload either module, out of it
+    src = str(Path(evenpairs.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import evenpairs.cli; "
+            "print(sorted({'dataclasses', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
