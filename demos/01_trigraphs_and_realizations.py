@@ -7,9 +7,9 @@ an "undecided" edge: realizations decide every switchable pair one way or
 the other, and a graph is just a trigraph with nothing left to decide.
 """
 
-from evenpairs import (complement, components, enumerate_paths,
-                       full_realization, in_class_F, make_trigraph,
-                       realization, switchable_components, to_text)
+from evenpairs import (complement, components, full_realization, in_class_F,
+                       iter_paths, make_trigraph, realization,
+                       switchable_components, to_text)
 from evenpairs.families import cycle
 
 # A 6-hole in which one pair is left switchable.
@@ -36,8 +36,7 @@ print("switchable components:", switchable_components(hole))
 # Paths in a trigraph are sequences with consecutive vertices adjacent and
 # all other pairs antiadjacent.  Between opposite vertices of the hole every
 # path is even; that is what makes them an even pair later on.
-paths = enumerate_paths(hole, 1, 3)
-print("paths from 1 to 3:", [p.vertices for p in paths.paths])
+print("paths from 1 to 3:", list(iter_paths(hole, 1, 3)))
 
 # The restricted switchable structure this library works with: at most one
 # switchable component, either a single pair with disjoint neighborhoods

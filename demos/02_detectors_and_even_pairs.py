@@ -7,7 +7,7 @@ three rungs, an even-pair verdict together with the number of paths it
 inspected or the odd path that kills it.
 """
 
-from evenpairs import (find_antihole_of_length_at_least, find_even_pair_oracle,
+from evenpairs import (even_pairs, find_antihole_of_length_at_least,
                        find_odd_hole, find_prism, is_berge, is_even_pair)
 from evenpairs.families import complete_bipartite, cycle, line_graph, prism3
 
@@ -39,5 +39,5 @@ print("C6 (0,2):", report.verdict, "after", report.path_count, "paths")
 report = is_even_pair(cycle(6), 0, 3)
 print("C6 (0,3):", report.verdict, "witness", report.witness.vertices)
 
-# The brute-force oracle scans pairs lexicographically.
-print("least even pair of C6:", find_even_pair_oracle(cycle(6)))
+# The lazy scan checks the strongly antiadjacent pairs lexicographically.
+print("least even pair of C6:", next(even_pairs(cycle(6)), None))

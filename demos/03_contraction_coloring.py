@@ -8,8 +8,7 @@ unwinds into an optimal coloring: color the terminal clique, then give both
 ends of each contracted pair the color of their merged vertex.
 """
 
-from evenpairs import (clique_number, derive_coloring, is_even_contractile,
-                       run_contraction_sequence)
+from evenpairs import clique_number, derive_coloring, run_contraction_sequence
 from evenpairs.families import cycle, complete_graph
 
 # The 4-cycle contracts twice and ends complete.
@@ -26,8 +25,8 @@ assert coloring.color_count == clique_number(cycle(4))
 
 # Bigger even holes contract too; the search backtracks over the choice
 # of pair until a complete-ending sequence appears.
-ok, seq = is_even_contractile(cycle(8))
-print("C8 even-contractile:", ok, "in", len(seq.steps), "steps")
+seq = run_contraction_sequence(cycle(8))
+print("C8 even-contractile:", seq.outcome == "complete", "in", len(seq.steps), "steps")
 print("coloring of C8:", derive_coloring(seq).assignment)
 
 # A complete graph is trivially even-contractile: zero steps.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .detect import find_even_pair_oracle, is_even_pair
+from .detect import even_pairs, is_even_pair
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (Trigraph, _is_clique, _mask_components, _pruned_masks,
                        _reach, _Record, bits_of, complement, full_realization,
@@ -439,7 +439,7 @@ def even_pair_basic(T: Trigraph, need_disjoint: bool = False,
         if len(S) > 2 and (need_disjoint or c.verdict == "doubled"):
             raise TheoremContradictionError(
                 f"light switchable component inside a {c.verdict} leaf")
-        pair = find_even_pair_oracle(T, need_disjoint)
+        pair = next(even_pairs(T, D), None)
         if pair is None:
             raise TheoremContradictionError(f"{c.verdict} leaf found no even pair")
         return pair

@@ -5,7 +5,9 @@ neighborhood is the union of theirs; this preserves the clique number,
 and for Berge graphs Bergeness too, which is what makes the coloring unwind
 work.  Contraction is defined for graphs only; realize a trigraph first.
 A contraction sequence ends "complete" (its terminal is a clique, so it
-unwinds into an optimal coloring) or "stuck" (no even pair is left).
+unwinds into an optimal coloring) or "stuck" (no even pair is left); a
+graph is even-contractile exactly when ``run_contraction_sequence`` ends
+complete.  Its search draws each graph's pairs from ``detect.even_pairs``.
 """
 
 from __future__ import annotations
@@ -103,11 +105,6 @@ def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
 
     found = search(G, [])
     return found if found is not None else stuck[0]
-
-
-def is_even_contractile(G: Trigraph) -> tuple[bool, ContractionSequence]:
-    seq = run_contraction_sequence(G)
-    return seq.outcome == "complete", seq
 
 
 def derive_coloring(seq: ContractionSequence) -> Coloring:

@@ -9,16 +9,20 @@ lengths one at a time in increasing order would return.  An antihole
 search is the hole search on the masks with adjacency and antiadjacency
 swapped, so no complement is built.  Witnesses are always checkable
 objects, never bare booleans.
+
+``is_even_pair`` is the one even-pair oracle: it walks the chordless paths
+of ``trigraph._paths``, and on graphs a hole search through a gadget vertex
+must agree.  ``even_pairs`` is the one scan, calling it once per candidate.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths, _Record,
-                       iter_paths, mask_of, switchable_vertices)
+                       _vertex_mask, bits_of, mask_of)
 
 # is_even_pair gives up with a RuntimeError past this many u-v paths
 MAX_PATHS = 1_000_000
@@ -327,15 +331,13 @@ def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
     Path enumeration decides the verdict; on graphs the hole-gadget route is
     re-run and the two must agree (a mismatch is raised, never returned).
     """
-    if u == v:
-        raise InputError("even pair endpoints must differ")
     if u > v:
         u, v = v, u
     if T.value(u, v) != ANTI:
         return EvenPairReport((u, v), "not_strongly_antiadjacent", None, 0)
     count = 0
     witness = None
-    for seq in iter_paths(T, u, v):
+    for seq in _paths(T.adj, T.anti, u, 1 << v, (1 << T.n) - 1):
         count += 1
         if count > MAX_PATHS:
             raise RuntimeError(
@@ -353,28 +355,18 @@ def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
     return EvenPairReport((u, v), verdict, witness, count)
 
 
-def _even_pairs_avoiding(T: Trigraph, avoid: frozenset[int]) -> Iterator[tuple[int, int]]:
-    """The even pairs of T that avoid ``avoid``, lazily and in lexicographic
-    order; a candidate meeting ``avoid`` is dropped before its oracle check,
-    and every other strongly antiadjacent one gets its one check when the
-    scan reaches it."""
-    for u, v in itertools.combinations(range(T.n), 2):
-        if (u not in avoid and v not in avoid and T.value(u, v) == ANTI
-                and is_even_pair(T, u, v).is_even_pair):
-            yield (u, v)
-
-
-def even_pairs(T: Trigraph) -> Iterator[tuple[int, int]]:
-    """The even pairs of T, lazily and in lexicographic order; each
-    candidate gets its one oracle check when the scan reaches it."""
-    return _even_pairs_avoiding(T, frozenset())
-
-
-def find_even_pair_oracle(T: Trigraph,
-                          require_disjoint_from_switchable: bool = False
-                          ) -> tuple[int, int] | None:
-    """Brute-force scan: the lexicographically least even pair, optionally
-    avoiding every switchable component (pairs meeting one are skipped
-    without an oracle call)."""
-    forbidden = switchable_vertices(T) if require_disjoint_from_switchable else frozenset()
-    return next(_even_pairs_avoiding(T, forbidden), None)
+def even_pairs(T: Trigraph, avoid: Iterable[int] = ()) -> Iterator[tuple[int, int]]:
+    """The even pairs of T that miss ``avoid``, lazily and in lexicographic
+    order: each strongly antiadjacent pair outside ``avoid`` gets its one
+    oracle check when the scan reaches it.  A vertex of ``avoid`` outside
+    0..n-1 raises InputError when the scan starts."""
+    allowed = ((1 << T.n) - 1) & ~_vertex_mask(T, avoid)
+    for u in bits_of(allowed):
+        # the strong antineighbors of u above u
+        later = T.anti[u] & ~T.switch[u] & allowed & -(2 << u)
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            if is_even_pair(T, u, v).is_even_pair:
+                yield (u, v)

@@ -30,9 +30,10 @@ from .formats import to_text
 from .trigraph import (Trigraph, _Record, in_class_F, is_complete, switchable_structure,
                        switchable_vertices, with_bergeness)
 
-ENUMERATION_CAP = 10
-# every graph on 10 vertices, 12,005,168 classes, does not fit in memory: the
-# cap runs only sampled
+# the isomorphism classes of graphs on 1..10 vertices (OEIS A000088)
+GRAPH_CLASSES = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
+ENUMERATION_CAP = len(GRAPH_CLASSES)
+# every graph on 10 vertices does not fit in memory: the cap runs only sampled
 EXHAUSTIVE_CAP = 9
 WORKERS_ENV = "EVENPAIRS_WORKERS"
 
@@ -238,7 +239,8 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
     opened before the first instance runs, so an unwritable one raises
     OSError at once.  An n_max outside 1..ENUMERATION_CAP, an unsampled
     n_max above EXHAUSTIVE_CAP, a sample with another scope, and a sample
-    the sampler cannot fill raise InputError.  The environment variable
+    the sampler cannot fill raise InputError, a sample above the classes on
+    n_max vertices before the first draw.  The environment variable
     EVENPAIRS_WORKERS is the only worker setting: it names how many
     processes run the instances (default 1), and a value that is not an
     integer >= 1 raises InputError too.
@@ -247,9 +249,12 @@ def verify_main_theorem(n_max: int, scope: str = "graphs", *,
         raise InputError(f"n_max {n_max} is outside 1..{ENUMERATION_CAP}")
     if sample is not None and (scope != "graphs" or sample < 1):
         raise InputError(f"sample {sample} needs scope 'graphs' and a positive count")
+    if sample is not None and sample > GRAPH_CLASSES[n_max - 1]:
+        raise InputError(f"could not collect {sample} distinct graphs on {n_max} "
+                         f"vertices: there are {GRAPH_CLASSES[n_max - 1]:,} classes")
     if sample is None and n_max > EXHAUSTIVE_CAP:
-        raise InputError(f"an exhaustive run at n_max {n_max} would hold all "
-                         "12,005,168 graphs on 10 vertices; sample graphs with --sample")
+        raise InputError(f"an exhaustive run at n_max {n_max} would hold all {GRAPH_CLASSES[-1]:,}"
+                         f" graphs on {ENUMERATION_CAP} vertices; sample graphs with --sample")
     value = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(value)

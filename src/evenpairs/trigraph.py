@@ -389,11 +389,6 @@ class PathWitness(_Record):
         return self.length % 2 == 1
 
 
-class PathEnumeration(_Record):
-    def __init__(self, paths: tuple[PathWitness, ...], truncated: bool):
-        self.__dict__.update(paths=paths, truncated=truncated)
-
-
 def validate_path(T: Trigraph, vertices: Sequence[int]) -> None:
     """Raise InputError unless the sequence is a path of T."""
     k = len(vertices)
@@ -453,22 +448,6 @@ def iter_paths(T: Trigraph, u: int, v: int,
         if not 0 <= end < T.n:
             raise InputError(f"vertex {end} out of range for n={T.n}")
     return _paths(T.adj, T.anti, u, 1 << v, _vertex_mask(T, interior))
-
-
-def enumerate_paths(T: Trigraph, u: int, v: int,
-                    max_count: int = 1_000_000) -> PathEnumeration:
-    """All u-v paths, deterministically ordered; flags truncation instead of
-    silently stopping when more than ``max_count`` paths exist."""
-    if max_count <= 0:
-        raise InputError("max_count must be positive")
-    out: list[PathWitness] = []
-    truncated = False
-    for seq in iter_paths(T, u, v):
-        if len(out) == max_count:
-            truncated = True
-            break
-        out.append(PathWitness(seq))
-    return PathEnumeration(tuple(out), truncated)
 
 
 class HoleWitness(_Record):

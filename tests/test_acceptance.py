@@ -11,7 +11,7 @@ import random
 
 from evenpairs.basic import find_good_pair, is_favorable, verify_root_properties
 from evenpairs.contraction import (contract_even_pair, derive_coloring,
-                                   is_even_contractile)
+                                   run_contraction_sequence)
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs import trigraph
 from evenpairs.decomposition import (_skew_masks, build_block,
@@ -216,8 +216,8 @@ def test_criterion_8_contraction_colorings():
     for g in graphs_upto(7):
         if not is_berge(g)[0]:
             continue
-        ok, seq = is_even_contractile(g)
-        if not ok:
+        seq = run_contraction_sequence(g)
+        if seq.outcome != "complete":
             stuck += 1
             continue
         contractile += 1

@@ -259,6 +259,23 @@ def test_verify_input_errors_exit_two(capsys, args, message):
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("sample, code, instances", [(12, 2, None), (11, 0, 11)])
+def test_verify_refuses_an_impossible_sample_before_drawing(capsys, monkeypatch,
+                                                            sample, code, instances):
+    # there are 11 graphs on 4 vertices: one more is refused with no draw
+    from evenpairs import engine
+
+    draws = count_calls(monkeypatch, engine, "random_canonical_graphs")
+    got, doc, err = run_cli(capsys, "verify", "--nmax", "4", "--sample", str(sample))
+    assert got == code
+    if instances is None:
+        assert draws == [] and doc is None
+        assert json.loads(err)["error"] == ("could not collect 12 distinct graphs "
+                                            "on 4 vertices: there are 11 classes")
+    else:
+        assert len(draws) == 1 and doc["summary"]["instances"] == instances
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "", "2.5"])
 def test_verify_rejects_a_bad_worker_count(capsys, monkeypatch, value):
     monkeypatch.setenv("EVENPAIRS_WORKERS", value)

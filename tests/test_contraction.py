@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from evenpairs.contraction import (_merge, contract_even_pair, derive_coloring,
-                                   is_even_contractile,
                                    run_contraction_sequence)
 from evenpairs.corpus import graphs_upto
 from evenpairs.detect import is_berge, is_even_pair
@@ -70,8 +69,8 @@ def test_sequence_rejects_non_berge(c5):
 
 
 def test_c6_even_contractile(c6):
-    ok, seq = is_even_contractile(c6)
-    assert ok and seq.terminal.n == 2
+    seq = run_contraction_sequence(c6)
+    assert seq.outcome == "complete" and seq.terminal.n == 2
 
 
 def test_every_step_revalidates():
@@ -102,8 +101,7 @@ def test_derive_coloring_complete(k4):
 
 
 def test_derive_coloring_c6(c6):
-    _, seq = is_even_contractile(c6)
-    coloring = derive_coloring(seq)
+    coloring = derive_coloring(run_contraction_sequence(c6))
     assert coloring.color_count == 2
     assert coloring.assignment[0] != coloring.assignment[1]
 

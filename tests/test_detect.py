@@ -6,17 +6,16 @@ import pytest
 from evenpairs import detect
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs.detect import (PrismWitness, _iter_prisms, _shortest_hole,
-                              find_antihole_of_length_at_least,
-                              find_even_pair_oracle,
+                              even_pairs, find_antihole_of_length_at_least,
                               find_odd_antihole, find_odd_hole, find_prism,
                               is_berge, is_even_pair, validate_prism)
 from evenpairs.engine import check_preconditions
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, cycle, line_graph,
                                 prism3)
-from evenpairs.trigraph import (PathWitness, bits_of, complement,
+from evenpairs.trigraph import (ANTI, PathWitness, bits_of, complement,
                                 graph_from_edges, make_trigraph, realization,
-                                validate_hole)
+                                switchable_vertices, validate_hole)
 
 from conftest import (count_calls, random_graph, random_trigraph,
                       shortest_hole_without_cut)
@@ -363,15 +362,44 @@ def test_even_pair_gadget_agreement_small():
 
 
 def test_find_even_pair_oracle(c6, k4):
-    assert find_even_pair_oracle(c6) == (0, 2)
-    assert find_even_pair_oracle(k4) is None
+    assert next(even_pairs(c6), None) == (0, 2)
+    assert next(even_pairs(k4), None) is None
 
 
 def test_find_even_pair_oracle_disjoint_flag():
-    # 6-hole with one switchable pair: the oracle must dodge it when asked
+    # 6-hole with one switchable pair: the scan dodges it when asked
     t = make_trigraph(6, [(i, (i + 1) % 6, 1) for i in range(5)] + [(5, 0, 0)])
-    unrestricted = find_even_pair_oracle(t)
-    restricted = find_even_pair_oracle(t, require_disjoint_from_switchable=True)
+    unrestricted = next(even_pairs(t), None)
+    restricted = next(even_pairs(t, switchable_vertices(t)), None)
     assert restricted is not None
     assert not (set(restricted) & {0, 5})
     assert unrestricted <= restricted
+
+
+def test_even_pairs_avoiding_a_set_filters_the_full_scan(monkeypatch):
+    # on graphs <= 6 and planted trigraphs on base <= 5, with the switchable
+    # vertices and a seeded random set to avoid: the scan returns the full
+    # scan's pairs that miss the set, and asks the oracle exactly about the
+    # strongly antiadjacent pairs that miss it, in lexicographic order
+    oracle = count_calls(monkeypatch, detect, "is_even_pair")
+    rng = random.Random(29)
+    instances = list(graphs_upto(6)) + list(planted_class_f_trigraphs(5))
+    pairs = 0
+    for T in instances:
+        full = list(even_pairs(T))
+        for avoid in (switchable_vertices(T),
+                      {w for w in range(T.n) if rng.random() < 0.3}):
+            del oracle[:]
+            got = list(even_pairs(T, avoid))
+            assert got == [p for p in full if not set(p) & avoid], (T, avoid)
+            candidates = [(u, v) for u, v in itertools.combinations(range(T.n), 2)
+                          if not {u, v} & avoid and T.value(u, v) == ANTI]
+            assert [call[1:] for call in oracle] == candidates, (T, avoid)
+            pairs += len(got)
+    assert pairs > 500
+
+
+@pytest.mark.parametrize("avoid, bad", [([1, 6], 6), ([-1], -1)])
+def test_even_pairs_rejects_an_out_of_range_avoided_vertex(c6, avoid, bad):
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        next(even_pairs(c6, avoid))

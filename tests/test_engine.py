@@ -1,21 +1,24 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from evenpairs import trigraph
+from evenpairs.basic import FavorabilityVerdict
 from evenpairs.canonical import relabel
 from evenpairs.cli import main
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs)
-from evenpairs.detect import EvenPairReport, find_prism, is_even_pair
-from evenpairs.engine import (PRECONDITIONS, _run_instance,
+from evenpairs.decomposition import ShapeReport, find_balanced_skew_partition
+from evenpairs.detect import EvenPairReport, find_prism, is_berge, is_even_pair
+from evenpairs.engine import (GRAPH_CLASSES, PRECONDITIONS, _run_instance,
                               check_preconditions, find_even_pair_structured,
                               verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.formats import from_graph6, from_text
-from evenpairs.trigraph import make_trigraph
+from evenpairs.trigraph import ClassFVerdict, complement, make_trigraph
 
 from conftest import count_calls
 
@@ -56,6 +59,53 @@ def test_precondition_verdicts_do_not_move_under_relabelling():
         prisms += has_prism
     assert len(instances) == 1252 + 379
     assert moved > 1500 and prisms > 10
+
+
+def _census_with_permutations():
+    """Graphs <= 7 and planted base <= 6, each with the seeded permutation
+    of the relabelling test above."""
+    instances = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    for index, T in enumerate(instances):
+        perm = list(range(T.n))
+        random.Random(index).shuffle(perm)
+        yield T, tuple(perm), index < 1252
+
+
+def test_balanced_skew_partitions_do_not_move_under_complementation():
+    # a skew partition of T is one of its complement with the sides swapped,
+    # and balance is self-complementary on Berge trigraphs
+    berge, without = Counter(), Counter()
+    for T, _, is_graph in _census_with_permutations():
+        if not is_berge(T)[0]:
+            continue
+        none = find_balanced_skew_partition(T) is None
+        assert none == (find_balanced_skew_partition(complement(T)) is None), T
+        berge[is_graph] += 1
+        without[is_graph] += none
+    assert (berge[True], berge[False]) == (1105, 379)
+    assert (without[True], without[False]) == (19, 21)
+
+
+def test_structured_outcomes_do_not_move_under_relabelling():
+    # every passer ends the same way after a relabelling, and the pair the
+    # engine returns for the relabelled instance is an even pair of it
+    passers = Counter()
+    for T, perm, is_graph in _census_with_permutations():
+        result = find_even_pair_structured(T)
+        if result.outcome == "precondition_failed":
+            continue
+        R = relabel(T, perm)
+        moved = find_even_pair_structured(R)
+        assert moved.outcome == result.outcome, (T, perm)
+        if moved.outcome == "even_pair":
+            assert is_even_pair(R, *moved.pair).is_even_pair, (T, perm)
+        passers[is_graph, result.outcome] += 1
+    assert passers == {(True, "complete"): 7, (True, "even_pair"): 11,
+                       (False, "complete"): 1, (False, "even_pair"): 19}
+
+
+def test_graph_class_counts_match_the_enumeration():
+    assert [len(graphs_of_order(n)) for n in range(1, 8)] == list(GRAPH_CLASSES[:7])
 
 
 def test_preconditions_prism():
@@ -317,6 +367,37 @@ def test_structured_routes_on_genuine_instances(capsys, g6, trace, pair):
     assert is_even_pair(T, *pair).is_even_pair
     assert main(["even-pair", g6]) == 0
     capsys.readouterr()
+
+
+ENGINE_GUARDS = [
+    ("find_2join", lambda *_: None,
+     "non-basic precondition-passing trigraph admits no 2-join"),
+    ("check_nobsp_2join_shape", lambda *_: ShapeReport(("injected",)),
+     "2-join violates the required shape: ('injected',)"),
+    ("in_class_F", lambda *_: ClassFVerdict(False, "injected"),
+     "block of a proper 2-join left the class: injected"),
+    ("is_even_pair", lambda T, u, v: EvenPairReport((u, v), "not_even_pair", None, 0),
+     "lifted pair {pair} is not an even pair of the parent"),
+    ("favorability", lambda *_: FavorabilityVerdict(False, "injected"),
+     "block must be favorable but is not"),
+]
+
+
+@pytest.mark.parametrize("g6, pair", [(g6, pair) for g6, _, pair in GENUINE_ROUTES[1:]],
+                         ids=["small-marker", "light-marker"])
+@pytest.mark.parametrize("name, wrong, message", ENGINE_GUARDS,
+                         ids=[name for name, _, _ in ENGINE_GUARDS])
+def test_each_engine_guard_exits_three(capsys, monkeypatch, g6, pair, name, wrong,
+                                       message):
+    # one wrong answer from the sub-step a guard of the 2-join recursion
+    # checks reaches that guard and no other, on a genuine 2-join instance
+    import evenpairs.engine as engine
+
+    monkeypatch.setattr(engine, name, wrong)
+    assert main(["even-pair", g6]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"theorem_contradiction": message.format(pair=pair)}
 
 
 CORPORA = [(5, "graphs"), (4, "trigraphs_in_F")]

@@ -1,4 +1,4 @@
-"""The value contract of the 24 result classes: equality by class and
+"""The value contract of the 23 result classes: equality by class and
 fields, the hash of the field tuple, ``Name(field=value, ...)`` repr,
 immutability and a pickle round trip."""
 
@@ -25,7 +25,7 @@ from evenpairs.engine import (
     VerifySummary,
 )
 from evenpairs.families import cycle, path_graph
-from evenpairs.trigraph import ClassFVerdict, HoleWitness, PathEnumeration, PathWitness
+from evenpairs.trigraph import ClassFVerdict, HoleWitness, PathWitness
 
 C4, P3 = cycle(4), path_graph(3)
 PATH = PathWitness(vertices=(0, 1, 2))
@@ -45,7 +45,6 @@ ROOT = LineRootCertificate(root=P3, vertex_edges=((0, 1), (1, 2)), side=frozense
 # every class with its fields in declaration order
 RECORDS = [
     (PathWitness, {"vertices": (0, 1, 2)}),
-    (PathEnumeration, {"paths": (PATH, RUNG), "truncated": False}),
     (HoleWitness, {"vertices": (0, 1, 2, 3, 4), "kind": "hole"}),
     (ClassFVerdict, {"ok": False, "violation": "long", "component": frozenset({1, 2}), "kind": "light"}),
     (PrismWitness, {"cliques": ((0, 1, 2), (3, 4, 5)), "rungs": (RUNG, RUNG, RUNG)}),
@@ -114,4 +113,4 @@ def test_record_contract(cls, fields):
 
 
 def test_every_record_class_is_listed_once():
-    assert len(RECORDS) == len({cls for cls, _ in RECORDS}) == 24
+    assert len(RECORDS) == len({cls for cls, _ in RECORDS}) == 23

@@ -12,8 +12,7 @@ from evenpairs.families import (complete_graph, cycle, empty_graph, line_graph,
                                 prism3)
 from evenpairs.trigraph import (ANTI, STRONG, Trigraph, _reach, bits_of,
                                 clique_number, complement, components,
-                                enumerate_paths, full_realization,
-                                graph_from_edges,
+                                full_realization, graph_from_edges,
                                 in_class_F, induced, is_complete, iter_paths,
                                 make_trigraph, realization,
                                 switchable_components, validate_hole,
@@ -291,19 +290,16 @@ def oracle_paths(t, u, v):
 
 
 def test_enumerate_paths_c4(c4):
-    pe = enumerate_paths(c4, 0, 2)
-    assert [p.vertices for p in pe.paths] == [(0, 1, 2), (0, 3, 2)]
-    assert not pe.truncated
+    assert list(iter_paths(c4, 0, 2)) == [(0, 1, 2), (0, 3, 2)]
 
 
 def test_enumerate_paths_unique_on_path(p4):
-    pe = enumerate_paths(p4, 0, 3)
-    assert len(pe.paths) == 1 and pe.paths[0].length == 3
+    paths = list(iter_paths(p4, 0, 3))
+    assert len(paths) == 1 and len(paths[0]) - 1 == 3
 
 
 def test_enumerate_paths_c6_lengths(c6):
-    pe = enumerate_paths(c6, 0, 2)
-    assert sorted(p.length for p in pe.paths) == [2, 4]
+    assert sorted(len(seq) - 1 for seq in iter_paths(c6, 0, 2)) == [2, 4]
 
 
 def test_enumerate_paths_against_oracle():
@@ -311,22 +307,17 @@ def test_enumerate_paths_against_oracle():
     for _ in range(60):
         t = random_trigraph(rng, rng.randint(2, 8))
         u, v = rng.sample(range(t.n), 2)
-        got = [p.vertices for p in enumerate_paths(t, u, v).paths]
+        got = list(iter_paths(t, u, v))
         assert sorted(got) == oracle_paths(t, u, v)
         assert got == sorted(got)  # lexicographic emission order
-        for p in enumerate_paths(t, u, v).paths:
-            validate_path(t, p.vertices)
-
-
-def test_enumerate_paths_truncation(c6):
-    pe = enumerate_paths(c6, 0, 3, max_count=1)
-    assert pe.truncated and len(pe.paths) == 1
+        for seq in got:
+            validate_path(t, seq)
 
 
 @pytest.mark.parametrize("u, v, bad", [(0, 9, 9), (-1, 3, -1)])
 def test_enumerate_paths_rejects_out_of_range_ends(c6, u, v, bad):
     with pytest.raises(InputError, match=f"vertex {bad} out of range"):
-        enumerate_paths(c6, u, v)
+        iter_paths(c6, u, v)
 
 
 @pytest.mark.parametrize("interior, bad", [([1, 2, 7], 7), ([-2], -2)])
@@ -335,11 +326,9 @@ def test_iter_paths_rejects_out_of_range_interior(c6, interior, bad):
         list(iter_paths(c6, 0, 3, interior))
 
 
-def test_enumerate_paths_rejects_zero_budget(c6):
-    with pytest.raises(InputError):
-        enumerate_paths(c6, 0, 3, max_count=0)
-    with pytest.raises(InputError):
-        enumerate_paths(c6, 2, 2)
+def test_iter_paths_rejects_equal_ends(c6):
+    with pytest.raises(InputError, match="endpoints must differ"):
+        iter_paths(c6, 2, 2)
 
 
 def test_interior_restriction(c6):
