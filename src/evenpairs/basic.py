@@ -220,15 +220,31 @@ def good_partition_of(T: Trigraph) -> GoodPartition | None:
     The nontrivial X-masks come from ``_pruned_masks``, which leaves a
     subtree once its fixed parts break ``_small_sides``; no mask it skips is
     good, so the witness is the one a scan of every bipartition would find
-    first.  The search stays exponential in the worst case.
+    first.  The search stays exponential in the worst case.  The parent's
+    parts passed, so the step looks only at the vertex v fixed last: a
+    switchable pair from v across, two neighbors of v on its side
+    (antineighbors on the Y side), or the one it may have there, which had
+    none before v came.
     """
-    full = (1 << T.n) - 1
-    masks = (x for x, _ in _pruned_masks(
-        T.n, lambda ok, x, y, free: _small_sides(T, x, y), True))
-    for x_mask in itertools.chain(masks, (0, full) if T.n else (0,)):
+    n, switch, adj, anti = T.n, T.switch, T.adj, T.anti
+
+    def step(ok, x_fixed: int, y_fixed: int, free: int) -> bool:
+        v = free.bit_length()  # fixed last; n at the root
+        if v == n:
+            return True
+        bit = 1 << v
+        side, other, near = ((x_fixed, y_fixed, adj) if x_fixed & bit
+                             else (y_fixed, x_fixed, anti))
+        inside = near[v] & side
+        return not (switch[v] & other or inside and (
+            inside & (inside - 1) or near[inside.bit_length() - 1] & side != bit))
+
+    full = (1 << n) - 1
+    masks = (x for x, _ in _pruned_masks(n, step, True))
+    for x_mask in itertools.chain(masks, (0, full) if n else (0,)):
         if _good_partition_masks(T, x_mask):
             x = frozenset(bits_of(x_mask))
-            return GoodPartition(x, frozenset(range(T.n)) - x)
+            return GoodPartition(x, frozenset(range(n)) - x)
     return None
 
 

@@ -55,7 +55,8 @@ def _dumps(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for the data that
     ``certs.to_jsonable`` returns (string keys), written directly: with an
     indent, CPython runs its pure-Python encoder.  ``newline`` is the line
-    break and indent before a closing bracket at this depth."""
+    break and indent before a closing bracket at this depth.  Scalar items
+    are written in place, so only containers recurse."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
@@ -63,13 +64,20 @@ def _dumps(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_dumps(x, inner) for x in obj]
+        items = []
+        for x in obj:
+            scalar = _SCALARS.get(type(x))
+            items.append(scalar(x) if scalar is not None else _dumps(x, inner))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner)
-                 for k in sorted(obj)]
+        items = []
+        for k in sorted(obj):
+            x = obj[k]
+            scalar = _SCALARS.get(type(x))
+            items.append(encode_basestring_ascii(k) + ": "
+                         + (scalar(x) if scalar is not None else _dumps(x, inner)))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(obj)
 
@@ -192,11 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-cert", metavar="PATH", default=None,
                    help="write the per-instance JSON-lines log")
     p.set_defaults(func=_cmd_verify)
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # a known command goes straight to its own parser, where the full parser
+    # would send it; anything else gets the full parser and its messages
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+    if command is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except NonBergeError as exc:

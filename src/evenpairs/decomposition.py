@@ -18,10 +18,13 @@ skew partitions the condition itself, exact once no vertex is free, whose
 mask of vertices complete to B holds the star centers; for 2-joins
 ``_derive_split`` on the two bicliques.  So each search returns exactly
 what a scan of all 2^n bipartitions would.  Sets are built only for a
-candidate that passes the mask tests.  On one core of a 2-vCPU machine the full
-balanced-skew-partition search of C16 takes about 0.5 ms and the full
-2-join search of its complement about 0.2 ms.  The searches stay
-exponential in the worst case; near-complete inputs prune least.
+candidate that passes the mask tests.  A 2-join is an unordered
+bipartition, so ``find_2join`` searches one orientation of each, with
+vertex n - 1 in X2, and ``iter_2joins`` lists both.  On one core of a
+2-vCPU machine the full balanced-skew-partition search of C16 takes about
+0.4 ms, and the 2-join search of its complement about 0.1 ms (0.2 ms for
+both orientations).  The searches stay exponential in the worst case;
+near-complete inputs prune least.
 """
 
 from __future__ import annotations
@@ -337,20 +340,23 @@ def observed_parity(T: Trigraph, sets) -> str | None:
     return None
 
 
-def _two_join_step(T: Trigraph):
+def _two_join_step(T: Trigraph, mirrors: bool = True):
     """The step of the 2-join search for ``_pruned_masks``.
 
     It leaves a node once the strong edges that cross between the fixed
     parts no longer form at most two disjoint bicliques p1 x q1 and p2 x q2
-    (p in X1, q in X2), or a switchable pair crosses; a leaf needs both
-    bicliques.  No mask it skips has a split.  The bicliques are the search
-    state: a node takes its parent's and places the one vertex it fixed,
-    which must cross strongly to nothing, to exactly one q (p for a vertex
-    of X2), or, while a biclique is unused, outside the other one.  So at a
-    leaf each vertex of p_i crosses to exactly q_i, each of q_i to exactly
-    p_i, and every other vertex to nothing: the state is the bundles.
+    (p in X1, q in X2), or a switchable pair crosses, or a side can no
+    longer reach three vertices; a leaf needs both bicliques.  No mask it
+    skips has a split.  The bicliques are the search state: a node takes its
+    parent's and places the one vertex it fixed, which must cross strongly
+    to nothing, to exactly one q (p for a vertex of X2), or, while a
+    biclique is unused, outside the other one.  So at a leaf each vertex of
+    p_i crosses to exactly q_i, each of q_i to exactly p_i, and every other
+    vertex to nothing: the state is the bundles.
+    Without ``mirrors`` it also leaves a node that puts vertex n - 1 in X1.
     """
     n, strong, switch = T.n, T.strong, T.switch
+    top = n if mirrors else n - 1  # the vertices X1 may hold are below top
 
     def step(state, x1_fixed: int, x2_fixed: int, free: int):
         v = free.bit_length()  # fixed last; n at the root
@@ -359,11 +365,14 @@ def _two_join_step(T: Trigraph):
             p1, q1, p2, q2 = state
             in_x1 = x1_fixed & bit
             if in_x1:
+                if v >= top:
+                    return None
                 other = x2_fixed
             else:  # seen from X2, each p trades places with its q
                 other = x1_fixed
                 p1, q1, p2, q2 = q1, p1, q2, p2
-            if switch[v] & other:
+            # the other side lost v, and a split needs three vertices a side
+            if switch[v] & other or (other | free).bit_count() < 3:
                 return None
             cross = strong[v] & other
             if cross:
@@ -393,14 +402,17 @@ def iter_2joins(T: Trigraph):
     so the sequence is the one a scan of every bipartition gives.  The
     search stays exponential in the worst case.
     """
-    for x1_mask, bicliques in _pruned_masks(T.n, _two_join_step(T), (0, 0, 0, 0)):
-        split = _derive_split(T, x1_mask, bicliques)
-        if split is not None:
-            yield split
+    leaves = _pruned_masks(T.n, _two_join_step(T), (0, 0, 0, 0))
+    return filter(None, (_derive_split(T, *leaf) for leaf in leaves))
 
 
 def find_2join(T: Trigraph) -> TwoJoinSplit | None:
-    return next(iter_2joins(T), None)
+    """The first split of ``iter_2joins(T)``.  The search step and
+    ``_derive_split`` read the same from either side, so they accept a mask
+    exactly when they accept its mirror, the smaller of the two being the
+    one with vertex n - 1 in X2; the search never puts n - 1 in X1."""
+    leaves = _pruned_masks(T.n, _two_join_step(T, mirrors=False), (0, 0, 0, 0))
+    return next(filter(None, (_derive_split(T, *leaf) for leaf in leaves)), None)
 
 
 def join_parity(T: Trigraph, split: TwoJoinSplit) -> str:

@@ -23,8 +23,8 @@ from contextlib import nullcontext
 from .basic import classify_basic, even_pair_basic, favorability
 from .corpus import graphs_upto, planted_class_f_trigraphs, random_canonical_graphs
 from .decomposition import build_block, check_nobsp_2join_shape, find_2join, find_balanced_skew_partition
-from .detect import (find_antihole_of_length_at_least, find_prism,
-                     is_berge, is_even_pair)
+from .detect import (_antiholes, find_antihole_of_length_at_least, find_odd_hole,
+                     find_prism, is_even_pair)
 from .errors import InputError, TheoremContradictionError
 from .formats import to_text
 from .trigraph import (Trigraph, _Record, in_class_F, is_complete, switchable_structure,
@@ -74,15 +74,20 @@ def check_preconditions(T: Trigraph, fast: bool = False) -> PreconditionReport:
         checks.append(CheckOutcome(name, passed, witness))
         return fast and not passed
 
-    berge, witness = is_berge(T)
+    threshold = 6 if T.is_graph else 5
+    witness = find_odd_hole(T)
+    if witness is None:
+        # one antihole search decides Bergeness and the long-antihole check
+        witness, long_antihole = _antiholes(T, threshold)
+    elif not fast:  # a fast pass stops at the odd hole
+        long_antihole = find_antihole_of_length_at_least(T, threshold)
+    berge = witness is None
     if add("berge", berge, witness):
         return PreconditionReport(tuple(checks))
     prism = find_prism(T, "odd")
     if add("no_odd_prism", prism is None, prism):
         return PreconditionReport(tuple(checks))
-    threshold = 6 if T.is_graph else 5
-    anti = find_antihole_of_length_at_least(T, threshold)
-    if add("no_long_antihole", anti is None, anti):
+    if add("no_long_antihole", long_antihole is None, long_antihole):
         return PreconditionReport(tuple(checks))
     membership = with_bergeness(switchable_structure(T), berge)
     if add("class_membership", membership.ok, membership.violation):

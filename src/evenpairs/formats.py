@@ -23,6 +23,8 @@ from .trigraph import (STRONG, SWITCHABLE, Trigraph, _check_vertex_count,
                        bits_of, make_trigraph)
 
 _G6_HEADER = ">>graph6<<"
+# each printable graph6 character to its six bits, first bit highest
+_G6_BITS = {63 + d: format(d, "06b") for d in range(64)}
 
 
 def to_text(T: Trigraph) -> str:
@@ -105,7 +107,8 @@ def to_graph6(G: Trigraph) -> str:
 def from_graph6(text: str) -> Trigraph:
     """Decode graph6 straight into strong masks.
 
-    The payload becomes one integer whose bit k is the k-th pair of the
+    One ``str.translate`` turns the characters into their six bits each,
+    and the payload becomes one integer whose bit k is the k-th pair of the
     upper triangle, column by column, so column v is the mask of the
     neighbors u < v of v; no edge list is built, and ``Trigraph`` checks
     the masks.  Errors come in a fixed order: the string, its length,
@@ -116,25 +119,26 @@ def from_graph6(text: str) -> Trigraph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise InputError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    # a character outside the printable range keeps its one character
+    row = s.translate(_G6_BITS)
+    if len(row) != 6 * len(s):
         raise InputError("graph6 string has characters outside the printable range")
-    if data[0] == 63:  # '~'
-        if len(data) < 4:
+    if s[0] == "~":
+        if len(s) < 4:
             raise InputError("truncated graph6 vertex count")
-        if data[1] == 63:
+        if s[1] == "~":
             raise InputError("graph6 vertex count out of supported range")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = int(row[6:24], 2)
+        body = row[24:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        body = row[6:]
     pairs = n * (n - 1) // 2
     need = (pairs + 5) // 6
-    if len(body) != need:
+    if len(body) != 6 * need:
         raise InputError(
-            f"graph6 length mismatch: n={n} needs {need} payload bytes, got {len(body)}")
-    bits = int("".join(format(d, "06b") for d in body)[::-1] or "0", 2)
+            f"graph6 length mismatch: n={n} needs {need} payload bytes, got {len(body) // 6}")
+    bits = int(body[::-1] or "0", 2)
     if bits >> pairs:
         raise InputError("graph6 padding bits must be zero")
     _check_vertex_count(n)

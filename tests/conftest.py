@@ -456,8 +456,8 @@ def extend_rungs_by_grow(T, tri_a, tri_b, i, used, rungs):
 def shortest_hole_without_cut(n, adj, anti, lengths, first=None):
     """The bounded hole search without the cut on closing vertices: a path
     is dropped only once no wanted length shorter than the best hole so far
-    can close on it.  Same contract and result as ``detect._shortest_hole``
-    (lengths below five are refused there, not here)."""
+    can close on it.  Same result as ``detect._shortest_holes`` on the one
+    length set ``lengths``, given here as an iterable of lengths."""
     wanted = 0
     for k in lengths:
         if k <= n:

@@ -204,6 +204,38 @@ def test_parser_is_built_once(capsys, c6):
     assert (info.misses, info.hits) == (1, 2)
 
 
+C6_G6 = to_graph6(cycle(6))
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, an argparse exit
+    included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", C6_G6], ["even-pair", C6_G6], ["even-pair", C6_G6, "--need-disjoint"],
+    ["contract-color", C6_G6], ["decompose", C6_G6], ["classify", C6_G6],
+    ["verify", "--nmax", "3"], ["verify", "--nmax", "3", "--scope", "trigraphs_in_F"],
+    ["-h"], ["analyze", "-h"], ["verify", "--help"], [], ["frobnicate", C6_G6],
+    ["analyze"], ["analyze", C6_G6, "--format", "xml"], ["analyze", "--format=graph6", C6_G6],
+    ["verify"], ["analyze", C6_G6, "stray"], ["analyze", C6_G6, "--emit-cert"],
+    ["analyze", "--", C6_G6], ["--format", "graph6", "analyze", C6_G6],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_direct_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    # a known command goes straight to its own parser; with no command
+    # known, every command line takes build_parser().parse_args, and the
+    # two must print and exit alike
+    direct = _outcome(capsys, list(argv))
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert _outcome(capsys, list(argv)) == direct
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "evenpairs.cli", "classify", to_graph6(cycle(4))],

@@ -5,17 +5,17 @@ import pytest
 
 from evenpairs import detect
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
-from evenpairs.detect import (PrismWitness, _iter_prisms, _shortest_hole,
-                              even_pairs, find_antihole_of_length_at_least,
+from evenpairs.detect import (PrismWitness, _antiholes, _iter_prisms,
+                              _shortest_holes, even_pairs, find_antihole_of_length_at_least,
                               find_odd_antihole, find_odd_hole, find_prism,
                               is_berge, is_even_pair, validate_prism)
 from evenpairs.engine import check_preconditions
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_bipartite, cycle, line_graph,
                                 prism3)
-from evenpairs.trigraph import (ANTI, PathWitness, bits_of, complement,
-                                graph_from_edges, make_trigraph, realization,
-                                switchable_vertices, validate_hole)
+from evenpairs.trigraph import (ANTI, PathWitness, Trigraph, bits_of, complement,
+                                graph_from_edges, make_trigraph, mask_of,
+                                realization, switchable_vertices, validate_hole)
 
 from conftest import (count_calls, random_graph, random_trigraph,
                       shortest_hole_without_cut)
@@ -94,6 +94,11 @@ def _first_hole_by_length(T, lengths, first=None):
     return None
 
 
+def _shortest_hole(n, adj, anti, lengths, first=None):
+    """The kernel on the one length set ``lengths``."""
+    return _shortest_holes(n, adj, anti, (mask_of(lengths),), first)[0]
+
+
 def test_shortest_hole_matches_the_per_length_scans():
     rng = random.Random(15)
     pool = []
@@ -143,15 +148,88 @@ def test_shortest_hole_cut_matches_the_uncut_search():
     assert queries > 60_000 and holes > 7_000
 
 
-def test_precondition_pass_runs_three_hole_searches(monkeypatch):
-    # odd hole in T, odd hole in co-T, long antihole in co-T: one search each
-    searches = count_calls(monkeypatch, detect, "_shortest_hole")
+def test_precondition_pass_runs_two_hole_searches(monkeypatch):
+    # odd hole in T, then one search of co-T for the odd antihole and the
+    # long antihole together
+    searches = count_calls(monkeypatch, detect, "_shortest_holes")
     check_preconditions(cycle(16), fast=True)
-    assert len(searches) == 3
+    assert [len(args[3]) for args in searches] == [1, 2]
+    # the full pass on a graph with an odd hole needs only the long antihole
+    searches.clear()
+    check_preconditions(cycle(7))
+    assert [len(args[3]) for args in searches] == [1, 1]
+
+
+def _two_set_corpus():
+    """Masks of graphs <= 7 (and the swapped masks), planted trigraphs on
+    base <= 6, and 1,500 seeded random trigraphs on 5..16 vertices."""
+    rng = random.Random(30)
+    masks = []
+    for t in graphs_upto(7):
+        masks += [(t.n, t.adj, t.anti), (t.n, t.anti, t.adj)]
+    for t in planted_class_f_trigraphs(6):
+        masks += [(t.n, t.adj, t.anti), (t.n, t.anti, t.adj)]
+    for _ in range(1500):
+        t = random_trigraph(rng, rng.randint(5, 16), switch_prob=rng.choice((0, 0.1)),
+                            p=rng.choice((0.3, 0.5, 0.7)))
+        masks.append((t.n, t.adj, t.anti) if rng.random() < 0.5
+                     else (t.n, t.anti, t.adj))
+    return masks
+
+
+def test_two_set_search_matches_two_single_set_searches():
+    # each set keeps its own best hole and bound, so one DFS answers both
+    # as its own search would: Bergeness's odd lengths and the long
+    # antiholes of graphs (>= 6) and trigraphs (>= 5), plus a mixed pair
+    odd = mask_of(range(5, 40, 2))
+    cases = found = 0
+    for n, adj, anti in _two_set_corpus():
+        for pair in ((odd, -1 << 6), (odd, -1 << 5), (-1 << 6, odd),
+                     (mask_of(range(6, 40, 2)), mask_of((5, 7, 9)))):
+            got = _shortest_holes(n, adj, anti, pair)
+            assert got == [_shortest_holes(n, adj, anti, (w,))[0] for w in pair]
+            cases += 1
+            found += got[0] is not None and got[1] is not None and got[0] != got[1]
+    assert cases == 4 * (2 * 1252 + 2 * 379 + 1500) and found > 100
+
+
+def test_odd_lengths_reach_any_vertex_count():
+    # the odd-length mask is computed for n, so a trigraph built past the
+    # input cap still has its long odd holes found
+    for n in range(70):
+        assert detect._odd_lengths(n) == mask_of(range(5, n + 1, 2))
+    n = 35
+    ring = Trigraph([1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)], [0] * n)
+    assert find_odd_hole(ring).vertices == tuple(range(n))
+    assert find_odd_antihole(complement(ring)).length == n
+
+
+@pytest.mark.parametrize("T, threshold, odd_length, long_length", [
+    # the shortest antihole is even (6), and an odd one (7) exists
+    (complement(graph_from_edges(13, [(i, (i + 1) % 6) for i in range(6)]
+                                 + [(6 + i, 6 + (i + 1) % 7) for i in range(7)])),
+     6, 7, 6),
+    # an antihole of length 5, below the graph threshold
+    (cycle(5), 6, 5, None),
+    # trigraphs: the threshold is 5; the one planted trigraph on base <= 6
+    # with an antihole, and a C5 antihole with a switchable pair
+    (next(t for t in planted_class_f_trigraphs(6)
+          if find_antihole_of_length_at_least(t, 5)), 5, None, 6),
+    (make_trigraph(5, [(0, 1, 0)] + [(i, (i + 2) % 5, 1) for i in range(5)]), 5, 5, 5),
+], ids=["co-(C6+C7)", "C5", "planted", "switchable-C5"])
+def test_antiholes_answer_both_checks(T, threshold, odd_length, long_length):
+    odd_antihole, long_antihole = _antiholes(T, threshold)
+    assert odd_antihole == find_odd_antihole(T)
+    assert long_antihole == find_antihole_of_length_at_least(T, threshold)
+    assert (odd_antihole and odd_antihole.length) == odd_length
+    assert (long_antihole and long_antihole.length) == long_length
+    for witness in (odd_antihole, long_antihole):
+        if witness is not None:
+            validate_hole(T, witness.vertices, "antihole")
 
 
 def test_even_pair_gadget_runs_one_hole_search(monkeypatch):
-    searches = count_calls(monkeypatch, detect, "_shortest_hole")
+    searches = count_calls(monkeypatch, detect, "_shortest_holes")
     assert is_even_pair(cycle(16), 0, 2).is_even_pair
     assert len(searches) == 1
 

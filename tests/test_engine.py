@@ -408,15 +408,23 @@ def test_verify_checks_each_instance_and_pair_once(monkeypatch, n_max, scope):
     import evenpairs.detect as detect
     import evenpairs.engine as engine
 
-    # corpora are cached; build them first so only the verification counts
-    engine._instances_for(scope, n_max, None, 0)
+    # corpora are cached; build them first so only the verification counts.
+    # Bergeness is decided once per instance: one odd-hole search, then,
+    # without an odd hole, the one antihole search that also answers the
+    # long-antihole check; is_berge itself never runs
+    instances = engine._instances_for(scope, n_max, None, 0)
+    without_odd_hole = sum(detect.find_odd_hole(T) is None for T in instances)
     preconditions = count_calls(monkeypatch, engine, "check_preconditions")
     berge = count_calls(monkeypatch, detect, "is_berge")
+    odd_holes = count_calls(monkeypatch, detect, "find_odd_hole")
+    antiholes = count_calls(monkeypatch, detect, "_antiholes")
     oracle = count_calls(monkeypatch, detect, "is_even_pair")
     gadget = count_calls(monkeypatch, detect, "_gadget_sees_odd_path")
     summary = verify_main_theorem(n_max, scope)
     assert summary.ok and summary.even_pair > 0
-    assert len(preconditions) == len(berge) == summary.instances
+    assert len(preconditions) == len(odd_holes) == summary.instances
+    assert len(antiholes) == without_odd_hole
+    assert not berge
     assert len(oracle) == summary.even_pair
     if scope == "graphs":
         assert len(gadget) == summary.even_pair

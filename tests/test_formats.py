@@ -128,6 +128,26 @@ def test_to_graph6_matches_the_pair_scan():
             from_graph6(g6)
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("~\x01", "characters outside the printable range"),  # and truncated
+    ("~~??\x80", "characters outside the printable range"),  # and eight-byte
+    ("Dé", "characters outside the printable range"),  # non-ASCII, and short
+    ("~ééé", "characters outside the printable range"),
+    ("~~?", "truncated graph6 vertex count"),  # and eight-byte
+    (">>graph6<<~?", "truncated graph6 vertex count"),
+    ("~~??", "vertex count out of supported range"),  # and no payload
+    ("A@@", "length mismatch: n=2 needs 1 payload bytes, got 2"),  # and padding
+    (chr(33 + 63) + "?", "length mismatch: n=33 needs 88 payload bytes, got 1"),  # and the cap
+    ("~??~?", "length mismatch: n=63 needs 326 payload bytes, got 1"),
+], ids=["bad-char-truncated", "bad-char-eight-byte", "non-ascii", "non-ascii-count",
+        "eight-byte-truncated", "header-truncated", "eight-byte-empty",
+        "length-padding", "length-cap", "long-count-length"])
+def test_graph6_reports_the_first_broken_rule(literal, message):
+    # the string, its count, its length, padding, then the vertex cap
+    with pytest.raises(InputError, match=message):
+        from_graph6(literal)
+
+
 def test_graph6_padding_bits_must_be_zero():
     # n = 2: one pair and five padding bits, the last one set
     with pytest.raises(InputError, match="padding bits must be zero"):

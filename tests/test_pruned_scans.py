@@ -240,6 +240,107 @@ def test_scans_stay_polynomial_on_cycles(monkeypatch, T):
     assert len(connected) <= bound
 
 
+def _two_join_corpus():
+    """Graphs <= 7, planted trigraphs on base <= 6, seeded G(n, p) on 10..16
+    vertices, each with its complement."""
+    rng = random.Random(31)
+    base = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    base += [random_graph(rng, n, p) for n in range(10, 17) for p in (0.1, 0.2, 0.5, 0.8)]
+    return [g for t in base for g in (t, complement(t))]
+
+
+def test_find_2join_is_the_first_of_iter_2joins():
+    # find_2join searches one orientation of each bipartition, the one with
+    # vertex n - 1 in X2, and still returns the first split of the full list
+    found = 0
+    for T in _two_join_corpus():
+        split = find_2join(T)
+        assert split == next(iter_2joins(T), None), T
+        found += split is not None
+    assert found > 1000
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_find_2join_on_tiny_trigraphs(n):
+    T = graph_from_edges(n, [(0, 1)] if n == 2 else [])
+    assert find_2join(T) is None
+    assert list(iter_2joins(T)) == []
+
+
+def _step_calls(monkeypatch, search, T):
+    """The calls ``search(T)`` makes of its ``_pruned_masks`` step."""
+    kernel = decomposition._pruned_masks
+    calls = []
+
+    def counting(n, step, root):
+        def counted(*args):
+            calls.append(args[1:])
+            return step(*args)
+
+        return kernel(n, counted, root)
+
+    with monkeypatch.context() as m:
+        m.setattr(decomposition, "_pruned_masks", counting)
+        search(T)
+    return calls
+
+
+def test_find_2join_node_count_on_complement_of_c16(monkeypatch):
+    # one orientation and the three-vertex cut: 559 step calls at the
+    # parent, which searched both orientations without the cut
+    T = complement(cycle(16))
+    calls = _step_calls(monkeypatch, find_2join, T)
+    assert find_2join(T) is None
+    assert len(calls) == 247
+    # the one node that puts vertex 15 in X1 is left at once
+    assert [c for c in calls if c[0] >> 15] == [(1 << 15, 0, (1 << 15) - 1)]
+
+
+def _small_sides_masks(T):
+    """The reference good-partition search: ``_small_sides`` at every node."""
+    return [x for x, _ in _pruned_masks(
+        T.n, lambda ok, x, y, free: basic._small_sides(T, x, y), True)]
+
+
+def test_good_partition_step_matches_small_sides_at_every_node(monkeypatch):
+    # with every candidate refused, the search hands over each mask the
+    # reference keeps, then the two one-side partitions, and never runs
+    # _small_sides itself
+    rng = random.Random(32)
+    masks = 0
+    for _ in range(1500):
+        T = random_trigraph(rng, rng.randint(1, 10), switch_prob=rng.choice((0.05, 0.15, 0.3)),
+                            p=rng.choice((0.3, 0.5, 0.7)))
+        tried = []
+        with monkeypatch.context() as m:
+            m.setattr(basic, "_good_partition_masks", lambda T, x: tried.append(x))
+            small = count_calls(m, basic, "_small_sides")
+            assert good_partition_of(T) is None
+        assert tried == _small_sides_masks(T) + [0, (1 << T.n) - 1], T
+        assert not small
+        masks += len(tried)
+    assert masks > 6000
+
+
+def test_good_partition_checks_small_sides_only_at_candidates(monkeypatch):
+    # the step carries the check down the tree, so _small_sides runs once
+    # per candidate the search hands over, the yielded masks and the two
+    # one-side partitions
+    rng = random.Random(33)
+    missing = 0
+    for _ in range(300):
+        T = random_trigraph(rng, rng.randint(2, 10), switch_prob=0.1, p=rng.choice((0.3, 0.7)))
+        with monkeypatch.context() as m:
+            small = count_calls(m, basic, "_small_sides")
+            tried = count_calls(m, basic, "_good_partition_masks")
+            witness = good_partition_of(T)
+        assert len(small) == len(tried), T
+        if witness is None:
+            missing += 1
+            assert len(tried) == len(_small_sides_masks(T)) + 2, T
+    assert missing > 50
+
+
 def test_c24_passes_the_preconditions():
     assert check_preconditions(cycle(24)).ok
 
@@ -318,16 +419,17 @@ def test_search_states_enter_only_nodes_the_stateless_predicates_entered(monkeyp
 
 
 def test_two_join_leaf_states_are_the_bundles_of_x1():
-    # a leaf is kept exactly when the scan of X1 finds two bundles, and its
-    # bicliques are those bundles once named with A holding the smallest
-    # bundle vertex
+    # a leaf is kept exactly when the scan of X1 finds two bundles and each
+    # side has three vertices, and its bicliques are those bundles once
+    # named with A holding the smallest bundle vertex
     kept = 0
     for T in DIFFERENTIAL:
         full = (1 << T.n) - 1
         leaves = dict(_pruned_masks(T.n, _two_join_step(T), (0, 0, 0, 0)))
         for x1 in range(1, full):
             bundles = _bundles(T, x1, full ^ x1)
-            if bundles is None or not bundles[3]:
+            if (bundles is None or not bundles[3]
+                    or min(x1.bit_count(), (full ^ x1).bit_count()) < 3):
                 assert x1 not in leaves, (T, x1)
                 continue
             p1, q1, p2, q2 = leaves[x1]
