@@ -11,22 +11,21 @@ whole trigraph, which is what makes the decomposition useful.
 """
 
 from evenpairs import (build_block, find_2join, find_balanced_skew_partition,
-                       find_star_cutset, full_realization, is_even_pair,
-                       iter_2joins, join_parity, to_text)
+                       full_realization, is_even_pair, iter_2joins, to_text)
 from evenpairs.families import cycle, path_graph
 
 # The path P4 has a star cutset (its two middle vertices), which for Berge
-# trigraphs always yields a balanced skew-partition.
-star = find_star_cutset(path_graph(4))
-print("P4 star cutset:", sorted(star.b), "center", star.star)
+# trigraphs always yields a balanced skew-partition; here the first one found
+# is the star cutset itself, and the witness names its center.
 bsp = find_balanced_skew_partition(path_graph(4))
 print("P4 balanced skew-partition:", sorted(bsp.a), "/", sorted(bsp.b))
+print("P4 star cutset:", sorted(bsp.b), "center", bsp.star)
 
 # The 8-hole: no skew-partition, but a proper odd 2-join.
 c8 = cycle(8)
 split = find_2join(c8)
 print("C8 split: A1", sorted(split.a1), "B1", sorted(split.b1),
-      "C1", sorted(split.c1), "parity", join_parity(c8, split))
+      "C1", sorted(split.c1), "parity", split.parity)
 
 # Its block is a 6-hole with one switchable pair: the two markers a, b
 # stand in for the removed side, and their switchable pair remembers that

@@ -12,8 +12,9 @@ lazy oracle scan over their strongly antiadjacent pairs.
 """
 
 from evenpairs import (classify_basic, even_pair_basic, find_good_pair,
-                       good_partition_of, is_even_pair, is_favorable,
-                       line_root_of, verify_root_properties)
+                       good_partition_of, is_even_pair, line_root_of,
+                       verify_root_properties)
+from evenpairs.basic import favorability
 from evenpairs.families import (complete_bipartite, cycle, line_graph,
                                 path_graph, prism3)
 
@@ -46,7 +47,7 @@ print("C8 root report ok:", verify_root_properties(cycle(8)).ok)
 # Favorability: at least five vertices, a strongly antiadjacent pair away
 # from the switchable component, and a non-clique leftover for small
 # components; favorable members have even pairs avoiding their switchable
-# component.
-print("C6 favorable:", is_favorable(cycle(6)).favorable)
+# component.  The engine asks only about class members, which C6 is.
+print("C6 favorable:", favorability(cycle(6)).favorable)
 pair = even_pair_basic(cycle(6))
 print("even pair of C6:", pair)

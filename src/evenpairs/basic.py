@@ -26,7 +26,7 @@ from .detect import even_pairs, is_even_pair
 from .errors import InputError, TheoremContradictionError
 from .trigraph import (Trigraph, _is_clique, _mask_components, _pruned_masks,
                        _reach, _Record, bits_of, complement, full_realization,
-                       in_class_F, is_complete, mask_of, switchable_vertices)
+                       is_complete, mask_of, switchable_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +282,12 @@ class FavorabilityVerdict(_Record):
         return self.favorable
 
 
-def is_favorable(T: Trigraph) -> FavorabilityVerdict:
-    """Favorability for class members: at least five vertices, a strongly
+def favorability(T: Trigraph) -> FavorabilityVerdict:
+    """Favorability for a trigraph already known to be a class member,
+    which is not checked again: at least five vertices, a strongly
     antiadjacent pair avoiding the switchable component, and for a small
     component {x, y} some leftover side T - (D + N(x)) or T - (D + N(y))
     that is not a clique."""
-    verdict = in_class_F(T)
-    if not verdict.ok:
-        raise InputError(f"favorability needs a class member: {verdict.violation}")
-    return favorability(T)
-
-
-def favorability(T: Trigraph) -> FavorabilityVerdict:
-    """``is_favorable`` for a trigraph already known to be a class member,
-    without checking that again."""
     D = switchable_vertices(T)
     if T.n < 5:
         return FavorabilityVerdict(False, "fewer than five vertices")
@@ -326,29 +318,12 @@ class GoodPairWitness(_Record):
         self.__dict__.update(edge1=edge1, edge2=edge2)
 
 
-def is_good_pair(H: Trigraph, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """Whether the edges e1 and e2 of the bipartite graph H form a good
-    pair.  Goodness reduces to two disconnection checks: removing {b1, b2}
-    must separate a1 from a2, and removing {a1, a2} must separate b1 from
-    b2.  Edges that share an end are no good pair; a pair that is not an
-    edge of H, and an H that is not a bipartite graph, raise InputError."""
-    if not H.is_graph:
-        raise InputError("good pairs live in graphs")
-    for u, v in (e1, e2):
-        if not (0 <= u < H.n and 0 <= v < H.n and H.adj[u] >> v & 1):
-            raise InputError(f"pair ({u}, {v}) is not an edge of the graph")
-    if set(e1) & set(e2):
-        return False
-    coloring = bipartition_of(H)
-    if coloring is None:
-        raise InputError("good pairs live in bipartite graphs")
-    return _good_witness(H, coloring[0], e1, e2) is not None
-
-
 def _good_witness(H: Trigraph, side: frozenset[int], e1: tuple[int, int],
                   e2: tuple[int, int]) -> GoodPairWitness | None:
-    """The disjoint edges e1, e2 oriented with a1, a2 in ``side``, if they
-    form a good pair."""
+    """The disjoint edges e1, e2 of the bipartite graph H oriented with a1,
+    a2 in ``side``, if they form a good pair.  Goodness reduces to two
+    disconnection checks: removing {b1, b2} must separate a1 from a2, and
+    removing {a1, a2} must separate b1 from b2."""
     a1, b1 = e1 if e1[0] in side else (e1[1], e1[0])
     a2, b2 = e2 if e2[0] in side else (e2[1], e2[0])
     full = (1 << H.n) - 1
@@ -363,7 +338,7 @@ def find_good_pair(H: Trigraph, forbidden_interior=frozenset()) -> GoodPairWitne
     ``forbidden_interior``, or None when there is none.
 
     Pairs of disjoint allowed edges are scanned in lexicographic order and
-    each gets the two disconnection checks of ``is_good_pair``.  The root
+    each gets the two disconnection checks of ``_good_witness``.  The root
     of a line trigraph has one edge per trigraph vertex, so the scan meets
     at most C(32, 2) = 496 pairs there.
     """

@@ -16,7 +16,8 @@ JSON document with sorted keys and a two-space indent, byte for byte what
 the involved witnesses as compact sorted-key JSON lines.  Exit codes:
 0 success, 1 precondition failure, 2 input error (an unreadable input or
 unwritable certificate path included), 3 a TheoremContradictionError,
-which every internal cross-check raises.
+which every internal cross-check raises.  A reader that closes stdout
+early does not change the exit code.
 
 Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable, an
 integer >= 1 (default 1; any other value is an input error).
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -89,7 +91,12 @@ def _emit(document: dict, cert_objects: list, cert_path: str | None) -> None:
             for obj in cert_objects:
                 if obj is not None:
                     fh.write(json.dumps(certs.to_jsonable(obj), sort_keys=True) + "\n")
-    print(_dumps(certs.to_jsonable(document)))
+    try:
+        print(_dumps(certs.to_jsonable(document)), flush=True)
+    except BrokenPipeError:
+        # the reader is gone, which is no input error: the command keeps its
+        # exit code, and stdout points at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_analyze(args) -> int:
@@ -114,10 +121,7 @@ def _cmd_even_pair(args) -> int:
 
 
 def _cmd_contract_color(args) -> int:
-    T = load(args.input, args.format)
-    if not T.is_graph:
-        raise InputError("contract-color expects a graph input")
-    seq = run_contraction_sequence(T)
+    seq = run_contraction_sequence(load(args.input, args.format))
     coloring = derive_coloring(seq) if seq.outcome == "complete" else None
     _emit({"command": "contract-color", "sequence": seq, "coloring": coloring},
           [seq, coloring], args.emit_cert)

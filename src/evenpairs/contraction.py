@@ -1,4 +1,4 @@
-"""Even-pair contraction for graphs, contraction sequences, and colorings.
+"""Contraction sequences of graphs, and the colorings they unwind into.
 
 Contracting an even pair {u, v} replaces the two vertices by one whose
 neighborhood is the union of theirs; this preserves the clique number,
@@ -7,14 +7,15 @@ work.  Contraction is defined for graphs only; realize a trigraph first.
 A contraction sequence ends "complete" (its terminal is a clique, so it
 unwinds into an optimal coloring) or "stuck" (no even pair is left); a
 graph is even-contractile exactly when ``run_contraction_sequence`` ends
-complete.  Its search draws each graph's pairs from ``detect.even_pairs``.
+complete.  Its search draws each graph's pairs from ``detect.even_pairs``,
+which has checked each one with the oracle.
 """
 
 from __future__ import annotations
 
 from .canonical import canonical_form
-from .detect import even_pairs, is_berge, is_even_pair
-from .errors import InputError, NonBergeError, NotEvenPairError, TheoremContradictionError
+from .detect import even_pairs, is_berge
+from .errors import InputError, NonBergeError, TheoremContradictionError
 from .trigraph import Trigraph, _Record, bits_of, clique_number, is_complete
 
 
@@ -39,25 +40,9 @@ class Coloring(_Record):
         self.__dict__.update(assignment=assignment, color_count=color_count)
 
 
-def contract_even_pair(G: Trigraph, u: int, v: int) -> Trigraph:
-    """The graph G / {u, v}.
-
-    The merged vertex takes the smaller of the two freed indices (so it sits
-    at min(u, v)); vertices above max(u, v) shift down by one.
-    """
-    if not G.is_graph:
-        raise InputError("contraction is defined for graphs only")
-    if u == v:
-        raise InputError("contraction pair must be two distinct vertices")
-    report = is_even_pair(G, u, v)
-    if not report.is_even_pair:
-        raise NotEvenPairError(
-            f"({u}, {v}) is not an even pair ({report.verdict})", report.witness)
-    return _merge(G, min(u, v), max(u, v))
-
-
 def _merge(G: Trigraph, u: int, v: int) -> Trigraph:
-    """G / {u, v} for a pair u < v already known to be even."""
+    """The graph G / {u, v} for an even pair u < v: the merged vertex sits
+    at u, and the vertices above v shift down by one."""
     strong = list(G.strong)
     strong[u] = (G.strong[u] | G.strong[v]) & ~(1 << u | 1 << v)
     for w in bits_of(strong[u]):
@@ -75,8 +60,11 @@ def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
     order and skips graphs already known, up to isomorphism, to lead
     nowhere.  It returns the first complete sequence found or, failing
     that, the first stuck one, which is the greedy sequence that always
-    contracts the least even pair.
+    contracts the least even pair.  A trigraph raises InputError, and a
+    non-Berge graph NonBergeError.
     """
+    if not G.is_graph:
+        raise InputError("contraction sequences require a graph input")
     berge, witness = is_berge(G)
     if not berge:
         raise NonBergeError("contraction sequences require a Berge graph", witness)

@@ -1,4 +1,4 @@
-"""Skew-partitions, star cutsets, 2-joins, and blocks.
+"""Balanced skew-partitions, 2-joins, and blocks.
 
 The balanced-skew-partition and 2-join searches meet bipartitions in
 increasing bitmask order (bit i is vertex i), so results are deterministic
@@ -29,11 +29,10 @@ near-complete inputs prune least.
 
 from __future__ import annotations
 
-from .detect import is_berge
-from .errors import InputError, NonBergeError, TheoremContradictionError
+from .errors import InputError
 from .trigraph import (Trigraph, _mask_components, _mask_connected, _paths,
-                       _pruned_masks, _Record, _vertex_mask, bits_of, complement,
-                       mask_of, renumber)
+                       _pruned_masks, _Record, bits_of, complement, mask_of,
+                       renumber)
 
 
 class TwoJoinSplit(_Record):
@@ -132,35 +131,24 @@ def _odd_path_exists(adj, anti, ends: int, inner: int) -> bool:
     return False
 
 
-def is_balanced_partition(T: Trigraph, a: frozenset[int], b: frozenset[int]) -> bool:
-    """Balance for a skew-partition: no odd path of length > 1 with ends in
-    B and interior in A, and no odd antipath of length > 1 with ends in A
-    and interior in B.  Each side is one chordless-path search per end
-    (``_odd_path_exists``).  A vertex outside 0..n-1, or an (A, B) that is
-    not a partition of the vertices, raises InputError."""
-    a_mask, b_mask = _vertex_mask(T, a), _vertex_mask(T, b)
-    if a_mask & b_mask:
-        raise InputError("A and B overlap")
-    if a_mask | b_mask != (1 << T.n) - 1:
-        raise InputError("A and B do not cover the vertices")
-    return _is_balanced(T, a_mask, b_mask)
-
-
 def _is_balanced(T: Trigraph, a_mask: int, b_mask: int) -> bool:
-    """``is_balanced_partition`` on the masks of a partition (A, B); the
-    antipaths are the paths of the swapped masks."""
+    """Balance for the skew-partition (A, B) with the masks ``a_mask`` and
+    ``b_mask``: no odd path of length > 1 with ends in B and interior in A,
+    and no odd antipath of length > 1 with ends in A and interior in B.
+    Each side is one chordless-path search per end (``_odd_path_exists``);
+    the antipaths are the paths of the swapped masks."""
     return not (_odd_path_exists(T.adj, T.anti, b_mask, a_mask)
                 or _odd_path_exists(T.anti, T.adj, a_mask, b_mask))
 
 
-def _witness_for(T: Trigraph, a_mask: int, complete_b: int,
-                 balanced: bool) -> SkewPartitionWitness:
-    """The witness of the skew-partition (A, B) with the A-mask ``a_mask``:
-    the split puts the first component of A and the first anticomponent of
-    B apart from the rest, and the star center is the lowest vertex of B in
-    ``complete_b`` (the leaf state of ``_skew_masks``), if any.  The
-    (anti)components come as masks from one ``_mask_components`` pass each,
-    and sets are built only for the witness."""
+def _witness_for(T: Trigraph, a_mask: int, complete_b: int) -> SkewPartitionWitness:
+    """The witness of the balanced skew-partition (A, B) with the A-mask
+    ``a_mask``: the split puts the first component of A and the first
+    anticomponent of B apart from the rest, and the star center is the
+    lowest vertex of B in ``complete_b`` (the leaf state of
+    ``_skew_masks``), if any.  The (anti)components come as masks from one
+    ``_mask_components`` pass each, and sets are built only for the
+    witness."""
     b_mask = ((1 << T.n) - 1) ^ a_mask
     comp = _mask_components(T.adj, a_mask)[0]
     anticomp = _mask_components(T.anti, b_mask)[0]
@@ -169,21 +157,7 @@ def _witness_for(T: Trigraph, a_mask: int, complete_b: int,
     stars = complete_b & b_mask
     star = (stars & -stars).bit_length() - 1 if stars else None
     return SkewPartitionWitness(frozenset(bits_of(a_mask)),
-                                frozenset(bits_of(b_mask)), split, balanced, star)
-
-
-def find_star_cutset(T: Trigraph) -> SkewPartitionWitness | None:
-    """First skew-partition (A, B) in increasing A-mask order in which some
-    anticomponent of B is a single vertex v; then B consists of v and
-    strong neighbors of v.  Those v are the vertices of B in the leaf
-    state's mask of vertices strongly complete to B."""
-    full = (1 << T.n) - 1
-    for a_mask, (complete_b, *_) in _skew_masks(T):
-        b_mask = full ^ a_mask
-        if complete_b & b_mask:
-            return _witness_for(T, a_mask, complete_b,
-                                _is_balanced(T, a_mask, b_mask))
-    return None
+                                frozenset(bits_of(b_mask)), split, True, star)
 
 
 def _skew_masks(T: Trigraph):
@@ -265,7 +239,7 @@ def find_balanced_skew_partition(T: Trigraph) -> SkewPartitionWitness | None:
     full = (1 << T.n) - 1
     for a_mask, (complete_b, *_) in _skew_masks(T):
         if _is_balanced(T, a_mask, full ^ a_mask):
-            return _witness_for(T, a_mask, complete_b, True)
+            return _witness_for(T, a_mask, complete_b)
     return None
 
 
@@ -413,23 +387,6 @@ def find_2join(T: Trigraph) -> TwoJoinSplit | None:
     one with vertex n - 1 in X2; the search never puts n - 1 in X1."""
     leaves = _pruned_masks(T.n, _two_join_step(T, mirrors=False), (0, 0, 0, 0))
     return next(filter(None, (_derive_split(T, *leaf) for leaf in leaves)), None)
-
-
-def join_parity(T: Trigraph, split: TwoJoinSplit) -> str:
-    """Parity of a proper 2-join of a Berge trigraph, verified exhaustively
-    over both sides; mixed parities would contradict the parity theorem for
-    Berge trigraphs and raise."""
-    berge, witness = is_berge(T)
-    if not berge:
-        raise NonBergeError("join parity requires a Berge trigraph", witness)
-    if not split.proper:
-        raise InputError("join parity requires a proper 2-join")
-    parity = observed_parity(T, (split.a1, split.b1, split.c1,
-                                 split.a2, split.b2, split.c2))
-    if parity is None:
-        raise TheoremContradictionError(
-            "proper 2-join of a Berge trigraph without a common path parity")
-    return parity
 
 
 def find_complement_2join(T: Trigraph) -> TwoJoinSplit | None:

@@ -21,7 +21,6 @@ from collections import Counter
 from contextlib import nullcontext
 
 from .basic import classify_basic, even_pair_basic, favorability
-from .corpus import graphs_upto, planted_class_f_trigraphs, random_canonical_graphs
 from .decomposition import build_block, check_nobsp_2join_shape, find_2join, find_balanced_skew_partition
 from .detect import (_antiholes, find_antihole_of_length_at_least, find_odd_hole,
                      find_prism, is_even_pair)
@@ -217,6 +216,9 @@ def _run_instance(T: Trigraph) -> dict:
 
 def _instances_for(scope: str, n_max: int, sample: int | None,
                    seed: int) -> list[Trigraph]:
+    # deferred, so that a cold start does not import the generators and random
+    from .corpus import graphs_upto, planted_class_f_trigraphs, random_canonical_graphs
+
     if scope == "graphs":
         if sample is None:
             return graphs_upto(n_max)

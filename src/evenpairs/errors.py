@@ -7,17 +7,6 @@ class InputError(ValueError):
     """Malformed or out-of-contract input (bad pair, bad format, wrong kind)."""
 
 
-class NotEvenPairError(ValueError):
-    """A pair offered for contraction is not an even pair.
-
-    Carries the odd-path witness that disqualifies it.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NonBergeError(ValueError):
     """An operation that requires a Berge input was given a non-Berge one."""
 

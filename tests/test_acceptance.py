@@ -9,8 +9,8 @@ numeric slack anywhere.
 import itertools
 import random
 
-from evenpairs.basic import find_good_pair, is_favorable, verify_root_properties
-from evenpairs.contraction import (contract_even_pair, derive_coloring,
+from evenpairs.basic import favorability, find_good_pair, verify_root_properties
+from evenpairs.contraction import (_merge, derive_coloring,
                                    run_contraction_sequence)
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 from evenpairs import trigraph
@@ -81,7 +81,7 @@ def test_criterion_3_contraction_invariants():
                 continue
             if not is_even_pair(g, u, v).is_even_pair:
                 continue
-            contracted = contract_even_pair(g, u, v)
+            contracted = _merge(g, u, v)
             assert is_berge(contracted)[0], (g.strong_edges(), (u, v))
             assert clique_number(contracted) == omega, (g.strong_edges(), (u, v))
             pairs_checked += 1
@@ -198,7 +198,7 @@ def test_criterion_7_unfavorable_members_are_tiny():
             continue
         if find_antihole_of_length_at_least(t, 6) is not None:
             continue
-        if is_favorable(t).favorable:
+        if favorability(t).favorable:
             continue
         unfavorable += 1
         assert is_complete(t) or t.n <= 5, (t.strong_edges(),

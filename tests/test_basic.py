@@ -5,18 +5,18 @@ from collections import Counter
 import pytest
 
 from evenpairs import basic
-from evenpairs.basic import (BasicClassification, classify_basic,
+from evenpairs.basic import (BasicClassification, LineRootCertificate,
+                             _good_witness, bipartition_of, classify_basic,
                              even_pair_basic, favorability, find_good_pair,
-                             good_partition_of, has_k4_minor, is_favorable,
-                             is_good_pair, line_root_of,
-                             verify_root_properties, bipartition_of)
+                             good_partition_of, has_k4_minor, line_root_of,
+                             verify_root_properties)
 from evenpairs.decomposition import build_block, find_2join
 from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
                               planted_class_f_trigraphs)
 from evenpairs.detect import (find_antihole_of_length_at_least, find_odd_hole,
                               find_prism, is_berge, is_even_pair)
 from evenpairs.engine import find_even_pair_structured
-from evenpairs.errors import InputError
+from evenpairs.errors import InputError, TheoremContradictionError
 from evenpairs.families import (complete_bipartite, complete_graph, cycle,
                                 empty_graph, line_graph, path_graph, prism3)
 from evenpairs.formats import from_text, to_text
@@ -264,27 +264,22 @@ def test_closure_under_operations():
 # -- favorability ----------------------------------------------------------------
 
 def test_favorable_c6(c6):
-    assert is_favorable(c6).favorable
+    assert favorability(c6).favorable
 
 
 def test_unfavorable_k5():
-    v = is_favorable(complete_graph(5))
+    v = favorability(complete_graph(5))
     assert not v.favorable and "antiadjacent" in v.failed
 
 
 def test_unfavorable_small():
-    v = is_favorable(complete_graph(4))
+    v = favorability(complete_graph(4))
     assert not v.favorable and v.failed == "fewer than five vertices"
 
 
 def test_favorable_block_of_c8(c8):
     block = build_block(c8, find_2join(c8), 1)
-    assert is_favorable(block.trigraph).favorable
-
-
-def test_favorability_requires_class_membership(c5):
-    with pytest.raises(InputError):
-        is_favorable(c5)
+    assert favorability(block.trigraph).favorable
 
 
 def test_verdicts_are_false_when_they_fail():
@@ -344,7 +339,7 @@ def test_good_pair_on_square(c4):
     w = find_good_pair(c4)
     assert w is not None
     assert not (set(w.edge1) & set(w.edge2))
-    assert is_good_pair(c4, w.edge1, w.edge2)
+    assert _good_witness(c4, bipartition_of(c4)[0], w.edge1, w.edge2) == w
 
 
 def test_good_pair_none_on_star():
@@ -352,16 +347,18 @@ def test_good_pair_none_on_star():
 
 
 def test_good_pair_rejects_non_bipartite():
-    with pytest.raises(InputError):
-        find_good_pair(complete_graph(3))
     with pytest.raises(InputError, match="bipartite"):
-        is_good_pair(cycle(5), (0, 1), (2, 3))
+        find_good_pair(complete_graph(3))
     with pytest.raises(InputError, match="good pairs live in graphs"):
         find_good_pair(make_trigraph(2, [(0, 1, 0)]))
 
 
 def test_edges_sharing_an_end_are_no_good_pair(c4):
-    assert not is_good_pair(c4, (0, 1), (1, 2))
+    # the shared end separates nothing from itself, so the scan loses no
+    # good pair by skipping such edges
+    side = bipartition_of(c4)[0]
+    assert _good_witness(c4, side, (0, 1), (1, 2)) is None
+    assert _good_witness(c4, side, (1, 2), (2, 3)) is None
 
 
 def _good_by_definition(h, side, e1, e2):
@@ -373,29 +370,18 @@ def _good_by_definition(h, side, e1, e2):
 
 
 def test_good_pair_oracle_definition():
-    # cross-check is_good_pair against brute-force path enumeration
+    # cross-check the disconnection checks against brute-force path enumeration
     rng = random.Random(44)
     for _ in range(40):
         a, b = rng.randint(1, 3), rng.randint(1, 3)
         h = graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)
                                      if rng.random() < 0.6])
-        edges = h.strong_edges()
-        for e1, e2 in itertools.combinations(edges, 2):
+        side = bipartition_of(h)[0]
+        for e1, e2 in itertools.combinations(h.strong_edges(), 2):
             if set(e1) & set(e2):
                 continue
-            brute = _good_by_definition(h, bipartition_of(h)[0], e1, e2)
-            assert is_good_pair(h, e1, e2) == brute
-
-
-@pytest.mark.parametrize("h, e1, e2", [
-    (cycle(8), (0, 2), (4, 6)),   # neither pair is an edge
-    (cycle(8), (0, 1), (9, 3)),   # a vertex out of range
-    (cycle(8), (0, 0), (4, 5)),   # a self-pair
-    (make_trigraph(4, [(0, 1, 1), (2, 3, 0)]), (0, 1), (2, 3)),  # not a graph
-])
-def test_good_pair_rejects_pairs_that_are_not_edges_of_a_graph(h, e1, e2):
-    with pytest.raises(InputError):
-        is_good_pair(h, e1, e2)
+            brute = _good_by_definition(h, side, e1, e2)
+            assert (_good_witness(h, side, e1, e2) is not None) == brute
 
 
 def test_good_pair_avoids_forbidden_interior():
@@ -434,7 +420,7 @@ def test_good_pair_found_on_a_path_root_around_a_forbidden_vertex():
     # root path 4-0-1-3-2-5 with vertex 1 forbidden: the end edges are good
     h = graph_from_edges(6, [(0, 1), (0, 4), (1, 3), (2, 3), (2, 5)])
     w = find_good_pair(h, {1})
-    assert w is not None and is_good_pair(h, w.edge1, w.edge2)
+    assert w is not None and _good_witness(h, bipartition_of(h)[0], w.edge1, w.edge2) == w
     assert not ((set(w.edge1) | set(w.edge2)) & {1})
 
 
@@ -765,6 +751,61 @@ def test_finders_always_verified():
         assert (pair is None) == is_complete(g)
         if pair is not None:
             assert is_even_pair(g, *pair).is_even_pair
+
+
+# -- guards ---------------------------------------------------------------------------------
+
+# a path whose middle pair {2, 3} is switchable (a small component), and a
+# light path {0, 1, 2} beside an isolated vertex
+SMALL_PATH = make_trigraph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 0), (3, 4, 1), (4, 5, 1)])
+LIGHT_PATH = make_trigraph(4, [(0, 1, 0), (1, 2, 0)])
+
+
+def _line_with_crossed_edges(t):
+    """The line certificate of ``t`` with the root edges of vertices 0 and
+    2 swapped."""
+    cert = line_root_of(t)
+    edges = list(cert.vertex_edges)
+    edges[0], edges[2] = edges[2], edges[0]
+    return BasicClassification("line", line_root=LineRootCertificate(
+        cert.root, tuple(edges), cert.side))
+
+
+BASIC_GUARDS = [
+    # (sub-step patched with a wrong answer, or None when the classification
+    #  is the wrong answer; leaf; need_disjoint; classification; message)
+    ("crossed-root", None, SMALL_PATH, True, _line_with_crossed_edges,
+     "switchable component does not map to a short root path"),
+    ("no-good-pair", ("_good_pair_scan", lambda *_: None), SMALL_PATH, True,
+     lambda t: _forced("line", t),
+     "no good pair in the root of a non-complete line trigraph"),
+    # the caller's favorability is the wrong answer: it asks a four-vertex
+    # leaf, which is unfavorable, for a pair avoiding its switchable path
+    ("bipartite-ran-out", None, LIGHT_PATH, True, classify_basic,
+     "bipartite leaf ran out of vertices outside the switchable component"),
+    ("light-in-doubled", None, LIGHT_PATH, False, lambda _: BasicClassification("doubled"),
+     "light switchable component inside a doubled leaf"),
+    ("no-even-pair", ("even_pairs", lambda *_: iter(())), prism3(), False,
+     classify_basic, "complement_bipartite leaf found no even pair"),
+    ("meets-component", ("_lifted_good_pair", lambda *_: (1, 2)), SMALL_PATH, True,
+     lambda t: _forced("line", t),
+     "line leaf: constructed pair (1, 2) meets the switchable component"),
+]
+
+
+@pytest.mark.parametrize("patch, t, need_disjoint, classify, message",
+                         [row[1:] for row in BASIC_GUARDS],
+                         ids=[row[0] for row in BASIC_GUARDS])
+def test_each_basic_leaf_guard_raises(monkeypatch, patch, t, need_disjoint, classify,
+                                      message):
+    # one wrong answer from the sub-step a leaf guard checks reaches that
+    # guard, with its own message
+    classification = classify(t)
+    if patch is not None:
+        monkeypatch.setattr(basic, *patch)
+    with pytest.raises(TheoremContradictionError) as err:
+        even_pair_basic(t, need_disjoint, classification)
+    assert str(err.value) == message
 
 
 # -- root properties ------------------------------------------------------------------------

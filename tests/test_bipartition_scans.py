@@ -15,8 +15,8 @@ import pytest
 from evenpairs import basic
 from evenpairs.basic import GoodPartition, good_partition_of
 from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
-from evenpairs.decomposition import (TwoJoinSplit, find_balanced_skew_partition,
-                                     is_balanced_partition)
+from evenpairs.decomposition import (TwoJoinSplit, _is_balanced,
+                                     find_balanced_skew_partition)
 from evenpairs.families import cycle
 from evenpairs.trigraph import (_mask_connected, bits_of, complement, components,
                                 full_realization, induced)
@@ -42,7 +42,7 @@ def reference_bsp(T):
         b = frozenset(range(n)) - a
         if _connected(T, a, "connected") or _connected(T, b, "anticonnected"):
             continue
-        if is_balanced_partition(T, a, b):
+        if _is_balanced(T, a_mask, ((1 << n) - 1) ^ a_mask):
             return skew_witness_by_components(T, a_mask, True)
     return None
 

@@ -1,9 +1,9 @@
 import json
 
 from evenpairs import certs
-from evenpairs.basic import (classify_basic, find_good_pair, is_favorable,
+from evenpairs.basic import (classify_basic, favorability, find_good_pair,
                              line_root_of, verify_root_properties)
-from evenpairs.decomposition import find_star_cutset
+from evenpairs.decomposition import find_balanced_skew_partition
 from evenpairs.detect import find_prism, is_even_pair
 from evenpairs.families import complete_bipartite, cycle, path_graph, prism3
 from evenpairs.trigraph import in_class_F, make_trigraph
@@ -22,8 +22,8 @@ def test_every_witness_kind_serializes():
     doc = roundtrip(is_even_pair(cycle(6), 0, 3))
     assert doc["witness"]["parity"] == "odd"
 
-    doc = roundtrip(find_star_cutset(path_graph(4)))
-    assert doc["kind"] == "skew_partition" and doc["star"] in (1, 2)
+    doc = roundtrip(find_balanced_skew_partition(path_graph(4)))
+    assert doc["kind"] == "skew_partition" and doc["star"] == 1
 
     doc = roundtrip(find_good_pair(path_graph(4)))
     assert doc["kind"] == "good_pair"
@@ -40,7 +40,7 @@ def test_every_witness_kind_serializes():
     doc = roundtrip(in_class_F(make_trigraph(2, [(0, 1, 0)])))
     assert doc["component_kind"] == "small"
 
-    doc = roundtrip(is_favorable(cycle(6)))
+    doc = roundtrip(favorability(cycle(6)))
     assert doc["favorable"] is True
 
 

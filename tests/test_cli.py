@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -254,6 +255,20 @@ def test_help_lists_subcommands():
         assert name in proc.stdout
 
 
+@pytest.mark.parametrize("g6, code", [("EhEG", 0), (to_graph6(cycle(5)), 1)])
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(g6, code):
+    # the reader closes its end before the command starts, so the document
+    # meets a broken pipe; that is no input error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "evenpairs.cli", "analyze", g6],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_even_pair_cert_line_is_golden(capsys, tmp_path, c6):
     # certificates are stable sorted-key JSON lines, diffable as goldens
     cert = tmp_path / "c.jsonl"
@@ -295,9 +310,9 @@ def test_verify_input_errors_exit_two(capsys, args, message):
 def test_verify_refuses_an_impossible_sample_before_drawing(capsys, monkeypatch,
                                                             sample, code, instances):
     # there are 11 graphs on 4 vertices: one more is refused with no draw
-    from evenpairs import engine
+    from evenpairs import corpus
 
-    draws = count_calls(monkeypatch, engine, "random_canonical_graphs")
+    draws = count_calls(monkeypatch, corpus, "random_canonical_graphs")
     got, doc, err = run_cli(capsys, "verify", "--nmax", "4", "--sample", str(sample))
     assert got == code
     if instances is None:

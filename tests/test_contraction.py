@@ -4,11 +4,11 @@ from collections import Counter
 
 import pytest
 
-from evenpairs.contraction import (_merge, contract_even_pair, derive_coloring,
+from evenpairs.contraction import (_merge, derive_coloring,
                                    run_contraction_sequence)
 from evenpairs.corpus import graphs_upto
 from evenpairs.detect import is_berge, is_even_pair
-from evenpairs.errors import InputError, NonBergeError, NotEvenPairError
+from evenpairs.errors import InputError, NonBergeError
 from evenpairs.families import cycle, empty_graph, prism3
 from evenpairs.formats import from_graph6
 from evenpairs.trigraph import clique_number, is_complete, make_trigraph
@@ -17,38 +17,25 @@ from conftest import count_calls, merge_by_renumbering, random_graph
 
 
 def test_contract_c4_gives_path(c4):
-    g = contract_even_pair(c4, 0, 2)
+    g = _merge(c4, 0, 2)
     assert g.n == 3
     assert sorted(g.strong_edges()) == [(0, 1), (0, 2)]
 
 
 def test_contract_two_isolated_vertices():
-    g = contract_even_pair(empty_graph(2), 0, 1)
+    g = _merge(empty_graph(2), 0, 1)
     assert g.n == 1
 
 
 def test_contract_c6_preserves_clique_number(c6):
-    g = contract_even_pair(c6, 0, 2)
+    g = _merge(c6, 0, 2)
     assert g.n == 5 and clique_number(g) == 2
-
-
-def test_contract_rejects_non_even_pair(c6):
-    with pytest.raises(NotEvenPairError) as err:
-        contract_even_pair(c6, 0, 3)
-    assert err.value.witness.vertices == (0, 1, 2, 3)
-    with pytest.raises(NotEvenPairError):
-        contract_even_pair(c6, 0, 1)
-
-
-def test_contract_rejects_a_single_vertex(c4):
-    with pytest.raises(InputError, match="two distinct vertices"):
-        contract_even_pair(c4, 1, 1)
 
 
 def test_contract_rejects_trigraph():
     t = make_trigraph(3, [(0, 1, 0)])
-    with pytest.raises(InputError):
-        contract_even_pair(t, 0, 2)
+    with pytest.raises(InputError, match="graph input"):
+        run_contraction_sequence(t)
 
 
 def test_sequence_c4_two_steps(c4):
@@ -122,7 +109,7 @@ def test_derive_coloring_rejects_stuck():
 def test_each_contracted_pair_is_checked_once(monkeypatch, G):
     # the scan's oracle check (with its gadget cross-check) is the only one
     # a contracted pair gets; the merge does not check it again
-    from evenpairs import contraction, detect
+    from evenpairs import detect
 
     checks, gadgets = Counter(), Counter()
 
@@ -134,9 +121,7 @@ def test_each_contracted_pair_is_checked_once(monkeypatch, G):
 
     monkeypatch.setattr(detect, "_gadget_sees_odd_path",
                         counted(gadgets, detect._gadget_sees_odd_path))
-    wrapped = counted(checks, detect.is_even_pair)
-    for module in (detect, contraction):
-        monkeypatch.setattr(module, "is_even_pair", wrapped)
+    monkeypatch.setattr(detect, "is_even_pair", counted(checks, detect.is_even_pair))
     seq = run_contraction_sequence(G)
     assert seq.steps
     for step in seq.steps:
@@ -179,6 +164,6 @@ def test_contraction_preserves_berge_and_clique_number():
             continue
         checked += 1
         for u, v in pairs:
-            h = contract_even_pair(g, u, v)
+            h = _merge(g, u, v)
             assert is_berge(h)[0]
             assert clique_number(h) == clique_number(g)

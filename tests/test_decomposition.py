@@ -6,16 +6,14 @@ import pytest
 from evenpairs import decomposition
 from evenpairs.corpus import (graphs_of_order, graphs_upto,
                               planted_class_f_trigraphs)
-from evenpairs.decomposition import (TwoJoinSplit, _odd_path_exists,
-                                     _side_path_parities, _skew_masks,
-                                     build_block,
+from evenpairs.decomposition import (TwoJoinSplit, _is_balanced,
+                                     _odd_path_exists, _side_path_parities,
+                                     _skew_masks, build_block,
                                      check_nobsp_2join_shape,
                                      find_2join, find_balanced_skew_partition,
-                                     find_complement_2join, find_star_cutset,
-                                     is_balanced_partition, iter_2joins,
-                                     join_parity)
+                                     find_complement_2join, iter_2joins)
 from evenpairs.detect import is_berge, is_even_pair
-from evenpairs.errors import InputError, NonBergeError, TheoremContradictionError
+from evenpairs.errors import InputError
 from evenpairs.families import cycle
 from evenpairs.trigraph import (complement, components, full_realization,
                                 in_class_F, make_trigraph, mask_of,
@@ -28,16 +26,16 @@ from conftest import (count_calls, is_fragment, odd_path_exists_by_pairs,
 # -- star cutsets ------------------------------------------------------------
 
 def test_star_cutset_p4(p4):
-    wit = find_star_cutset(p4)
+    wit = find_balanced_skew_partition(p4)
     assert wit.a == frozenset({0, 3}) and wit.b == frozenset({1, 2})
-    assert wit.star in (1, 2)
+    assert wit.star == 1
     assert len(components(p4, wit.a)) > 1
     assert len(components(p4, wit.b, "anticonnected")) > 1
 
 
 def test_star_cutset_absent(c6, k4):
-    assert find_star_cutset(c6) is None
-    assert find_star_cutset(k4) is None
+    assert not _star_cutset_per_vertex(c6) and find_balanced_skew_partition(c6) is None
+    assert not _star_cutset_per_vertex(k4) and find_balanced_skew_partition(k4) is None
 
 
 def test_star_cutset_implies_bsp_for_berge():
@@ -53,7 +51,7 @@ def test_star_cutset_implies_bsp_for_berge():
     for g in pool:
         if not is_berge(g)[0]:
             continue
-        if find_star_cutset(g) is None:
+        if not _star_cutset_per_vertex(g):
             continue
         hits += 1
         assert find_balanced_skew_partition(g) is not None
@@ -75,17 +73,21 @@ def _star_cutset_per_vertex(t):
 
 
 def test_star_cutset_existence_matches_per_vertex_search():
+    # a witness's star is the least vertex of B strongly complete to the
+    # rest of B, and a witness with one is a star cutset by the reference
     from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
 
     hits = 0
     for t in list(graphs_upto(6)) + list(planted_class_f_trigraphs(5)):
-        wit = find_star_cutset(t)
-        assert (wit is not None) == _star_cutset_per_vertex(t), t
-        if wit is not None:
+        wit = find_balanced_skew_partition(t)
+        if wit is None:
+            continue
+        b_mask = mask_of(wit.b)
+        centers = [v for v in sorted(wit.b) if not t.anti[v] & b_mask]
+        assert wit.star == (centers[0] if centers else None), t
+        if centers:
             hits += 1
-            assert wit.star in wit.b and not t.anti[wit.star] & mask_of(wit.b)
-            assert len(components(t, wit.a)) > 1
-            assert len(components(t, wit.b, "anticonnected")) > 1
+            assert _star_cutset_per_vertex(t), t
     assert hits > 100
 
 
@@ -138,32 +140,16 @@ def test_skew_partition_witness_takes_one_anticomponent_pass(monkeypatch):
     passes = count_calls(monkeypatch, trigraph, "_mask_components")
     witnesses = 0
     for g in graphs_upto(6):
-        for search in (find_balanced_skew_partition, find_star_cutset):
-            passes.clear()
-            wit = search(g)
-            witnesses += wit is not None
-            assert len(passes) == (0 if wit is None else 2)
+        passes.clear()
+        wit = find_balanced_skew_partition(g)
+        witnesses += wit is not None
+        assert len(passes) == (0 if wit is None else 2)
     assert witnesses > 100
 
 
 def test_balance_checker_direct(c6):
     # ends {0, 3} in B with interior {1, 2} in A: one odd path, unbalanced
-    assert not is_balanced_partition(c6, frozenset({1, 2, 4, 5}), frozenset({0, 3}))
-
-
-@pytest.mark.parametrize("a, b, bad", [
-    ({1, 2, 4, 5, 9}, {0, 3}, 9), ({1, 2, 4, 5}, {0, 3, -1}, -1)])
-def test_balance_checker_rejects_out_of_range_vertices(c6, a, b, bad):
-    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
-        is_balanced_partition(c6, frozenset(a), frozenset(b))
-
-
-@pytest.mark.parametrize("a, b, message", [
-    ({0, 1, 2, 3}, {2, 3, 4, 5}, "A and B overlap"),
-    ({0}, {3}, "A and B do not cover the vertices")])
-def test_balance_checker_rejects_non_partitions(c6, a, b, message):
-    with pytest.raises(InputError, match=message):
-        is_balanced_partition(c6, frozenset(a), frozenset(b))
+    assert not _is_balanced(c6, mask_of({1, 2, 4, 5}), mask_of({0, 3}))
 
 
 def _small_pool():
@@ -277,30 +263,9 @@ def test_two_join_scan_builds_no_trigraph(c8, monkeypatch):
 
 
 def test_join_parity(c8):
-    s = find_2join(c8)
-    assert join_parity(c8, s) == "odd"
+    assert find_2join(c8).parity == "odd"
     c10 = cycle(10)
-    assert join_parity(c10, split_for(c10, {0, 1, 2, 3, 4})) == "even"
-
-
-def test_join_parity_rejects_non_berge(c5):
-    fake = split_for(cycle(8), {0, 1, 2, 3})
-    with pytest.raises(NonBergeError):
-        join_parity(c5, fake)
-
-
-def test_join_parity_without_paths_is_a_contradiction():
-    # a hand-made "proper" split of a stable set has no A-B path on either
-    # side, so no parity is observed
-    fake = TwoJoinSplit(*(frozenset({v}) for v in range(6)), parity=None, proper=True)
-    with pytest.raises(TheoremContradictionError):
-        join_parity(make_trigraph(6), fake)
-
-
-def test_join_parity_rejects_an_improper_split():
-    fake = TwoJoinSplit(*(frozenset({v}) for v in range(6)), parity=None, proper=False)
-    with pytest.raises(InputError, match="requires a proper 2-join"):
-        join_parity(make_trigraph(6), fake)
+    assert split_for(c10, {0, 1, 2, 3, 4}).parity == "even"
 
 
 def test_split_side_is_one_or_two(c8):

@@ -62,11 +62,54 @@ def test_no_module_imports_dataclasses_or_typing():
     assert len(SOURCES) > 10 and found == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_typing():
-    # -S keeps site .pth hooks, which may preload either module, out of it
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh ``import evenpairs.cli`` loads; -S keeps
+    site .pth hooks, which may preload some of them, out of it."""
     src = str(Path(evenpairs.__file__).parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import evenpairs.cli; "
-            "print(sorted({'dataclasses', 'typing'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-S", "-c", code, src],
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, src, *modules],
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    return run.stdout.split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    assert _loaded_by_cli_import(["dataclasses", "typing"]) == []
+
+
+def test_cli_import_loads_neither_the_corpus_nor_random():
+    # only verify needs the instance generators, and they alone need random
+    assert _loaded_by_cli_import(["evenpairs.corpus", "random"]) == []
+
+
+# Public names that no library module, demo or benchmark refers to, each
+# with the reason it stays public.
+UNREFERENCED_PUBLIC_NAMES = {
+    "induced": "the paper's induced-subtrigraph operation, which the tests use",
+}
+
+
+def _referenced_names(paths):
+    """The names the code of ``paths`` refers to, by a name, an attribute or
+    an import; a docstring or other string mentions nothing."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public name that only the tests use is dead surface: delete it, or
+    # list it above with its reason
+    root = Path(__file__).resolve().parents[1]
+    paths = ([p for p in SOURCES if p.name != "__init__.py"]
+             + sorted((root / "demos").glob("*.py"))
+             + sorted((root / "perfbench").glob("*.py")))
+    unreferenced = set(evenpairs.__all__) - _referenced_names(paths)
+    assert unreferenced == set(UNREFERENCED_PUBLIC_NAMES)

@@ -24,16 +24,14 @@ from evenpairs import basic, decomposition, detect
 from evenpairs.basic import GoodPartition, _good_partition_masks, good_partition_of
 from evenpairs.corpus import (graphs_upto, planted_class_f_trigraphs,
                               random_canonical_graphs)
-from evenpairs.decomposition import (_mask_connected, _skew_masks,
-                                     _two_join_step, find_2join,
-                                     find_balanced_skew_partition,
-                                     find_star_cutset, is_balanced_partition,
-                                     iter_2joins)
+from evenpairs.decomposition import (_is_balanced, _mask_connected,
+                                     _skew_masks, _two_join_step, find_2join,
+                                     find_balanced_skew_partition, iter_2joins)
 from evenpairs.detect import _iter_prisms, find_prism, validate_prism
 from evenpairs.engine import check_preconditions
 from evenpairs.families import cycle, line_graph
-from evenpairs.trigraph import (_mask_components, _pruned_masks, bits_of,
-                                complement, graph_from_edges, mask_of)
+from evenpairs.trigraph import (_pruned_masks, bits_of, complement,
+                                graph_from_edges, mask_of)
 
 from conftest import (_bundles, count_calls, extend_rungs_by_grow,
                       random_bipartite_graph, random_graph, random_trigraph,
@@ -70,23 +68,13 @@ def flat_skew_masks(T):
     for a_mask in range(1, full):
         b_mask = full ^ a_mask
         if not (_mask_connected(T.anti, b_mask) or _mask_connected(T.adj, a_mask)):
-            yield a_mask, frozenset(bits_of(a_mask)), frozenset(bits_of(b_mask))
+            yield a_mask, b_mask
 
 
 def flat_bsp(T):
-    for a_mask, a, b in flat_skew_masks(T):
-        if is_balanced_partition(T, a, b):
+    for a_mask, b_mask in flat_skew_masks(T):
+        if _is_balanced(T, a_mask, b_mask):
             return skew_witness_by_components(T, a_mask, True)
-    return None
-
-
-def flat_star_cutset(T):
-    """The first skew-partition with a one-vertex anticomponent of B, the
-    anticomponents taken from ``_mask_components``."""
-    for a_mask, a, b in flat_skew_masks(T):
-        if any(m.bit_count() == 1 for m in _mask_components(T.anti, mask_of(b))):
-            return skew_witness_by_components(T, a_mask,
-                                              is_balanced_partition(T, a, b))
     return None
 
 
@@ -443,15 +431,13 @@ def test_two_join_leaf_states_are_the_bundles_of_x1():
 def test_star_centers_match_the_flat_scan():
     # the star center comes from the skew leaf state, the references take it
     # from the one-vertex anticomponents of B
-    stars = balanced_stars = 0
+    bsps = stars = 0
     for T in INSTANCES + list(graphs_upto(7)) + list(planted_class_f_trigraphs(6)):
-        got = find_star_cutset(T)
-        assert got == flat_star_cutset(T), T
-        stars += got is not None
         bsp = find_balanced_skew_partition(T)
         assert bsp == flat_bsp(T), T
-        balanced_stars += bsp is not None and bsp.star is not None
-    assert stars > 1000 and 0 < balanced_stars < stars
+        bsps += bsp is not None
+        stars += bsp is not None and bsp.star is not None
+    assert 1000 < stars < bsps
 
 
 @pytest.mark.parametrize("n", [24, 32])

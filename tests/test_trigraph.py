@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenpairs.contraction import contract_even_pair
+from evenpairs.contraction import _merge
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_graph, cycle, empty_graph, line_graph,
                                 prism3)
@@ -150,7 +150,7 @@ def test_induced_identity(c6):
 def test_derived_trigraph_pickles_as_its_pair_codes(c4, c6):
     # a trigraph derived from another carries nothing beyond its pair codes
     assert pickle.dumps(induced(c6, range(6))) == pickle.dumps(c6)
-    assert (pickle.dumps(contract_even_pair(c4, 0, 2))
+    assert (pickle.dumps(_merge(c4, 0, 2))
             == pickle.dumps(graph_from_edges(3, [(0, 1), (0, 2)])))
 
 
