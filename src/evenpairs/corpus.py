@@ -1,20 +1,20 @@
 """Instance corpora for the exhaustive harness and the test suite.
 
-Graphs are enumerated up to isomorphism by augmentation: every graph on n
-vertices arises from one on n-1 vertices by attaching a new vertex with an
-arbitrary neighborhood, so extending the level-(n-1) representatives with
-all 2^(n-1) neighborhoods and deduplicating by canonical form yields exactly
-one representative per isomorphism class.  A child's form is computed from
-its masks, and a Trigraph is built only for a child whose form is new.
-
-Two neighborhoods in one orbit of the base's automorphism group give
-isomorphic children, so only the first of each orbit, in integer order, is
-labeled (the orbit pruning of McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  The first child of each class is always the first of
-its orbit, so the output is the one that labeling every child gives,
-element by element; this holds for any subgroup of the group, so the
-generators need not span it.  Planting likewise tries one pair per orbit,
-in ``itertools.combinations`` order.
+Graphs are enumerated up to isomorphism by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  Every graph on
+n vertices is a graph on n-1 vertices plus a new vertex, so each level-(n-1)
+representative is extended by neighborhoods of a new vertex n-1, and a
+child is kept only when n-1 is its canonical deletion vertex: among the
+vertices with the largest (degree, neighbor degree sum), the one that comes
+last in the canonical order.  Its orbit is fixed by the child's
+isomorphism class, and deleting it gives one class of parents, so each
+class is kept from exactly one parent.  Two neighborhoods in one
+orbit of the parent's automorphism group give isomorphic children, so only
+the first of each orbit, in integer order, is tried; for this to keep each
+class once, the generators must span the whole group, which the search's do
+(``mask_automorphisms``).  Most children are decided by the invariant
+alone: a child is labeled only when another vertex ties with n-1, and no
+form is kept, so each representative is its parent plus vertex n-1.
 
 Random samples on n vertices keep the first draw of each isomorphism class.
 A draw needs a canonical form only when an earlier draw shares its degree
@@ -23,7 +23,8 @@ isomorphic, so most draws of a small sample are kept without one.
 
 Trigraph instances come from planting a legal switchable component into a
 graph: either one pair turned semiadjacent ("small") or a fresh degree-two
-vertex attached by two switchable pairs ("light").
+vertex attached by two switchable pairs ("light").  A plant determines its
+base and its pair's orbit, so planting also needs no canonical form.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .canonical import canonical_form, mask_automorphisms, mask_labeling
+from .canonical import canonical_form, mask_automorphisms
 from .trigraph import ANTI, Trigraph, bits_of, in_class_F, make_trigraph
 
 
@@ -76,18 +77,54 @@ def graphs_of_order(n: int) -> tuple[Trigraph, ...]:
     """All graphs on exactly n vertices, one per isomorphism class."""
     if n <= 1:
         return (make_trigraph(n),)
-    out: dict[bytes, Trigraph] = {}
+    last = n - 1
     switch = [0] * n
-    for base in graphs_of_order(n - 1):
-        gens = mask_automorphisms(base.strong, base.switch)
-        for nbhd in _orbit_firsts(range(1 << (n - 1)), gens, _mask_image):
-            strong = list(base.strong) + [nbhd]
+    out: list[Trigraph] = []
+    for base in graphs_of_order(last):
+        adj = base.strong
+        degree = [m.bit_count() for m in adj]
+        # the base's vertices by degree, and each one's neighbor degree sum
+        by_degree = [0] * n
+        for v, d in enumerate(degree):
+            by_degree[d] |= 1 << v
+        top = max(degree)
+        sums = [sum(degree[w] for w in bits_of(m)) for m in adj]
+        # the new vertex must have the largest (degree, neighbor degree sum)
+        # of the child, so at least the degree of every old vertex there.
+        # That test holds for a whole orbit or none of it, so it comes first
+        # and orbits are closed only among its passers
+        wide = (nbhd for nbhd in range(1 << last)
+                if nbhd.bit_count() >= (top + 1 if nbhd & by_degree[top] else top))
+        for nbhd in _orbit_firsts(wide, mask_automorphisms(adj, base.switch)[1],
+                                  _mask_image):
+            # on a tie in degree d, compare sums with the old vertices of
+            # degree d in the child, whose sums gain a 1 per neighbor in
+            # nbhd, and d if in nbhd themselves
+            d = nbhd.bit_count()
+            tied = 0
+            if d == (top + 1 if nbhd & by_degree[top] else top):
+                total = d + sum(degree[w] for w in bits_of(nbhd))
+                same = by_degree[d] & ~nbhd | (by_degree[d - 1] & nbhd if d else 0)
+                rivals = [(sums[v] + (adj[v] & nbhd).bit_count()
+                           + (d if nbhd >> v & 1 else 0), v) for v in bits_of(same)]
+                if max(rivals)[0] > total:
+                    continue
+                tied = sum(1 << v for s, v in rivals if s == total)
+            strong = list(adj) + [nbhd]
             for v in bits_of(nbhd):
-                strong[v] |= 1 << (n - 1)
-            form = mask_labeling(strong, switch)[0]
-            if form not in out:
-                out[form] = Trigraph(strong, switch)
-    return tuple(out.values())
+                strong[v] |= 1 << last
+            if tied:
+                # keep the child only when the new vertex is in the orbit of
+                # the tied vertex that comes last in the canonical order,
+                # that is, when it is not the first of a second orbit
+                perm, gens = mask_automorphisms(strong, switch)
+                chosen = next(v for v in reversed(perm)
+                              if v == last or tied >> v & 1)
+                if len(list(_orbit_firsts((chosen, last), gens,
+                                          tuple.__getitem__))) > 1:
+                    continue
+            out.append(Trigraph(strong, switch))
+    return tuple(out)
 
 
 def graphs_upto(n_max: int) -> list[Trigraph]:
@@ -181,20 +218,31 @@ def plant_light(G: Trigraph, x: int, y: int) -> Trigraph:
 @lru_cache(maxsize=None)
 def planted_class_f_trigraphs(max_base_n: int) -> tuple[Trigraph, ...]:
     """Class-F members with a nonempty switchable component, one per
-    isomorphism class, planted into every graph on <= max_base_n vertices."""
-    out: dict[bytes, Trigraph] = {}
+    isomorphism class, planted into every graph on <= max_base_n vertices.
+
+    A small plant on a strongly antiadjacent pair is the small plant on the
+    same pair of the base with that pair made strongly adjacent, so small
+    components go on strongly adjacent pairs only.  A plant then determines
+    its base: the full realization of a small plant, and a light plant
+    minus the middle vertex of its switchable path.  So two plants are
+    isomorphic exactly when they have the same base and kind and their pairs
+    share an orbit of the base's automorphism group, and one plant per
+    orbit needs no canonical form.
+    """
+    out: list[Trigraph] = []
     for G in graphs_upto(max_base_n):
         pairs = list(_orbit_firsts(itertools.combinations(range(G.n), 2),
-                                   mask_automorphisms(G.strong, G.switch),
+                                   mask_automorphisms(G.strong, G.switch)[1],
                                    _pair_image))
         for u, v in pairs:
-            T = plant_small(G, u, v)
-            if in_class_F(T).ok:
-                out.setdefault(canonical_form(T), T)
+            if G.strong[u] >> v & 1:
+                T = plant_small(G, u, v)
+                if in_class_F(T).ok:
+                    out.append(T)
         for u, v in pairs:
             if G.value(u, v) != ANTI or (G.adj[u] & G.adj[v]):
                 continue
             T = plant_light(G, u, v)
             if in_class_F(T).ok:
-                out.setdefault(canonical_form(T), T)
-    return tuple(out.values())
+                out.append(T)
+    return tuple(out)

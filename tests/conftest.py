@@ -630,6 +630,11 @@ def graphs_of_order_by_sorting(n):
     return tuple(out.values())
 
 
+def graphs_upto_by_sorting(n_max):
+    """The reference classes on 1..n_max vertices, order by order."""
+    return [G for n in range(1, n_max + 1) for G in graphs_of_order_by_sorting(n)]
+
+
 @functools.lru_cache(maxsize=None)
 def labeled_plants_by_sorting(max_base_n):
     """``(candidate, reference labeling)`` for every ``plant_small`` and

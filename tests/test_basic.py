@@ -26,9 +26,11 @@ from evenpairs.trigraph import (bits_of, complement, graph_from_edges,
                                 switchable_vertices)
 
 from conftest import (bipartition_by_side_array, count_calls,
-                      even_theta_by_path_triples, has_k4_minor_by_counters,
-                      is_semirealization, random_bipartite_graph, random_graph,
-                      random_trigraph, simple_paths, split_for)
+                      even_theta_by_path_triples, graphs_upto_by_sorting,
+                      has_k4_minor_by_counters, is_semirealization,
+                      planted_class_f_trigraphs_by_sorting,
+                      random_bipartite_graph, random_graph, random_trigraph,
+                      simple_paths, split_for)
 
 
 def _forced(verdict, t):
@@ -138,9 +140,8 @@ def test_line_trigraphs_are_claw_and_diamond_free():
 
 
 def _census_and_complements():
-    from evenpairs.corpus import graphs_upto, planted_class_f_trigraphs
-
-    base = list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    # the reference enumerations' representatives, which the digest pins
+    base = graphs_upto_by_sorting(7) + list(planted_class_f_trigraphs_by_sorting(6))
     return base + [complement(t) for t in base]
 
 
@@ -632,11 +633,10 @@ def test_even_pair_doubled_p4_partition_gap(p4):
 def test_even_pair_doubled_avoids_the_switchable_component():
     # planted doubled members: with the disjoint flag the finder returns the
     # least even pair off the switchable component, which on most of them is
-    # not the least even pair overall
-    from evenpairs.corpus import planted_class_f_trigraphs
-
+    # not the least even pair overall; the counts are those of the reference
+    # enumeration's representatives
     disjoint = moved = 0
-    for t in planted_class_f_trigraphs(6):
+    for t in planted_class_f_trigraphs_by_sorting(6):
         c = classify_basic(t)
         if c.verdict != "doubled" or is_complete(t) or not favorability(t).favorable:
             continue
@@ -655,10 +655,12 @@ def test_doubled_finder_skips_switchable_pairs_before_the_oracle(monkeypatch):
     # engine-style doubled leaves over graphs <= 7 and planted base <= 6: the
     # disjoint flag drops pairs meeting the switchable component before their
     # oracle call, so each run checks exactly the allowed strongly
-    # antiadjacent pairs up to the one it returns
+    # antiadjacent pairs up to the one it returns; the counts are those of
+    # the reference enumerations' representatives
     import evenpairs.detect as detect
 
-    instances = [t for t in list(graphs_upto(7)) + list(planted_class_f_trigraphs(6))
+    instances = [t for t in graphs_upto_by_sorting(7)
+                 + list(planted_class_f_trigraphs_by_sorting(6))
                  if in_class_F(t).ok and not is_complete(t)]
     oracle = count_calls(monkeypatch, detect, "is_even_pair")
     runs = total = 0

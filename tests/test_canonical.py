@@ -72,16 +72,42 @@ def test_labeling_matches_the_sorted_signature_reference():
         assert canonical_labeling(t) == expected
 
 
+def _forms(graphs):
+    return [canonical_form(g) for g in graphs]
+
+
 def test_enumeration_matches_the_reference_enumeration():
+    # the canonical augmentation keeps other members of the classes than
+    # the reference's dedupe by form, so the classes agree as sets of forms,
+    # each met once
     for n in range(1, 8):
-        assert _same_graphs(graphs_of_order(n), graphs_of_order_by_sorting(n))
-    assert _same_graphs(planted_class_f_trigraphs(6),
-                        planted_class_f_trigraphs_by_sorting(6))
+        forms = _forms(graphs_of_order(n))
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == set(_forms(graphs_of_order_by_sorting(n)))
+    forms = _forms(planted_class_f_trigraphs(6))
+    assert len(set(forms)) == len(forms) == 379
+    assert set(forms) == set(_forms(planted_class_f_trigraphs_by_sorting(6)))
+
+
+def test_graphs_on_eight_vertices_are_distinct_classes():
+    forms = set(_forms(graphs_of_order(8)))
+    assert len(graphs_of_order(8)) == len(forms) == 12346
+
+
+def test_each_representative_is_its_parent_plus_its_last_vertex():
+    # deleting vertex n - 1 gives a level-(n - 1) representative, masks and
+    # all
+    for n in range(2, 9):
+        parents = {tuple(G.strong) for G in graphs_of_order(n - 1)}
+        below = (1 << (n - 1)) - 1
+        for G in graphs_of_order(n):
+            assert tuple(m & below for m in G.strong[:-1]) in parents
+            assert not any(G.switch)
 
 
 def test_enumeration_builds_a_trigraph_per_class_only(monkeypatch):
-    # a child's form comes from its masks, so only a new class builds a
-    # Trigraph, not each of the 5,758 children it labels
+    # a child is tested on its masks, so only a kept child builds a
+    # Trigraph, not each of the 11,290 children the bases have
     built = []
     init = trigraph.Trigraph.__init__
 
@@ -98,7 +124,7 @@ def test_enumeration_builds_a_trigraph_per_class_only(monkeypatch):
 
 def test_the_empty_trigraph_has_the_empty_form():
     assert canonical_form(trigraph.make_trigraph(0)) == b"\x00"
-    assert mask_automorphisms([], []) == []
+    assert mask_automorphisms([], []) == ((), [])
 
 
 def test_automorphisms_fix_the_trigraph():
@@ -113,7 +139,9 @@ def test_automorphisms_fix_the_trigraph():
                      else random_trigraph(rng, n, rng.choice((0.05, 0.15, 0.4))))
     generators = 0
     for t in cases:
-        for g in mask_automorphisms(t.strong, t.switch):
+        perm, gens = mask_automorphisms(t.strong, t.switch)
+        assert perm == canonical_labeling(t)[1]
+        for g in gens:
             assert sorted(g) == list(range(t.n)) and g != tuple(range(t.n))
             assert _same_graphs([relabel(t, g)], [t])
             generators += 1
@@ -126,7 +154,7 @@ def test_orbit_firsts_are_the_orbit_minima_under_the_full_group():
         group = [p for p in itertools.permutations(range(n))
                  if all(sum(1 << p[u] for u in bits_of(G.strong[v]))
                         == G.strong[p[v]] for v in range(n))]
-        gens = mask_automorphisms(G.strong, G.switch)
+        gens = mask_automorphisms(G.strong, G.switch)[1]
         masks = range(1 << n)
         assert list(_orbit_firsts(masks, gens, _mask_image)) == [
             m for m in masks
@@ -140,16 +168,21 @@ def test_orbit_firsts_are_the_orbit_minima_under_the_full_group():
 
 def test_enumeration_labels_one_child_per_orbit(monkeypatch):
     # orbit mates under the base's automorphisms are isomorphic, so only the
-    # first of each orbit is labeled: of the 11,290 augmentation children and
-    # of the 1,397 plants that are class members
-    labelings = count_calls(monkeypatch, canonical, "mask_labeling")
+    # first of each orbit is a candidate, and only a candidate whose new
+    # vertex ties another on (degree, neighbor degree sum) is labeled: 541
+    # of the 11,290 augmentation children, besides one automorphism search
+    # per base.  Planting labels nothing
+    labelings = count_calls(monkeypatch, canonical, "canonical_labeling")
+    searches = count_calls(monkeypatch, canonical, "mask_automorphisms")
     graphs_of_order.cache_clear()
     planted_class_f_trigraphs.cache_clear()
     assert len(graphs_upto(7)) == 1252
-    assert len(labelings) <= 5758
-    labelings.clear()
+    bases = len(graphs_upto(6))
+    assert bases == 208 and len(searches) == bases + 541
+    assert not labelings
+    searches.clear()
     assert len(planted_class_f_trigraphs(6)) == 379
-    assert len(labelings) <= 602
+    assert len(searches) == bases and not labelings
 
 
 def test_graph_counts_per_order():
