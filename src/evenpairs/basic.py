@@ -278,9 +278,6 @@ class FavorabilityVerdict(_Record):
     def __init__(self, favorable: bool, failed: str | None = None):
         self.__dict__.update(favorable=favorable, failed=failed)
 
-    def __bool__(self) -> bool:
-        return self.favorable
-
 
 def favorability(T: Trigraph) -> FavorabilityVerdict:
     """Favorability for a trigraph already known to be a class member,

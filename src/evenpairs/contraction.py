@@ -20,19 +20,21 @@ from .trigraph import Trigraph, _Record, bits_of, clique_number, is_complete
 
 
 class ContractionStep(_Record):
-    def __init__(self, before: Trigraph, pair: tuple[int, int], merged_vertex: int,
-                 after: Trigraph):
-        self.__dict__.update(before=before, pair=pair, merged_vertex=merged_vertex, after=after)
+    def __init__(self, pair: tuple[int, int], after: Trigraph):
+        self.__dict__.update(pair=pair, after=after)
 
 
 class ContractionSequence(_Record):
-    def __init__(self, steps: tuple[ContractionStep, ...], terminal: Trigraph,
+    """The input graph and the steps contracted from it, each pair an even
+    pair of the graph before it; the terminal is the last graph."""
+
+    def __init__(self, initial: Trigraph, steps: tuple[ContractionStep, ...],
                  outcome: str):  # "complete" | "stuck"
-        self.__dict__.update(steps=steps, terminal=terminal, outcome=outcome)
+        self.__dict__.update(initial=initial, steps=steps, outcome=outcome)
 
     @property
-    def initial(self) -> Trigraph:
-        return self.steps[0].before if self.steps else self.terminal
+    def terminal(self) -> Trigraph:
+        return self.steps[-1].after if self.steps else self.initial
 
 
 class Coloring(_Record):
@@ -73,13 +75,13 @@ def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
 
     def search(current: Trigraph, steps: list[ContractionStep]) -> ContractionSequence | None:
         if is_complete(current):
-            return ContractionSequence(tuple(steps), current, "complete")
+            return ContractionSequence(G, tuple(steps), "complete")
         # the key matters only once a dead end is known or this node is one
         key = canonical_form(current) if dead_ends else None
         if key in dead_ends:
             return None
         for u, v in even_pairs(current):
-            steps.append(ContractionStep(current, (u, v), u, _merge(current, u, v)))
+            steps.append(ContractionStep((u, v), _merge(current, u, v)))
             found = search(steps[-1].after, steps)
             if found is not None:
                 return found
@@ -87,7 +89,7 @@ def run_contraction_sequence(G: Trigraph) -> ContractionSequence:
         if not stuck:
             # the first graph exhausted ends the first descent, which took
             # the least even pair at every step and has none left here
-            stuck.append(ContractionSequence(tuple(steps), current, "stuck"))
+            stuck.append(ContractionSequence(G, tuple(steps), "stuck"))
         dead_ends.add(canonical_form(current) if key is None else key)
         return None
 
@@ -109,12 +111,11 @@ def derive_coloring(seq: ContractionSequence) -> Coloring:
     for step in reversed(seq.steps):
         u, v = step.pair
         colors[v:v] = [colors[u]]
-    original = seq.initial
     assignment = tuple(colors)
-    for x, y in original.strong_edges():
+    for x, y in seq.initial.strong_edges():
         if assignment[x] == assignment[y]:
             raise TheoremContradictionError(f"unwound coloring is not proper on edge ({x}, {y})")
     count = len(set(assignment))
-    if count != clique_number(original):
+    if count != clique_number(seq.initial):
         raise TheoremContradictionError("coloring does not use clique-number many colors")
     return Coloring(assignment, count)

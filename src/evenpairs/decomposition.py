@@ -67,14 +67,14 @@ class TwoJoinSplit(_Record):
 
 
 class SkewPartitionWitness(_Record):
-    """A partition (A, B) with A disconnected and B not anticonnected,
-    plus a split and, when some anticomponent of B is a singleton, the
-    star-cutset center."""
+    """A balanced skew-partition: a partition (A, B) with A disconnected
+    and B not anticonnected, plus a split and, when some anticomponent of
+    B is a singleton, the star-cutset center."""
 
     def __init__(self, a: frozenset[int], b: frozenset[int],
                  split: tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]],
-                 balanced: bool, star: int | None):
-        self.__dict__.update(a=a, b=b, split=split, balanced=balanced, star=star)
+                 star: int | None):
+        self.__dict__.update(a=a, b=b, split=split, star=star)
 
 
 class Block(_Record):
@@ -87,9 +87,9 @@ class Block(_Record):
     """
 
     def __init__(self, trigraph: Trigraph, markers: tuple[int, ...], kind: str, side: int,
-                 parent_split: TwoJoinSplit, parent_map: tuple[int | None, ...]):
+                 parent_map: tuple[int | None, ...]):
         self.__dict__.update(trigraph=trigraph, markers=markers, kind=kind, side=side,
-                             parent_split=parent_split, parent_map=parent_map)
+                             parent_map=parent_map)
 
 
 def _touching(adj, mask: int, target: int) -> int:
@@ -157,7 +157,7 @@ def _witness_for(T: Trigraph, a_mask: int, complete_b: int) -> SkewPartitionWitn
     stars = complete_b & b_mask
     star = (stars & -stars).bit_length() - 1 if stars else None
     return SkewPartitionWitness(frozenset(bits_of(a_mask)),
-                                frozenset(bits_of(b_mask)), split, True, star)
+                                frozenset(bits_of(b_mask)), split, star)
 
 
 def _skew_masks(T: Trigraph):
@@ -432,7 +432,7 @@ def build_block(T: Trigraph, split: TwoJoinSplit, side: int) -> Block:
         switch[x] |= 1 << y
         switch[y] |= 1 << x
     parent_map = tuple(side_vertices) + (None,) * marker_count
-    return Block(Trigraph(strong, switch), markers, kind, side, split, parent_map)
+    return Block(Trigraph(strong, switch), markers, kind, side, parent_map)
 
 
 class ShapeReport(_Record):

@@ -501,9 +501,6 @@ class ClassFVerdict(_Record):
                  kind: str | None = None):  # "small" | "light" | None
         self.__dict__.update(ok=ok, violation=violation, component=component, kind=kind)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def switchable_vertices(T: Trigraph) -> frozenset[int]:
     """Union of the switchable components: the vertices with a switchable

@@ -232,7 +232,7 @@ def split_by_bundles(T, x1_mask):
     return _derive_split(T, x1_mask, bundles)
 
 
-def skew_witness_by_components(T, a_mask, balanced):
+def skew_witness_by_components(T, a_mask):
     """The witness of the skew-partition with the A-mask ``a_mask`` from
     the components of A and the anticomponents of B, the star center the
     first one-vertex anticomponent of B, if any."""
@@ -243,7 +243,7 @@ def skew_witness_by_components(T, a_mask, balanced):
         comp, a_mask ^ comp, anticomps[0], b_mask ^ anticomps[0]))
     star = next((m.bit_length() - 1 for m in anticomps if m.bit_count() == 1), None)
     return SkewPartitionWitness(frozenset(bits_of(a_mask)),
-                                frozenset(bits_of(b_mask)), split, balanced, star)
+                                frozenset(bits_of(b_mask)), split, star)
 
 
 def two_join_feasible_by_bundles(T):

@@ -283,14 +283,6 @@ def test_favorable_block_of_c8(c8):
     assert favorability(block.trigraph).favorable
 
 
-def test_verdicts_are_false_when_they_fail():
-    # a failing verdict must not pass ``if in_class_F(T):``
-    assert bool(in_class_F(cycle(6)))
-    assert not bool(in_class_F(make_trigraph(6, [(0, 1, 0), (3, 4, 0)])))
-    assert bool(favorability(cycle(6)))
-    assert not bool(favorability(complete_graph(5)))
-
-
 # -- bipartite finder -------------------------------------------------------------
 
 def test_even_pair_bipartite_c6(c6):

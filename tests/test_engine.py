@@ -37,7 +37,7 @@ def test_preconditions_pass_c6(c6):
 def test_preconditions_p4_bsp(p4):
     report = check_preconditions(p4)
     assert failed_names(report) == {"no_balanced_skew_partition"}
-    assert report.first_failure.witness.balanced
+    assert report.first_failure.witness.a == frozenset({0, 3})
 
 
 def test_precondition_verdicts_do_not_move_under_relabelling():

@@ -181,14 +181,6 @@ def test_loads_sniffing():
         loads("stuff", fmt="nope")
 
 
-def test_to_jsonable_writes_a_trigraph_as_its_text_and_a_set_sorted():
-    from evenpairs.certs import to_jsonable
-
-    t = make_trigraph(3, [(0, 2, 0)])
-    assert to_jsonable(t) == {"kind": "trigraph", "n": 3, "text": to_text(t)}
-    assert to_jsonable({3, 1, 2}) == to_jsonable(frozenset({2, 1, 3})) == [1, 2, 3]
-
-
 def test_load_from_file(tmp_path):
     g = random_graph(random.Random(65), 6)
     path = tmp_path / "g.g6"

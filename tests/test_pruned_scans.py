@@ -74,7 +74,7 @@ def flat_skew_masks(T):
 def flat_bsp(T):
     for a_mask, b_mask in flat_skew_masks(T):
         if _is_balanced(T, a_mask, b_mask):
-            return skew_witness_by_components(T, a_mask, True)
+            return skew_witness_by_components(T, a_mask)
     return None
 
 

@@ -38,7 +38,7 @@ SPLIT_FIELDS = {
 }
 SPLIT = TwoJoinSplit(**SPLIT_FIELDS)
 FAILURE = FailureRecord(instance="C5", stage="preconditions", detail="odd hole")
-STEP = ContractionStep(before=C4, pair=(0, 2), merged_vertex=0, after=P3)
+STEP = ContractionStep(pair=(0, 2), after=P3)
 GOOD = GoodPartition(x=frozenset({0, 1}), y=frozenset({2}))
 ROOT = LineRootCertificate(root=P3, vertex_edges=((0, 1), (1, 2)), side=frozenset({0, 2}))
 
@@ -53,11 +53,11 @@ RECORDS = [
     (SkewPartitionWitness, {
         "a": frozenset({0, 2}), "b": frozenset({1, 3}),
         "split": (frozenset({1}), frozenset({3}), frozenset(), frozenset()),
-        "balanced": True, "star": None,
+        "star": None,
     }),
     (Block, {
         "trigraph": C4, "markers": (3,), "kind": "small", "side": 1,
-        "parent_split": SPLIT, "parent_map": (0, 1, 2, None),
+        "parent_map": (0, 1, 2, None),
     }),
     (ShapeReport, {"violations": ("improper",)}),
     (GoodPartition, {"x": frozenset({0, 1}), "y": frozenset({2})}),
@@ -69,8 +69,8 @@ RECORDS = [
     (FavorabilityVerdict, {"favorable": False, "failed": "light"}),
     (GoodPairWitness, {"edge1": (0, 1), "edge2": (2, 3)}),
     (RootPropertyReport, {"even_theta": ((0, 1), (0, 2, 1)), "has_k4_minor": False}),
-    (ContractionStep, {"before": C4, "pair": (0, 2), "merged_vertex": 0, "after": P3}),
-    (ContractionSequence, {"steps": (STEP,), "terminal": P3, "outcome": "stuck"}),
+    (ContractionStep, {"pair": (0, 2), "after": P3}),
+    (ContractionSequence, {"initial": C4, "steps": (STEP,), "outcome": "stuck"}),
     (Coloring, {"assignment": (0, 1, 0), "color_count": 2}),
     (CheckOutcome, {"name": "berge", "passed": False, "witness": PATH}),
     (PreconditionReport, {"checks": (OUTCOME,)}),
