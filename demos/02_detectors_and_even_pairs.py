@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Odd holes, antiholes, prisms, and even pairs, all with witnesses.
+"""Odd holes, antiholes, odd prisms, and even pairs, all with witnesses.
 
 Every detector here is an exhaustive search that returns a checkable
-witness: a hole as its cyclic vertex list, a prism as two triangles plus
-three rungs, an even-pair verdict together with the number of paths it
-inspected or the odd path that kills it.
+witness: a hole as its cyclic vertex list, an odd prism as two triangles
+plus three rungs of odd length, an even-pair verdict together with the
+number of paths it inspected or the odd path that kills it.
 """
 
 from evenpairs import (even_pairs, find_antihole_of_length_at_least,
@@ -19,12 +19,13 @@ print("C7 Berge:", berge, "witness:", witness.kind, witness.vertices)
 
 # The 3-prism: two triangles joined by three rungs of length one, so all
 # rungs are odd and the prism is odd.
-witness = find_prism(prism3(), "odd")
-print("prism cliques:", witness.cliques, "parity:", witness.parity)
+witness = find_prism(prism3())
+print("odd prism cliques:", witness.cliques,
+      "rungs:", [r.vertices for r in witness.rungs])
 
 # The line graph of K_{2,3} is the classic odd prism source.
 lg, _ = line_graph(complete_bipartite(2, 3))
-print("odd prism in L(K_{2,3}):", find_prism(lg, "odd") is not None)
+print("odd prism in L(K_{2,3}):", find_prism(lg) is not None)
 
 # Antiholes of length at least six: the 3-prism carries one (its complement
 # is the 6-hole), the 6-hole itself does not.

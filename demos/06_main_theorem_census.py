@@ -10,6 +10,7 @@ works for trigraphs with a planted switchable component.
 """
 
 from evenpairs import check_preconditions, find_even_pair_structured, verify_main_theorem
+from evenpairs.certs import to_jsonable
 from evenpairs.families import cycle, path_graph, prism3
 
 # One instance end to end: the 6-hole passes every hypothesis and the
@@ -20,11 +21,13 @@ print("C6 result:", find_even_pair_structured(cycle(6)).pair)
 
 # Failing instances are reported with witnesses, not errors: the prism
 # carries both an odd prism and a long antihole, P4 has a balanced
-# skew-partition.
+# skew-partition.  The first failure's witness is shown in its JSON view,
+# which states each fact once: an odd prism is its two triangles and its
+# rungs, each rung a path given by its vertices alone.
 for name, g in (("3-prism", prism3()), ("P4", path_graph(4))):
     rep = check_preconditions(g)
     failed = [c.name for c in rep.checks if not c.passed]
-    print(f"{name}: fails {failed}")
+    print(f"{name}: fails {failed}, witness {to_jsonable(rep.first_failure.witness)}")
 
 # The census over all graphs with at most six vertices.
 summary = verify_main_theorem(6, "graphs")

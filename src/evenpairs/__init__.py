@@ -28,7 +28,8 @@ from .detect import (EvenPairReport, PrismWitness, even_pairs,
 from .engine import (EngineResult, PreconditionReport, VerifySummary,
                      check_preconditions, find_even_pair_structured,
                      verify_main_theorem)
-from .errors import InputError, NonBergeError, TheoremContradictionError
+from .errors import (InconclusiveError, InputError, NonBergeError,
+                     TheoremContradictionError)
 from .formats import from_graph6, from_text, load, loads, to_graph6, to_text
 from .trigraph import (ANTI, STRONG, SWITCHABLE, ClassFVerdict, HoleWitness,
                        PathWitness, Trigraph, clique_number, complement,
@@ -41,7 +42,7 @@ __all__ = [
     "BasicClassification", "Block", "ClassFVerdict", "Coloring",
     "ContractionSequence", "EngineResult", "EvenPairReport",
     "FavorabilityVerdict", "GoodPairWitness", "GoodPartition", "HoleWitness",
-    "InputError", "LineRootCertificate", "NonBergeError",
+    "InconclusiveError", "InputError", "LineRootCertificate", "NonBergeError",
     "PathWitness", "PreconditionReport", "PrismWitness",
     "SkewPartitionWitness", "TheoremContradictionError", "Trigraph",
     "TwoJoinSplit", "VerifySummary",

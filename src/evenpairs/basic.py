@@ -330,11 +330,10 @@ def _good_witness(H: Trigraph, side: frozenset[int], e1: tuple[int, int],
     return GoodPairWitness((a1, b1), (a2, b2))
 
 
-def find_good_pair(H: Trigraph, forbidden_interior=frozenset()) -> GoodPairWitness | None:
-    """First good pair of the bipartite graph H whose four endpoints avoid
-    ``forbidden_interior``, or None when there is none.
+def find_good_pair(H: Trigraph) -> GoodPairWitness | None:
+    """First good pair of the bipartite graph H, or None when there is none.
 
-    Pairs of disjoint allowed edges are scanned in lexicographic order and
+    Pairs of disjoint edges are scanned in lexicographic order and
     each gets the two disconnection checks of ``_good_witness``.  The root
     of a line trigraph has one edge per trigraph vertex, so the scan meets
     at most C(32, 2) = 496 pairs there.
@@ -344,13 +343,13 @@ def find_good_pair(H: Trigraph, forbidden_interior=frozenset()) -> GoodPairWitne
     coloring = bipartition_of(H)
     if coloring is None:
         raise InputError("good pairs live in bipartite graphs")
-    return _good_pair_scan(H, coloring[0], frozenset(forbidden_interior))
+    return _good_pair_scan(H, coloring[0], frozenset())
 
 
 def _good_pair_scan(H: Trigraph, side: frozenset[int],
                     forb: frozenset[int]) -> GoodPairWitness | None:
     """``find_good_pair`` on a bipartite graph H already 2-colored, with
-    ``side`` one color class."""
+    ``side`` one color class, scanning only the edges that miss ``forb``."""
     allowed = [e for e in H.strong_edges() if not set(e) & forb]
     for e1, e2 in itertools.combinations(allowed, 2):
         if not set(e1) & set(e2):

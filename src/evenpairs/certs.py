@@ -27,15 +27,11 @@ def to_jsonable(obj: object) -> object:
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, PathWitness):
-        return {"kind": "path", "vertices": list(obj.vertices),
-                "length": obj.length, "parity": "odd" if obj.is_odd else "even"}
+        return {"kind": "path", "vertices": list(obj.vertices)}
     if isinstance(obj, HoleWitness):
-        return {"kind": obj.kind, "vertices": list(obj.vertices),
-                "length": obj.length, "parity": "odd" if obj.is_odd else "even"}
+        return {"kind": obj.kind, "vertices": list(obj.vertices)}
     if isinstance(obj, PrismWitness):
-        return {"kind": "prism", "vertices": list(obj.vertices),
-                "parity": obj.parity,
-                "cliques": [list(c) for c in obj.cliques],
+        return {"kind": "prism", "cliques": [list(c) for c in obj.cliques],
                 "rungs": [to_jsonable(r) for r in obj.rungs]}
     if isinstance(obj, TwoJoinSplit):
         return {"kind": "two_join", "parity": obj.parity, "proper": obj.proper,

@@ -10,14 +10,16 @@ Commands::
     evenpairs verify --nmax N --scope graphs|trigraphs_in_F
 
 INPUT is a file path or an inline literal, in graph6 or the trigraph text
-format (sniffed, or forced with --format).  All commands print one ASCII
+format, told apart by its first characters.  All commands print one ASCII
 JSON document with sorted keys and a two-space indent, byte for byte what
 ``json.dumps(..., sort_keys=True, indent=2)`` writes; --emit-cert writes
 the involved witnesses as compact sorted-key JSON lines.  Exit codes:
 0 success, 1 precondition failure, 2 input error (an unreadable input or
 unwritable certificate path included), 3 a TheoremContradictionError,
-which every internal cross-check raises.  A reader that closes stdout
-early does not change the exit code.
+which every internal cross-check raises, 4 an InconclusiveError, a search
+that ran past its budget (``detect.MAX_PATHS`` paths for one pair), with
+nothing on stdout.  A reader that closes stdout early does not change
+the exit code.
 
 Worker count for ``verify`` comes from the EVENPAIRS_WORKERS variable, an
 integer >= 1 (default 1; any other value is an input error).
@@ -37,7 +39,7 @@ from .basic import classify_basic
 from .contraction import derive_coloring, run_contraction_sequence
 from .decomposition import build_block, find_2join, find_complement_2join
 from .engine import check_preconditions, find_even_pair_structured, verify_main_theorem
-from .errors import InputError, NonBergeError, TheoremContradictionError
+from .errors import InconclusiveError, InputError, NonBergeError, TheoremContradictionError
 from .formats import load
 from .trigraph import switchable_vertices
 
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
+EXIT_INCONCLUSIVE = 4
 
 
 # scalar writers by exact type; any other scalar (a float, a subclass)
@@ -100,7 +103,7 @@ def _emit(document: dict, cert_objects: list, cert_path: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    T = load(args.input, args.format)
+    T = load(args.input)
     report = check_preconditions(T)
     witnesses = [c.witness for c in report.checks if not c.passed]
     _emit({"command": "analyze", "report": report}, witnesses, args.emit_cert)
@@ -108,7 +111,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_even_pair(args) -> int:
-    T = load(args.input, args.format)
+    T = load(args.input)
     result = find_even_pair_structured(T)
     if result.outcome == "even_pair" and args.need_disjoint:
         if switchable_vertices(T) & set(result.pair):
@@ -121,7 +124,7 @@ def _cmd_even_pair(args) -> int:
 
 
 def _cmd_contract_color(args) -> int:
-    seq = run_contraction_sequence(load(args.input, args.format))
+    seq = run_contraction_sequence(load(args.input))
     coloring = derive_coloring(seq) if seq.outcome == "complete" else None
     _emit({"command": "contract-color", "sequence": seq, "coloring": coloring},
           [seq, coloring], args.emit_cert)
@@ -129,7 +132,7 @@ def _cmd_contract_color(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    T = load(args.input, args.format)
+    T = load(args.input)
     split = find_2join(T)
     blocks = None
     if split is not None and split.proper and split.parity is not None:
@@ -142,7 +145,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    T = load(args.input, args.format)
+    T = load(args.input)
     classification = classify_basic(T)
     _emit({"command": "classify", "classification": classification},
           [classification], args.emit_cert)
@@ -167,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("input", help="file path or inline graph6/trigraph literal")
-        p.add_argument("--format", choices=["graph6", "trigraph"], default=None)
         p.add_argument("--emit-cert", metavar="PATH", default=None,
                        help="write witness certificates as JSON lines")
 
@@ -231,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremContradictionError as exc:
         print(json.dumps({"theorem_contradiction": str(exc)}), file=sys.stderr)
         return EXIT_CONTRADICTION
+    except InconclusiveError as exc:
+        print(json.dumps({"inconclusive": str(exc)}), file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

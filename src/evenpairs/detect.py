@@ -1,4 +1,4 @@
-"""Detectors for odd holes, antiholes, prisms, Bergeness, and even pairs.
+"""Detectors for odd holes, antiholes, odd prisms, Bergeness, and even pairs.
 
 Everything here is an exhaustive search with deterministic tie-breaking:
 a hole search is one DFS over chordless paths in ascending vertex order,
@@ -24,11 +24,11 @@ import functools
 import itertools
 from collections.abc import Iterable, Iterator
 
-from .errors import InputError, TheoremContradictionError
+from .errors import InconclusiveError, InputError, TheoremContradictionError
 from .trigraph import (ANTI, HoleWitness, PathWitness, Trigraph, _paths, _Record,
                        _vertex_mask, bits_of, mask_of)
 
-# is_even_pair gives up with a RuntimeError past this many u-v paths
+# is_even_pair gives up with an InconclusiveError past this many u-v paths
 MAX_PATHS = 1_000_000
 
 
@@ -180,28 +180,12 @@ class PrismWitness(_Record):
                  rungs: tuple[PathWitness, PathWitness, PathWitness]):
         self.__dict__.update(cliques=cliques, rungs=rungs)
 
-    @property
-    def parity(self) -> str:
-        parities = {r.length % 2 for r in self.rungs}
-        if parities == {1}:
-            return "odd"
-        if parities == {0}:
-            return "even"
-        return "mixed"
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for r in self.rungs:
-            seen.extend(r.vertices)
-        return tuple(dict.fromkeys(seen))
-
 
 def validate_prism(T: Trigraph, witness: PrismWitness) -> None:
     """Raise InputError unless the witness really is a prism of T."""
     a, b = witness.cliques
-    verts = witness.vertices
-    if len(verts) != sum(len(r.vertices) for r in witness.rungs):
+    verts = tuple(v for r in witness.rungs for v in r.vertices)
+    if len(set(verts)) != len(verts):
         raise InputError("prism rungs overlap")
     for tri in (a, b):
         for u, v in itertools.combinations(tri, 2):
@@ -312,16 +296,12 @@ def _extend_rungs(T: Trigraph, strict_anti, tri_a, tri_b, i: int, used: int,
                                  used | mask_of(rung), rungs + (PathWitness(rung),))
 
 
-def find_prism(T: Trigraph, parity_filter: str = "any") -> PrismWitness | None:
-    """First prism whose parity matches the filter.
-
-    A prism in a Berge trigraph is always all-odd or all-even; mixed-parity
-    witnesses can only come from non-Berge inputs and only match "any".
-    """
-    if parity_filter not in ("any", "odd", "even"):
-        raise InputError(f"unknown parity filter {parity_filter!r}")
+def find_prism(T: Trigraph) -> PrismWitness | None:
+    """The first odd prism of T in the order of ``_iter_prisms``: all three
+    rungs have odd length, so an even number of vertices; None if T has
+    none."""
     for witness in _iter_prisms(T):
-        if parity_filter == "any" or witness.parity == parity_filter:
+        if all(len(r.vertices) % 2 == 0 for r in witness.rungs):
             return witness
     return None
 
@@ -361,6 +341,7 @@ def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
 
     Path enumeration decides the verdict; on graphs the hole-gadget route is
     re-run and the two must agree (a mismatch is raised, never returned).
+    Past ``MAX_PATHS`` paths the question is left open: InconclusiveError.
     """
     if u > v:
         u, v = v, u
@@ -371,7 +352,7 @@ def is_even_pair(T: Trigraph, u: int, v: int) -> EvenPairReport:
     for seq in _paths(T.adj, T.anti, u, 1 << v, (1 << T.n) - 1):
         count += 1
         if count > MAX_PATHS:
-            raise RuntimeError(
+            raise InconclusiveError(
                 f"path enumeration for ({u}, {v}) exceeded {MAX_PATHS} paths")
         if (len(seq) - 1) % 2 == 1:
             witness = PathWitness(seq)

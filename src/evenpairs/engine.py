@@ -83,7 +83,7 @@ def check_preconditions(T: Trigraph, fast: bool = False) -> PreconditionReport:
     berge = witness is None
     if add("berge", berge, witness):
         return PreconditionReport(tuple(checks))
-    prism = find_prism(T, "odd")
+    prism = find_prism(T)
     if add("no_odd_prism", prism is None, prism):
         return PreconditionReport(tuple(checks))
     if add("no_long_antihole", long_antihole is None, long_antihole):

@@ -22,3 +22,8 @@ class TheoremContradictionError(RuntimeError):
     This is surfaced loudly and never swallowed: it means either a bug or a
     counterexample, and both must be looked at.
     """
+
+
+class InconclusiveError(RuntimeError):
+    """A search ran past its budget before it could decide: the question
+    stays open, and nothing about the input is claimed."""

@@ -11,7 +11,8 @@ lines are ignored.  The serializer writes pairs with u < v in lexicographic
 order, so parse -> serialize is the identity on canonically ordered files.
 
 graph6 is the usual printable encoding of a simple graph's upper triangle;
-decoding accepts an optional '>>graph6<<' header.
+decoding accepts an optional '>>graph6<<' header.  ``loads`` tells the two
+formats apart by their first characters, so no caller names a format.
 """
 
 from __future__ import annotations
@@ -155,23 +156,19 @@ def from_graph6(text: str) -> Trigraph:
     return Trigraph(strong, [0] * n)
 
 
-def loads(text: str, fmt: str | None = None) -> Trigraph:
-    """Parse trigraph text or graph6; sniffs the format when fmt is None."""
-    if fmt == "trigraph":
-        return from_text(text)
-    if fmt == "graph6":
-        return from_graph6(text)
-    if fmt is not None:
-        raise InputError(f"unknown format {fmt!r}")
+def loads(text: str) -> Trigraph:
+    """Parse trigraph text or graph6, told apart by the first non-blank
+    characters: a graph6 string never starts with '#', and one starting
+    with 'trigraph' would encode 53 vertices, above the vertex cap."""
     stripped = text.lstrip()
     if stripped.startswith("trigraph") or stripped.startswith("#"):
         return from_text(text)
     return from_graph6(text)
 
 
-def load(path_or_literal: str, fmt: str | None = None) -> Trigraph:
+def load(path_or_literal: str) -> Trigraph:
     """Read a trigraph from a file path, or treat the string as a literal."""
     if os.path.exists(path_or_literal):
         with open(path_or_literal, "r", encoding="ascii") as fh:
-            return loads(fh.read(), fmt)
-    return loads(path_or_literal, fmt)
+            return loads(fh.read())
+    return loads(path_or_literal)

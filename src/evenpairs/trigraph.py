@@ -380,14 +380,6 @@ class PathWitness(_Record):
     def __init__(self, vertices: tuple[int, ...]):
         self.__dict__.update(vertices=vertices)
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def is_odd(self) -> bool:
-        return self.length % 2 == 1
-
 
 def validate_path(T: Trigraph, vertices: Sequence[int]) -> None:
     """Raise InputError unless the sequence is a path of T."""
@@ -436,18 +428,15 @@ def _paths(adj: Sequence[int], anti: Sequence[int], u: int, targets: int,
     return grow((u,), -1)
 
 
-def iter_paths(T: Trigraph, u: int, v: int,
-               interior: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+def iter_paths(T: Trigraph, u: int, v: int) -> Iterator[tuple[int, ...]]:
     """All paths from u to v in lexicographic order of their vertex
-    sequences, from the chordless-path search ``_paths``.  When ``interior``
-    is given, interior vertices are restricted to that set (the endpoints
-    are not constrained)."""
+    sequences, from the chordless-path search ``_paths``."""
     if u == v:
         raise InputError("path endpoints must differ")
     for end in (u, v):
         if not 0 <= end < T.n:
             raise InputError(f"vertex {end} out of range for n={T.n}")
-    return _paths(T.adj, T.anti, u, 1 << v, _vertex_mask(T, interior))
+    return _paths(T.adj, T.anti, u, 1 << v, (1 << T.n) - 1)
 
 
 class HoleWitness(_Record):
@@ -460,10 +449,6 @@ class HoleWitness(_Record):
     @property
     def length(self) -> int:
         return len(self.vertices)
-
-    @property
-    def is_odd(self) -> bool:
-        return self.length % 2 == 1
 
 
 def validate_hole(T: Trigraph, cycle: Sequence[int], kind: str = "hole") -> None:

@@ -11,15 +11,16 @@ import pytest
 from evenpairs.canonical import canonical_form
 from evenpairs.corpus import plant_light, plant_small
 from evenpairs.families import complete_graph, cycle, path_graph
-from evenpairs.detect import PrismWitness
+from evenpairs.detect import PrismWitness, validate_prism
 from evenpairs.decomposition import (SkewPartitionWitness, TwoJoinSplit,
                                      _derive_split, _two_join_step)
 from evenpairs.errors import InputError
 from evenpairs.trigraph import (STRONG, SWITCHABLE, PathWitness, Trigraph,
                                 _mask_components, _mask_connected,
                                 _pruned_masks, _vertex_mask, bits_of,
-                                graph_from_edges, in_class_F, make_trigraph,
-                                renumber)
+                                complement, graph_from_edges, in_class_F,
+                                make_trigraph, renumber, validate_hole,
+                                validate_path)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -525,6 +526,52 @@ def side_path_parities_by_pairs(T, a, b, c):
                 if len(parities) == 2:
                     return parities
     return parities
+
+
+def _class_count(T, X, linked):
+    """How many classes X falls into when two vertices go together if
+    ``linked`` holds of their code, closed transitively: one BFS per class."""
+    left, classes = set(X), 0
+    while left:
+        classes += 1
+        queue = [left.pop()]
+        while queue:
+            u = queue.pop()
+            near = {v for v in left if linked(T.value(u, v))}
+            left -= near
+            queue.extend(near)
+    return classes
+
+
+def check_witness_view(T, view):
+    """Re-check the JSON view of a witness against T from the definitions,
+    raising InputError or AssertionError unless it holds, and name what it
+    shows.  Holes, prisms and paths go to their validators; a skew
+    partition gets a BFS per part and the path enumeration above."""
+    kind = view["kind"]
+    if kind in ("hole", "antihole"):
+        validate_hole(T, view["vertices"], kind)
+        return f"{kind} C{len(view['vertices'])}"
+    if kind == "path":
+        validate_path(T, view["vertices"])
+        return f"path of length {len(view['vertices']) - 1}"
+    if kind == "prism":
+        rungs = tuple(PathWitness(tuple(r["vertices"])) for r in view["rungs"])
+        validate_prism(T, PrismWitness(tuple(map(tuple, view["cliques"])), rungs))
+        assert all(len(r.vertices) % 2 == 0 for r in rungs), "a rung of even length"
+        return "odd prism"
+    assert kind == "skew_partition", kind
+    a, b = set(view["a"]), set(view["b"])
+    assert not a & b and a | b == set(range(T.n))
+    # A is not connected and B is not anticonnected, a semiadjacent pair
+    # counting as adjacent for the first and antiadjacent for the second
+    assert _class_count(T, a, lambda code: code >= 0) > 1
+    assert _class_count(T, b, lambda code: code <= 0) > 1
+    # balanced: no odd path with ends in B and interior in A, and no odd
+    # antipath with ends in A and interior in B
+    assert not odd_path_exists_by_pairs(T, b, a)
+    assert not odd_path_exists_by_pairs(complement(T), a, b)
+    return "balanced skew partition"
 
 
 def random_canonical_graphs_by_forms(n, count, seed=0):

@@ -119,7 +119,7 @@ def test_criterion_5_block_theorems():
     fragments = blocks_clean = lifted = 0
     for t in corpus:
         no_bsp = find_balanced_skew_partition(t) is None
-        strong_hyp = (no_bsp and find_prism(t, "odd") is None
+        strong_hyp = (no_bsp and find_prism(t) is None
                       and find_antihole_of_length_at_least(t, 5) is None)
         for split in iter_2joins(t):
             if not split.proper or split.parity is None:
@@ -133,7 +133,7 @@ def test_criterion_5_block_theorems():
                     assert find_balanced_skew_partition(bt) is None, (t, split)
                     blocks_clean += 1
                 if strong_hyp:
-                    assert find_prism(bt, "odd") is None, (t, split)
+                    assert find_prism(bt) is None, (t, split)
                     assert find_antihole_of_length_at_least(bt, 5) is None
                 markers = set(block.markers)
                 for u, v in itertools.combinations(range(bt.n), 2):
@@ -164,7 +164,7 @@ def test_criterion_6_good_pairs_on_random_roots():
         # two of its branch vertices share a side and span an even theta
         assert root_report.even_theta or not root_report.has_k4_minor, h.strong_edges()
         lg, edges = line_graph(h)
-        if find_prism(lg, "odd") is not None:
+        if find_prism(lg) is not None:
             # the odd prism of the line graph is an even theta of the root
             assert root_report.even_theta, h.strong_edges()
             skipped += 1

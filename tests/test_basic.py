@@ -6,10 +6,10 @@ import pytest
 
 from evenpairs import basic
 from evenpairs.basic import (BasicClassification, LineRootCertificate,
-                             _good_witness, bipartition_of, classify_basic,
-                             even_pair_basic, favorability, find_good_pair,
-                             good_partition_of, has_k4_minor, line_root_of,
-                             verify_root_properties)
+                             _good_pair_scan, _good_witness, bipartition_of,
+                             classify_basic, even_pair_basic, favorability,
+                             find_good_pair, good_partition_of, has_k4_minor,
+                             line_root_of, verify_root_properties)
 from evenpairs.decomposition import build_block, find_2join
 from evenpairs.corpus import (graphs_upto, plant_light, plant_small,
                               planted_class_f_trigraphs)
@@ -378,8 +378,9 @@ def test_good_pair_oracle_definition():
 
 
 def test_good_pair_avoids_forbidden_interior():
+    # the forbidden set of the scan that the line finder runs
     h = cycle(8)
-    w = find_good_pair(h, forbidden_interior={1, 2})
+    w = _good_pair_scan(h, bipartition_of(h)[0], frozenset({1, 2}))
     assert w is not None
     assert not ((set(w.edge1) | set(w.edge2)) & {1, 2})
 
@@ -398,7 +399,8 @@ def test_find_good_pair_matches_definition():
         allowed = [e for e in h.strong_edges() if not set(e) & forb]
         good = [(e1, e2) for e1, e2 in itertools.combinations(allowed, 2)
                 if not set(e1) & set(e2) and _good_by_definition(h, side, e1, e2)]
-        w = find_good_pair(h, forb)
+        w = _good_pair_scan(h, side, forb)
+        assert find_good_pair(h) == _good_pair_scan(h, side, frozenset())
         if not good:
             assert w is None
             continue
@@ -412,7 +414,7 @@ def test_find_good_pair_matches_definition():
 def test_good_pair_found_on_a_path_root_around_a_forbidden_vertex():
     # root path 4-0-1-3-2-5 with vertex 1 forbidden: the end edges are good
     h = graph_from_edges(6, [(0, 1), (0, 4), (1, 3), (2, 3), (2, 5)])
-    w = find_good_pair(h, {1})
+    w = _good_pair_scan(h, bipartition_of(h)[0], frozenset({1}))
     assert w is not None and _good_witness(h, bipartition_of(h)[0], w.edge1, w.edge2) == w
     assert not ((set(w.edge1) | set(w.edge2)) & {1})
 
@@ -466,7 +468,7 @@ def _planted_line_trigraphs(seed, roots):
                    if not lg.adj[x] >> y & 1]
         for switched in plants:
             t = make_trigraph(lg.n, [(u, v, 0 if (u, v) in switched else 1) for u, v in strong])
-            if is_complete(t) or not in_class_F(t).ok or find_prism(t, "odd") is not None:
+            if is_complete(t) or not in_class_F(t).ok or find_prism(t) is not None:
                 continue
             cert = line_root_of(t)
             if cert is not None:
@@ -577,7 +579,7 @@ def test_complement_leaves_on_real_instances():
         c = classify_basic(t)
         if c.verdict not in ("complement_bipartite", "complement_line"):
             continue
-        if (not in_class_F(t).ok or find_prism(t, "odd") is not None
+        if (not in_class_F(t).ok or find_prism(t) is not None
                 or find_antihole_of_length_at_least(t, 6) is not None):
             continue
         need_disjoint = favorability(t).favorable
@@ -733,7 +735,7 @@ def test_finders_always_verified():
         c = classify_basic(g)
         if not c.is_basic or not is_berge(g)[0]:
             continue
-        if c.verdict == "line" and find_prism(g, "odd") is not None:
+        if c.verdict == "line" and find_prism(g) is not None:
             continue
         from evenpairs.detect import find_antihole_of_length_at_least
 

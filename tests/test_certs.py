@@ -6,7 +6,7 @@ from evenpairs import certs
 from evenpairs.basic import classify_basic, line_root_of
 from evenpairs.cli import main
 from evenpairs.decomposition import find_balanced_skew_partition
-from evenpairs.detect import find_prism, is_even_pair
+from evenpairs.detect import find_odd_antihole, find_prism, is_even_pair
 from evenpairs.families import cycle, path_graph, prism3
 from evenpairs.formats import to_graph6
 from evenpairs.trigraph import _Record, complement, graph_from_edges
@@ -19,11 +19,17 @@ def roundtrip(obj):
 
 
 def test_every_witness_kind_serializes():
-    doc = roundtrip(find_prism(prism3(), "odd"))
-    assert doc["kind"] == "prism" and doc["parity"] == "odd"
+    # a witness view states what its vertex lists do not already fix
+    doc = roundtrip(find_prism(prism3()))
+    assert doc == {"kind": "prism", "cliques": [[0, 1, 2], [3, 4, 5]],
+                   "rungs": [{"kind": "path", "vertices": list(r)}
+                             for r in ((0, 3), (1, 4), (2, 5))]}
 
     doc = roundtrip(is_even_pair(cycle(6), 0, 3).witness)
-    assert doc["kind"] == "path" and doc["parity"] == "odd"
+    assert doc == {"kind": "path", "vertices": [0, 1, 2, 3]}
+
+    doc = roundtrip(find_odd_antihole(complement(cycle(7))))
+    assert doc == {"kind": "antihole", "vertices": list(range(7))}
 
     doc = roundtrip(find_balanced_skew_partition(path_graph(4)))
     assert doc["kind"] == "skew_partition" and doc["star"] == 1

@@ -18,7 +18,7 @@ from evenpairs.families import complete_graph, cycle, empty_graph, path_graph, p
 from evenpairs.formats import from_graph6, from_text, to_graph6, to_text
 from evenpairs.trigraph import is_complete
 
-from conftest import count_calls, merge_by_renumbering
+from conftest import check_witness_view, count_calls, merge_by_renumbering
 
 
 def run_cli(capsys, *args):
@@ -431,6 +431,54 @@ def test_verify_document_is_golden(capsys):
     assert digest == "35ea5c9229e333159cc4d8bdc0b349de0d49d3125d7debe2e4639ffd9fe14c52"
 
 
+# One document pair per witness kind, each witness re-checked from the
+# definitions before its bytes are compared: a hole (C7), an antihole
+# (co-C7, and a long one in co-C8), an odd prism with its rungs as paths
+# (the 3-prism, which has a long antihole too) and a balanced skew
+# partition (P4).
+WITNESS_DOCUMENTS = {
+    "C7": ("FhCKG", {"hole"},
+           "9e04fb587ae17ec5f42a72183ba1b049da43939f53fc2348fb13e93947f42294"),
+    "co-C7": ("FUzro", {"antihole"},
+              "3c1f4f6a7c005173cbe151286c48c3c0ee6a3be2d217ff05926752cc2802f851"),
+    "co-C8": ("GUzvrw", {"antihole"},
+              "207162390b2451cee86f4749b2d75d0171e570e7e0340599d594bad830ab83a1"),
+    "prism3": ("E{Sw", {"prism", "path", "antihole"},
+               "f4328c9b195a6d1f90c50726964c321c7785d247bcfcee1148b0ef5a17757eac"),
+    "P4": ("Ch", {"skew_partition"},
+           "32b98a1fbb71bb849bc369e774974f090426e7ffe544c19319103379f7e0786f"),
+}
+
+
+def _witness_views(doc):
+    """Every witness view inside a document, prism rungs included."""
+    if isinstance(doc, dict):
+        if doc.get("kind") in ("hole", "antihole", "path", "prism", "skew_partition"):
+            yield doc
+        for value in doc.values():
+            yield from _witness_views(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _witness_views(value)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DOCUMENTS))
+def test_witness_documents_are_golden(capsys, name):
+    g6, kinds, digest = WITNESS_DOCUMENTS[name]
+    T = from_graph6(g6)
+    h = hashlib.sha256()
+    seen = set()
+    for command in ("analyze", "even-pair"):
+        code = main([command, g6])
+        out = capsys.readouterr().out
+        for view in _witness_views(json.loads(out)):
+            check_witness_view(T, view)
+            seen.add(view["kind"])
+        h.update(f"{command} {code}\n{out}".encode())
+    assert seen == kinds
+    assert h.hexdigest() == digest
+
+
 _scalars = (st.none() | st.booleans() | st.integers()
             | st.integers(min_value=-2**100, max_value=2**100) | st.floats()
             | st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
@@ -541,3 +589,35 @@ def test_internal_contradiction_exits_three(capsys, monkeypatch, c8):
     code, _, err = run_cli(capsys, "contract-color", to_graph6(c8))
     assert code == 3
     assert "routes disagree" in json.loads(err)["theorem_contradiction"]
+
+
+@pytest.mark.parametrize("command", ["even-pair", "contract-color"])
+def test_path_budget_overflow_exits_four(capsys, monkeypatch, c6, command):
+    # past detect.MAX_PATHS paths the oracle leaves the pair open: no
+    # document, the message on stderr, and an exit code of its own
+    from evenpairs import detect
+
+    monkeypatch.setattr(detect, "MAX_PATHS", 1)
+    code = main([command, to_graph6(c6)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "inconclusive": "path enumeration for (0, 2) exceeded 1 paths"}
+
+
+def test_verify_records_a_path_budget_overflow_as_a_failure(capsys, monkeypatch):
+    from evenpairs import detect
+
+    monkeypatch.setattr(detect, "MAX_PATHS", 1)
+    code, doc, _ = run_cli(capsys, "verify", "--nmax", "4")
+    failures = doc["summary"]["failures"]
+    assert code == 3 and failures
+    assert {f["stage"] for f in failures} == {"InconclusiveError"}
+
+
+def test_format_option_is_gone(capsys):
+    # the input format is read off the input; the flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", C6_G6, "--format", "graph6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format graph6" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from evenpairs.detect import (PrismWitness, _antiholes, _iter_prisms,
                               find_odd_antihole, find_odd_hole, find_prism,
                               is_berge, is_even_pair, validate_prism)
 from evenpairs.engine import check_preconditions
-from evenpairs.errors import InputError
+from evenpairs.errors import InconclusiveError, InputError
 from evenpairs.families import (complete_bipartite, cycle, line_graph,
                                 prism3)
 from evenpairs.trigraph import (ANTI, PathWitness, Trigraph, bits_of, complement,
@@ -275,9 +275,9 @@ def test_berge_invariant_under_realizations():
 # -- prisms ------------------------------------------------------------------
 
 def test_prism3_is_odd_prism():
-    wit = find_prism(prism3(), "odd")
-    assert wit is not None and wit.parity == "odd"
-    assert all(r.length == 1 for r in wit.rungs)
+    wit = find_prism(prism3())
+    assert wit is not None
+    assert [r.vertices for r in wit.rungs] == [(0, 3), (1, 4), (2, 5)]
     validate_prism(prism3(), wit)
 
 
@@ -287,8 +287,9 @@ def test_no_prism_in_triangle_free(c6):
 
 def test_line_graph_of_k23_has_odd_prism():
     lg, _ = line_graph(complete_bipartite(2, 3))
-    wit = find_prism(lg, "odd")
-    assert wit is not None and wit.parity == "odd"
+    wit = find_prism(lg)
+    assert wit is not None
+    assert all(len(r.vertices) % 2 == 0 for r in wit.rungs)
     validate_prism(lg, wit)
 
 
@@ -297,10 +298,9 @@ def test_even_prism_detected():
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
              (0, 6), (6, 3), (1, 7), (7, 4), (2, 8), (8, 5)]
     g = graph_from_edges(9, edges)
-    assert find_prism(g, "odd") is None
-    wit = find_prism(g, "even")
-    assert wit is not None and wit.parity == "even"
-    assert all(r.length == 2 for r in wit.rungs)
+    assert find_prism(g) is None
+    wit = next(_iter_prisms(g))
+    assert all(len(r.vertices) == 3 for r in wit.rungs)
     validate_prism(g, wit)
 
 
@@ -311,10 +311,9 @@ def test_prism_same_parity_in_berge_inputs():
         g = random_graph(rng, 7, 0.55)
         if not is_berge(g)[0]:
             continue
-        wit = find_prism(g)
-        if wit is not None:
+        for wit in _iter_prisms(g):
             seen += 1
-            assert wit.parity in ("odd", "even")
+            assert len({len(r.vertices) % 2 for r in wit.rungs}) == 1
     assert seen  # the sample really did contain prisms
 
 
@@ -323,9 +322,9 @@ def test_prism_rungs_are_strongly_antiadjacent_off_their_edges():
     # switchable pair, a stray edge; the only prism has rung 2-7-5
     strong = "01 12 02 34 45 35 03 14 26 67 75".split()
     T = make_trigraph(8, [(int(e[0]), int(e[1]), 1) for e in strong] + [(2, 7, 0)])
-    assert find_prism(T, "odd") is None
-    wit = find_prism(T, "any")
-    assert wit.parity == "mixed"
+    assert find_prism(T) is None
+    wit = next(_iter_prisms(T))
+    assert [len(r.vertices) - 1 for r in wit.rungs] == [1, 1, 2]
     validate_prism(T, wit)
 
 
@@ -356,11 +355,6 @@ def test_validate_prism_errors(edges, rungs, message):
     wit = PrismWitness(((0, 1, 2), (3, 4, 5)), tuple(PathWitness(r) for r in rungs))
     with pytest.raises(InputError, match=message):
         validate_prism(graph_from_edges(6, edges), wit)
-
-
-def test_prism_parity_filter_rejects_bad_value(c6):
-    with pytest.raises(InputError):
-        find_prism(c6, "weird")
 
 
 # -- bounded antiholes -------------------------------------------------------
@@ -410,7 +404,7 @@ def test_is_even_pair_c6_witness(c6):
 
 def test_is_even_pair_p4(p4):
     report = is_even_pair(p4, 0, 3)
-    assert report.verdict == "not_even_pair" and report.witness.length == 3
+    assert report.verdict == "not_even_pair" and report.witness.vertices == (0, 1, 2, 3)
 
 
 def test_is_even_pair_adjacency_guard(c6):
@@ -426,7 +420,7 @@ def test_is_even_pair_path_cap(monkeypatch, c8):
     import evenpairs.detect as detect
 
     monkeypatch.setattr(detect, "MAX_PATHS", 1)
-    with pytest.raises(RuntimeError, match="exceeded 1 paths"):
+    with pytest.raises(InconclusiveError, match="exceeded 1 paths"):
         is_even_pair(c8, 0, 2)
 
 

@@ -8,21 +8,26 @@ import pytest
 from evenpairs import trigraph
 from evenpairs.basic import FavorabilityVerdict
 from evenpairs.canonical import relabel
+from evenpairs.certs import to_jsonable
 from evenpairs.cli import main
-from evenpairs.corpus import (graphs_of_order, graphs_upto,
+from evenpairs.corpus import (graphs_of_order, graphs_upto, plant_small,
                               planted_class_f_trigraphs)
-from evenpairs.decomposition import ShapeReport, find_balanced_skew_partition
-from evenpairs.detect import EvenPairReport, find_prism, is_berge, is_even_pair
+from evenpairs.decomposition import (ShapeReport, build_block,
+                                     find_balanced_skew_partition, iter_2joins)
+from evenpairs.detect import (EvenPairReport, even_pairs, find_prism, is_berge,
+                              is_even_pair)
 from evenpairs.engine import (GRAPH_CLASSES, PRECONDITIONS, _run_instance,
                               check_preconditions, find_even_pair_structured,
                               verify_main_theorem)
 from evenpairs.families import complete_graph, prism3
 from evenpairs.formats import from_graph6, from_text
-from evenpairs.trigraph import ClassFVerdict, complement, make_trigraph
+from evenpairs.trigraph import (ClassFVerdict, complement, in_class_F,
+                                make_trigraph, switchable_vertices)
 
-from conftest import (count_calls, graphs_of_order_by_sorting,
+from conftest import (check_witness_view, count_calls, graphs_of_order_by_sorting,
                       graphs_upto_by_sorting,
-                      planted_class_f_trigraphs_by_sorting)
+                      planted_class_f_trigraphs_by_sorting,
+                      side_path_parities_by_pairs)
 
 
 def failed_names(report):
@@ -55,8 +60,8 @@ def test_precondition_verdicts_do_not_move_under_relabelling():
         verdicts = [[(c.name, c.passed) for c in check_preconditions(X).checks]
                     for X in (T, R)]
         assert verdicts[0] == verdicts[1], (T, perm)
-        has_prism = find_prism(T, "odd") is not None
-        assert has_prism == (find_prism(R, "odd") is not None), (T, perm)
+        has_prism = find_prism(T) is not None
+        assert has_prism == (find_prism(R) is not None), (T, perm)
         moved += perm != sorted(perm)
         prisms += has_prism
     assert len(instances) == 1252 + 379
@@ -504,3 +509,60 @@ def test_oracle_rejection_is_recorded_as_failure(monkeypatch):
     keys = [(from_text(f.instance).n, f.instance) for f in summary.failures]
     assert keys == sorted(keys)
     assert {from_text(f.instance) for f in summary.failures} <= set(graphs_upto(5))
+
+
+def test_every_census_filter_verdict_has_a_checked_witness():
+    # each instance the filter drops is dropped for a witness whose JSON
+    # view a check sharing no code with the searches accepts
+    tallies = {}
+    for scope, instances in (("graphs", graphs_upto(7)),
+                             ("trigraphs_in_F", planted_class_f_trigraphs(6))):
+        outcomes, witnesses = Counter(), Counter()
+        for T in instances:
+            result = find_even_pair_structured(T)
+            failure = result.report.first_failure if result.report else None
+            if failure is None:
+                outcomes[result.outcome] += 1
+                continue
+            outcomes[failure.name] += 1
+            witnesses[check_witness_view(T, to_jsonable(failure.witness))] += 1
+        tallies[scope] = (dict(outcomes), dict(witnesses))
+    assert tallies == {
+        "graphs": ({"berge": 147, "no_odd_prism": 11, "no_balanced_skew_partition": 1076,
+                    "complete": 7, "even_pair": 11},
+                   {"hole C5": 145, "hole C7": 1, "antihole C7": 1, "odd prism": 11,
+                    "balanced skew partition": 1076}),
+        "trigraphs_in_F": ({"no_odd_prism": 1, "no_balanced_skew_partition": 358,
+                            "complete": 1, "even_pair": 19},
+                           {"odd prism": 1, "balanced skew partition": 358})}
+
+
+def test_block_lemmas_hold_on_every_proper_2join_of_the_genuine_instances():
+    # the engine checks the block and lift lemmas on one split per level;
+    # they speak of every proper 2-join, every side that misses the
+    # switchable component and every even pair of its block
+    corpus = ([from_graph6(g6) for g6, _, _ in GENUINE_ROUTES]
+              + [plant_small(from_graph6("NEi?BAE@REO?_??R?HO"), 1, 3),
+                 plant_small(from_graph6("O?ot?@OgoDIKg?g??Co@I"), 0, 4)])
+    joins = blocks = lifted = 0
+    for T in corpus:
+        switchable = switchable_vertices(T)
+        for split in iter_2joins(T):
+            if not split.proper:
+                continue
+            joins += 1
+            parities = (side_path_parities_by_pairs(T, split.a1, split.b1, split.c1)
+                        | side_path_parities_by_pairs(T, split.a2, split.b2, split.c2))
+            assert parities == {{"odd": 1, "even": 0}[split.parity]}, (T, split)
+            for side in (1, 2):
+                if (split.x1 if side == 1 else split.x2) & switchable:
+                    continue
+                block = build_block(T, split, side)
+                blocks += 1
+                assert check_preconditions(block.trigraph).ok, (T, split, side)
+                assert in_class_F(block.trigraph).ok, (T, split, side)
+                for u, v in even_pairs(block.trigraph, block.markers):
+                    lifted += 1
+                    pair = block.parent_map[u], block.parent_map[v]
+                    assert is_even_pair(T, *pair).is_even_pair, (T, split, side, pair)
+    assert (joins, blocks, lifted) == (66, 78, 254)

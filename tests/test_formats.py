@@ -173,12 +173,14 @@ def test_to_text_matches_the_pair_scan():
 def test_loads_sniffing():
     t = make_trigraph(2, [(0, 1, 0)])
     assert loads(to_text(t)) == t
-    assert loads(to_text(t), fmt="trigraph") == t
+    assert loads("# a comment first\n" + to_text(t)) == t
     g = random_graph(random.Random(64), 5)
     assert loads(to_graph6(g)) == g
-    assert loads(to_graph6(g), fmt="graph6") == g
-    with pytest.raises(InputError):
-        loads("stuff", fmt="nope")
+    assert loads(">>graph6<<" + to_graph6(g)) == g
+    with pytest.raises(InputError, match="header"):
+        loads("# only a comment\n")
+    with pytest.raises(InputError, match="printable range"):
+        loads("stuff that is neither")
 
 
 def test_load_from_file(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -104,12 +105,82 @@ def _referenced_names(paths):
     return names
 
 
+def _paths_outside_the_tests():
+    """The library modules but ``__init__.py``, the demos and the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    return ([p for p in SOURCES if p.name != "__init__.py"]
+            + sorted((root / "demos").glob("*.py"))
+            + sorted((root / "perfbench").glob("*.py")))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # a public name that only the tests use is dead surface: delete it, or
     # list it above with its reason
-    root = Path(__file__).resolve().parents[1]
-    paths = ([p for p in SOURCES if p.name != "__init__.py"]
-             + sorted((root / "demos").glob("*.py"))
-             + sorted((root / "perfbench").glob("*.py")))
-    unreferenced = set(evenpairs.__all__) - _referenced_names(paths)
+    unreferenced = set(evenpairs.__all__) - _referenced_names(_paths_outside_the_tests())
     assert unreferenced == set(UNREFERENCED_PUBLIC_NAMES)
+
+
+# Defaulted public parameters that no library module, demo or benchmark
+# varies, each with the reason it stays.
+UNVARIED_PUBLIC_PARAMETERS = {
+    ("components", "X"): "the bipartition-scan tests use components as their "
+                         "definition-level reference, on subsets and in both modes",
+    ("components", "mode"): "the same reference, for anticonnectivity",
+}
+
+
+def _calls_by_name(paths):
+    """The calls in ``paths``, by the name they call, whether a bare name
+    or an attribute."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passed(call, index, param):
+    """What ``call`` passes for ``param``, the index-th parameter (None when
+    it is keyword-only): None for the default, a literal's repr, or
+    "varies" for any other expression or an unpacked argument list."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return "varies"
+    expr = next((kw.value for kw in call.keywords if kw.arg == param.name), None)
+    if expr is None and index is not None and index < len(call.args):
+        expr = call.args[index]
+    if expr is None:
+        return None
+    try:
+        return repr(ast.literal_eval(expr))
+    except ValueError:
+        return "varies"
+
+
+def test_every_defaulted_public_parameter_is_varied_outside_the_tests():
+    # a default that no caller overrides, or a parameter that every caller
+    # sets to the same literal, is one value dressed as an option: make it
+    # a constant, or list it above with its reason.  Exceptions have no
+    # signature of their own and are skipped.
+    calls = _calls_by_name(_paths_outside_the_tests())
+    unvaried = set()
+    for name in evenpairs.__all__:
+        obj = getattr(evenpairs, name)
+        if not callable(obj):
+            continue
+        try:
+            params = list(inspect.signature(obj).parameters.values())
+        except ValueError:
+            continue
+        for i, param in enumerate(params):
+            if param.default is param.empty:
+                continue
+            index = i if param.kind is param.POSITIONAL_OR_KEYWORD else None
+            seen = {_passed(call, index, param) for call in calls.get(name, [])}
+            if seen <= {None} or (len(seen) == 1 and not seen & {None, "varies"}):
+                unvaried.add((name, param.name))
+    assert unvaried == set(UNVARIED_PUBLIC_PARAMETERS)

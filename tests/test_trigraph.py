@@ -10,11 +10,11 @@ from evenpairs.contraction import _merge
 from evenpairs.errors import InputError
 from evenpairs.families import (complete_graph, cycle, empty_graph, line_graph,
                                 prism3)
-from evenpairs.trigraph import (ANTI, STRONG, Trigraph, _reach, bits_of,
+from evenpairs.trigraph import (ANTI, STRONG, Trigraph, _paths, _reach, bits_of,
                                 clique_number, complement, components,
                                 full_realization, graph_from_edges,
                                 in_class_F, induced, is_complete, iter_paths,
-                                make_trigraph, realization,
+                                make_trigraph, mask_of, realization,
                                 switchable_components, validate_hole,
                                 validate_path)
 
@@ -320,19 +320,14 @@ def test_enumerate_paths_rejects_out_of_range_ends(c6, u, v, bad):
         iter_paths(c6, u, v)
 
 
-@pytest.mark.parametrize("interior, bad", [([1, 2, 7], 7), ([-2], -2)])
-def test_iter_paths_rejects_out_of_range_interior(c6, interior, bad):
-    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
-        list(iter_paths(c6, 0, 3, interior))
-
-
 def test_iter_paths_rejects_equal_ends(c6):
     with pytest.raises(InputError, match="endpoints must differ"):
         iter_paths(c6, 2, 2)
 
 
 def test_interior_restriction(c6):
-    seqs = list(iter_paths(c6, 0, 2, interior=[1]))
+    # the interior mask of the path search; the ends lie outside it
+    seqs = list(_paths(c6.adj, c6.anti, 0, 1 << 2, 1 << 1))
     assert seqs == [(0, 1, 2)]
 
 
@@ -347,10 +342,11 @@ def test_iter_paths_matches_the_used_mask_reference():
         for g in (t, complement(t)):
             for u, v in itertools.permutations(range(g.n), 2):
                 interior = [w for w in range(g.n) if rng.random() < 0.6]
-                for inner in (None, interior):
-                    got = list(iter_paths(g, u, v, inner))
-                    assert got == list(iter_paths_with_used(g, u, v, inner)), (g, u, v, inner)
-                    paths += len(got)
+                got = list(iter_paths(g, u, v))
+                assert got == list(iter_paths_with_used(g, u, v)), (g, u, v)
+                inner = list(_paths(g.adj, g.anti, u, 1 << v, mask_of(interior)))
+                assert inner == list(iter_paths_with_used(g, u, v, interior)), (g, u, v, interior)
+                paths += len(got) + len(inner)
     assert paths > 20_000
 
 
